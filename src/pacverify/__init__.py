@@ -6,18 +6,7 @@ protocol (intervals), the statistical-query protocol (sq), the square-root
 lower-bound experiments (lowerbound), and the experiment CLI (cli).
 """
 
-from .core import (
-    DiscreteDistribution,
-    LabeledSample,
-    LossFunction,
-    SampleBudget,
-    child_rng,
-    empirical_loss,
-    population_loss_01,
-    total_variation,
-    vc_dimension_bruteforce,
-    zero_one_loss,
-)
+from .core import DiscreteDistribution, LabeledSample, child_rng
 from .harness import (
     ProtocolViolation,
     Transcript,
@@ -26,28 +15,20 @@ from .harness import (
     classify_outcome,
     run_interaction,
 )
-from .identity_test import IdentityTestConfig, required_samples, tolerant_identity_test
+from .identity_test import IdentityTestConfig, required_samples
 
 __all__ = [
     "DiscreteDistribution",
     "IdentityTestConfig",
     "LabeledSample",
-    "LossFunction",
     "ProtocolViolation",
-    "SampleBudget",
     "Transcript",
     "VerificationParams",
     "VerifierOutcome",
     "child_rng",
     "classify_outcome",
-    "empirical_loss",
-    "population_loss_01",
     "required_samples",
     "run_interaction",
-    "tolerant_identity_test",
-    "total_variation",
-    "vc_dimension_bruteforce",
-    "zero_one_loss",
 ]
 
 __version__ = "0.1.0"

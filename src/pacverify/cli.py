@@ -153,34 +153,44 @@ def _trial_seed(root_seed: int, index: int) -> int:
     return int(child_rng(root_seed, 7, index).integers(2**63))
 
 
-# top-level so process pools can pickle it
-def _run_trial(spec_doc: dict, index: int) -> dict:
-    spec = ExperimentSpec.from_doc(spec_doc)
-    seed = _trial_seed(spec.root_seed, index)
+def _build_trials(spec: ExperimentSpec) -> tuple:
+    """Wire a per-trial spec: (run, baseline, loss_of).
+
+    ``run(seed)`` plays one interaction and returns its transcript;
+    ``loss_of`` maps a hypothesis payload to its exact population loss.
+    """
+    p = spec.params
     if spec.protocol == "intervals":
         pop = _build_interval_population(spec.distribution)
-        p = spec.params
         cfg = iv.IntervalProtocolConfig.default(
             p["d"], p["epsilon"], p["delta"],
             c_v=p.get("c_v", 2.0), c_p=p.get("c_p", 8.0))
-        prover = iv.make_interval_prover(spec.adversary, pop, cfg)
-        transcript = iv.protocol1_end_to_end(pop, cfg, seed, prover)
+        run = lambda seed: iv.protocol1_end_to_end(
+            pop, cfg, seed, iv.make_interval_prover(spec.adversary, pop, cfg))
         baseline = iv.optimal_class_loss(pop, cfg.d)
         loss_of = lambda payload: pop.loss01(iv.UnionOfIntervals(tuple(tuple(x) for x in payload)))
     elif spec.protocol == "sq":
-        p = spec.params
         dist = _build_sq_distribution(spec.distribution, p["N"])
         num_blocks = p.get("num_blocks", min(p["N"], 2 * p["n"]))
         cfg = sq.SqProtocolConfig.default(
             tau=p["tau"], epsilon=p["epsilon"], delta=p["delta"],
             s=num_blocks, b=p.get("b", 1),
             c_v=p.get("c_v", 4.0), c_p=p.get("c_p", 16.0))
-        transcript = sq.portfolio_run(dist, cfg, N=p["N"], n=p["n"], seed=seed,
-                                      prover_name=spec.adversary, num_blocks=num_blocks)
+        run = lambda seed: sq.portfolio_run(dist, cfg, N=p["N"], n=p["n"], seed=seed,
+                                            prover_name=spec.adversary, num_blocks=num_blocks)
         baseline = sq.portfolio_baseline(dist, p["N"], p["n"], num_blocks)
         loss_of = lambda payload: sq.portfolio_population_loss(payload, dist)
     else:
-        raise SpecError("protocol", f"{spec.protocol} has no per-trial runner")
+        raise SpecError("protocol", f"{spec.protocol} runs no verified trials")
+    return run, baseline, loss_of
+
+
+# top-level so process pools can pickle it
+def _run_trial(spec_doc: dict, index: int) -> dict:
+    spec = ExperimentSpec.from_doc(spec_doc)
+    seed = _trial_seed(spec.root_seed, index)
+    run, baseline, loss_of = _build_trials(spec)
+    transcript = run(seed)
     classification = classify_outcome(transcript, loss_of, baseline,
                                       spec.params["epsilon"], role=spec.role)
     out = {
@@ -225,8 +235,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         p = spec.params
         report["calibration"] = calibrate(
             n=p["n"], epsilon=p["epsilon"], delta=p["delta"],
-            runs=p.get("runs", 200), seed=spec.root_seed,
-            repetitions=p.get("repetitions", 1))
+            runs=p.get("runs", 200), seed=spec.root_seed)
     elif spec.protocol == "lowerbound":
         p = spec.params
         report["crossing"] = lb.crossing_experiment(
@@ -322,11 +331,6 @@ def write_report(report: dict, out_dir: str) -> None:
         f.write(report_json(report))
     with open(os.path.join(out_dir, "rates.csv"), "w") as f:
         f.write(rate_table_csv(report))
-    for trial in report.get("trials", []):
-        if "transcript" in trial:
-            path = os.path.join(out_dir, f"trial_{trial['trial']:05d}.jsonl")
-            with open(path, "w") as f:
-                f.write(trial["transcript"])
 
 
 def replay(report_path: str) -> dict:
@@ -339,18 +343,7 @@ def replay(report_path: str) -> dict:
     with open(report_path) as f:
         report = json.load(f)
     spec = ExperimentSpec.from_doc(report["spec"])
-    if spec.protocol == "intervals":
-        pop = _build_interval_population(spec.distribution)
-        baseline = iv.optimal_class_loss(pop, spec.params["d"])
-        loss_of = lambda payload: pop.loss01(iv.UnionOfIntervals(tuple(tuple(x) for x in payload)))
-    elif spec.protocol == "sq":
-        p = spec.params
-        dist = _build_sq_distribution(spec.distribution, p["N"])
-        num_blocks = p.get("num_blocks", min(p["N"], 2 * p["n"]))
-        baseline = sq.portfolio_baseline(dist, p["N"], p["n"], num_blocks)
-        loss_of = lambda payload: sq.portfolio_population_loss(payload, dist)
-    else:
-        raise SpecError("protocol", f"{spec.protocol} transcripts are not replayable")
+    _, baseline, loss_of = _build_trials(spec)
     rows = []
     mismatches = 0
     for trial in report.get("trials", []):

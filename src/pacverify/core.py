@@ -1,20 +1,13 @@
-"""Shared primitives: discrete distributions, sampling, losses, VC utilities."""
+"""Shared primitives: discrete distributions, labeled samples, seeded RNG splitting."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 MASS_TOL = 1e-12
-
-DEFAULT_DENOMINATOR = 10**15
-
-
-class GroundSetTooLargeError(ValueError):
-    """Raised when an exhaustive VC search would be exponential beyond reason."""
 
 
 def child_rng(root_seed: int, *path: int) -> np.random.Generator:
@@ -32,15 +25,11 @@ class DiscreteDistribution:
     """A finitely supported probability distribution over opaque identifiers.
 
     ``support`` is an ordered tuple of distinct identifiers. ``probs`` holds
-    one weight per identifier, nonnegative, summing to one within 1e-12.
-    When constructed from integer counts, the exact representation is kept so
-    equality checks against other count vectors stay bit-exact.
+    one weight per identifier, nonnegative, summing to one within 1e-9.
     """
 
     support: tuple
     probs: np.ndarray
-    counts: np.ndarray | None = None
-    denominator: int | None = None
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -53,11 +42,6 @@ class DiscreteDistribution:
             raise ValueError("negative mass")
         if abs(float(probs.sum()) - 1.0) > 1e-9:
             raise ValueError(f"masses sum to {probs.sum()}, expected 1")
-        if self.counts is not None:
-            counts = np.asarray(self.counts, dtype=np.int64)
-            object.__setattr__(self, "counts", counts)
-            if self.denominator is None or int(counts.sum()) != self.denominator:
-                raise ValueError("counts must sum to the denominator")
 
     @classmethod
     def from_counts(cls, support: Sequence, counts: Sequence[int]) -> "DiscreteDistribution":
@@ -65,7 +49,7 @@ class DiscreteDistribution:
         denom = int(counts.sum())
         if denom <= 0:
             raise ValueError("counts must have positive total")
-        return cls(tuple(support), counts / denom, counts=counts, denominator=denom)
+        return cls(tuple(support), counts / denom)
 
     @classmethod
     def from_probs(cls, support: Sequence, probs: Sequence[float]) -> "DiscreteDistribution":
@@ -76,68 +60,8 @@ class DiscreteDistribution:
         n = len(support)
         return cls(tuple(support), np.full(n, 1.0 / n))
 
-    @classmethod
-    def point_mass(cls, element) -> "DiscreteDistribution":
-        return cls((element,), np.array([1.0]))
-
     def __len__(self) -> int:
         return len(self.support)
-
-    def prob_of(self, element) -> float:
-        try:
-            return float(self.probs[self.support.index(element)])
-        except ValueError:
-            return 0.0
-
-    def sample_indices(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw m i.i.d. support indices."""
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        return rng.choice(len(self.support), size=m, p=self.probs)
-
-    def sample(self, m: int, rng: np.random.Generator) -> list:
-        """Draw m i.i.d. support elements."""
-        idx = self.sample_indices(m, rng)
-        return [self.support[i] for i in idx]
-
-    def sample_counts(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        """Multinomial occupancy counts of m i.i.d. draws.
-
-        Same law as ``bincount(sample_indices(m))`` but O(support) rather
-        than O(m); protocol runners use this for large sample budgets.
-        """
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        return rng.multinomial(m, self.probs)
-
-    def to_json(self) -> dict:
-        if self.counts is not None:
-            counts = [int(c) for c in self.counts]
-            denom = int(self.denominator)
-        else:
-            scaled = np.floor(self.probs * DEFAULT_DENOMINATOR).astype(np.int64)
-            scaled[int(np.argmax(scaled))] += DEFAULT_DENOMINATOR - int(scaled.sum())
-            counts = [int(c) for c in scaled]
-            denom = DEFAULT_DENOMINATOR
-        return {"support": list(self.support), "counts": counts, "denominator": denom}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "DiscreteDistribution":
-        support = [tuple(s) if isinstance(s, list) else s for s in doc["support"]]
-        counts = np.asarray(doc["counts"], dtype=np.int64)
-        if int(counts.sum()) != int(doc["denominator"]):
-            raise ValueError("counts do not sum to denominator")
-        return cls.from_counts(support, counts)
-
-
-def total_variation(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Total variation distance: half the L1 distance over the joint support."""
-    masses: dict = {}
-    for elem, w in zip(p.support, p.probs):
-        masses[elem] = masses.get(elem, 0.0) + float(w)
-    for elem, w in zip(q.support, q.probs):
-        masses[elem] = masses.get(elem, 0.0) - float(w)
-    return 0.5 * sum(abs(v) for v in masses.values())
 
 
 def tv_from_probs(p: np.ndarray, q: np.ndarray) -> float:
@@ -147,11 +71,10 @@ def tv_from_probs(p: np.ndarray, q: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class LabeledSample:
-    """An ordered i.i.d. sample of (x, y) pairs with the seed that produced it."""
+    """An ordered i.i.d. sample of (x, y) pairs."""
 
     xs: np.ndarray
     ys: np.ndarray
-    source_seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "xs", np.asarray(self.xs))
@@ -161,139 +84,3 @@ class LabeledSample:
 
     def __len__(self) -> int:
         return len(self.xs)
-
-    @property
-    def points(self) -> list[tuple]:
-        return list(zip(self.xs.tolist(), self.ys.tolist()))
-
-
-@dataclass(frozen=True)
-class SampleBudget:
-    m_v: int
-    m_p: int
-
-    def __post_init__(self):
-        if self.m_v < 1 or self.m_p < 1:
-            raise ValueError("sample budgets must be >= 1")
-
-
-@dataclass(frozen=True)
-class LossFunction:
-    """Pointwise loss in [0, 1] plus the loss assigned to the reject symbol.
-
-    ``reject_loss`` is carried for completeness of the interface but plays no
-    role in acceptance accounting: a rejecting verifier never produces a
-    hypothesis to score.
-    """
-
-    evaluator: Callable
-    reject_loss: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.reject_loss <= 1.0:
-            raise ValueError("reject_loss must lie in [0, 1]")
-
-
-def zero_one_loss() -> LossFunction:
-    """0-1 loss on labeled points: 1 when the hypothesis mislabels x.
-
-    The evaluator is vectorized: given arrays (xs, ys) it returns an array.
-    """
-
-    def evaluate(z, h):
-        xs, ys = z
-        pred = h(xs)
-        return (np.asarray(pred) != np.asarray(ys)).astype(float)
-
-    return LossFunction(evaluate)
-
-
-def empirical_loss(h, sample: LabeledSample, loss: LossFunction) -> float:
-    """Average loss of h over a labeled sample."""
-    values = loss.evaluator((sample.xs, sample.ys), h)
-    values = np.asarray(values, dtype=float)
-    if values.shape == ():
-        values = np.full(len(sample), float(values))
-    return float(values.mean())
-
-
-def population_loss_01(h, dist: DiscreteDistribution) -> float:
-    """Exact 0-1 loss of h under a finitely supported distribution over (x, y)."""
-    xs = np.array([elem[0] for elem in dist.support])
-    ys = np.array([elem[1] for elem in dist.support])
-    pred = np.asarray(h(xs))
-    return float(dist.probs[pred != ys].sum())
-
-
-def _labelings_by_complexity(size: int) -> np.ndarray:
-    """All binary labelings of `size` points, hardest (most label runs) first.
-
-    The ordering is a search heuristic only; every labeling is still visited.
-    """
-    labs = np.arange(2**size, dtype=np.uint32)
-    bits = ((labs[:, None] >> np.arange(size)) & 1).astype(np.int8)
-    runs = bits[:, 0] + np.abs(np.diff(bits, axis=1)).sum(axis=1)
-    order = np.argsort(-runs, kind="stable")
-    return bits[order]
-
-
-def shatters(labeling_realizable: Callable, points: Sequence) -> bool:
-    """Whether every labeling of `points` is realized by the hypothesis set.
-
-    ``labeling_realizable(points, labels)`` must answer whether some
-    hypothesis assigns exactly `labels` to `points`.
-    """
-    points = tuple(points)
-    size = len(points)
-    if size == 0:
-        return True
-    if size > 20:
-        raise GroundSetTooLargeError(f"refusing exhaustive search over 2^{size} labelings")
-    for labels in _labelings_by_complexity(size):
-        if not labeling_realizable(points, tuple(int(b) for b in labels)):
-            return False
-    return True
-
-
-def vc_dimension_bruteforce(labeling_realizable: Callable, ground: Sequence) -> int:
-    """Largest cardinality of a shattered subset of the ground set, by search.
-
-    Stops at the first size with no shattered subset (subsets of shattered
-    sets are shattered, so larger sizes cannot succeed).
-    """
-    ground = tuple(ground)
-    n = len(ground)
-    if n > 20:
-        raise GroundSetTooLargeError(f"ground set of size {n} exceeds the exhaustive-search cap of 20")
-    best = 0
-    from itertools import combinations
-
-    for size in range(1, n + 1):
-        found = False
-        for subset in combinations(ground, size):
-            if shatters(labeling_realizable, subset):
-                found = True
-                break
-        if not found:
-            break
-        best = size
-    return best
-
-
-def interval_union_realizable(d: int) -> Callable:
-    """Labeling-realizability oracle for unions of at most d closed intervals.
-
-    A labeling of points sorted by position is realizable iff its 1s form at
-    most d runs.
-    """
-
-    def realizable(points, labels) -> bool:
-        order = np.argsort(np.asarray(points, dtype=float), kind="stable")
-        lab = np.asarray(labels, dtype=np.int8)[order]
-        # runs of ones = lab[0] + number of 0 -> 1 transitions
-        runs = int(lab[0])
-        if len(lab) > 1:
-            runs += int(((lab[1:] == 1) & (lab[:-1] == 0)).sum())
-        return runs <= d
-
-    return realizable

@@ -21,6 +21,33 @@ class ProtocolViolation(Exception):
     """A malformed, missing, or excess prover message; the verifier rejects."""
 
 
+def parse_counts(value, shape: tuple, denominator) -> np.ndarray:
+    """Parse an untrusted table of exact counts from a prover's JSON payload.
+
+    ``value`` must be a (nested) list of the given shape whose entries are
+    nonnegative integers (integral floats are accepted) summing exactly to
+    ``denominator``, which must itself be a positive int. Any other input,
+    including bools, NaN or infinity, values beyond int64 and ragged lists,
+    raises ProtocolViolation. Returns the counts as int64.
+    """
+    if type(denominator) is not int or denominator < 1:
+        raise ProtocolViolation("denominator must be a positive integer")
+    try:
+        table = np.asarray(value, dtype=object)
+        if table.shape != shape or not set(map(type, table.flat)) <= {int, float}:
+            raise ProtocolViolation(f"counts must form a {shape} table of numbers")
+        floats = table.astype(float)
+        if (not np.isfinite(floats).all() or np.any(floats != np.floor(floats))
+                or np.any(np.abs(floats) >= 2.0**63)):
+            raise ProtocolViolation("counts must be integers within the int64 range")
+        counts = table.astype(np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolViolation(f"malformed counts: {exc}") from exc
+    if np.any(counts < 0) or counts.sum(dtype=object) != denominator:
+        raise ProtocolViolation("counts must be nonnegative and sum to the denominator")
+    return counts
+
+
 @dataclass(frozen=True)
 class VerificationParams:
     epsilon: float
@@ -224,14 +251,3 @@ class SilentProver:
 
     def respond(self, payload, params, rng):
         return None
-
-
-def estimate_baseline(run_once, trials: int, seed: int) -> tuple[float, float]:
-    """Monte-Carlo estimate of the verified algorithm's expected loss.
-
-    ``run_once(rng) -> float`` executes one honest run and returns its
-    population loss. Returns (mean, standard error).
-    """
-    losses = np.array([run_once(child_rng(seed, i)) for i in range(trials)])
-    stderr = float(losses.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return float(losses.mean()), stderr

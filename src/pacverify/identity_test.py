@@ -17,10 +17,6 @@ import numpy as np
 from .core import DiscreteDistribution, child_rng, tv_from_probs
 
 
-class SampleTooSmallError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class IdentityTestConfig:
     """Parameters of one tolerant identity test.
@@ -28,15 +24,13 @@ class IdentityTestConfig:
     ``epsilon`` is the outer rejection radius. The inner acceptance radius
     defaults to epsilon/sqrt(n) and can be overridden (the statistical-query
     protocol uses tau / (2 sqrt(atoms))). ``constant_C`` scales the sample
-    budget; ``repetitions`` must be odd and the verdict is a majority vote
-    over equal sample splits.
+    budget.
     """
 
     n: int
     epsilon: float
     delta: float
     constant_C: float = 4.0
-    repetitions: int = 1
     inner_radius: float | None = None
 
     def __post_init__(self):
@@ -48,8 +42,6 @@ class IdentityTestConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.constant_C <= 0:
             raise ValueError("constant_C must be positive")
-        if self.repetitions < 1 or self.repetitions % 2 == 0:
-            raise ValueError("repetitions must be a positive odd count")
         if self.inner_radius is not None and not 0.0 < self.inner_radius < self.epsilon:
             raise ValueError("inner_radius must lie in (0, epsilon)")
 
@@ -88,66 +80,18 @@ def _threshold(ref: np.ndarray, m: int, cfg: IdentityTestConfig) -> float:
     return m * m * mean_sq * spread - m * bias
 
 
-def test_from_counts(ref: np.ndarray, counts_per_rep: np.ndarray, cfg: IdentityTestConfig) -> TestVerdict:
-    """Run the tester on precomputed occupancy counts, one row per repetition.
+def test_from_counts(ref: np.ndarray, counts: np.ndarray, cfg: IdentityTestConfig) -> TestVerdict:
+    """Run the tester on the occupancy counts of one i.i.d. sample.
 
-    Each row must hold counts of an independent i.i.d. block; the verdict is
-    the majority over per-block decisions. Any observed mass on a reference
-    atom of weight zero rejects that block outright.
+    Any observed mass on a reference atom of weight zero rejects outright.
     """
     ref = np.asarray(ref, dtype=float)
-    counts_per_rep = np.atleast_2d(np.asarray(counts_per_rep))
-    if counts_per_rep.shape[0] != cfg.repetitions:
-        raise ValueError("one counts row per repetition required")
-    accepts = 0
-    stats = []
-    for counts in counts_per_rep:
-        m = int(counts.sum())
-        if np.any(counts[ref == 0.0] > 0):
-            stats.append(math.inf)
-            continue
-        stat = _statistic(counts, ref, m, cfg.n)
-        stats.append(stat)
-        if stat < _threshold(ref, m, cfg):
-            accepts += 1
-    total = int(counts_per_rep.sum())
-    return TestVerdict(
-        accept=accepts * 2 > cfg.repetitions,
-        statistic=float(np.median(stats)),
-        samples_used=total,
-    )
-
-
-def tolerant_identity_test(reference: DiscreteDistribution, sample, cfg: IdentityTestConfig) -> TestVerdict:
-    """Tolerant identity test against a fully known reference distribution.
-
-    ``sample`` is a sequence of draws from the unknown source, given either
-    as support elements or as integer indices into the reference support.
-    Accepts with probability >= 1-delta when the source is within the inner
-    radius of the reference in TV; rejects with probability >= 1-delta when
-    it is beyond epsilon. Deterministic given (reference, sample, cfg).
-    """
-    if len(reference) > cfg.n:
-        raise ValueError("reference support exceeds configured n")
-    m_total = required_samples(cfg)
-    if len(sample) < m_total:
-        raise SampleTooSmallError(f"need {m_total} samples, got {len(sample)}")
-
-    sample = list(sample) if not isinstance(sample, np.ndarray) else sample
-    if isinstance(sample, np.ndarray) and np.issubdtype(sample.dtype, np.integer):
-        indices = sample
-    else:
-        lookup = {elem: i for i, elem in enumerate(reference.support)}
-        indices = np.array([lookup.get(z, len(reference)) for z in sample])
-    # out-of-support observations land in a sentinel zero-mass bin
-    ref = np.append(reference.probs, 0.0)
-
-    m_rep = m_total // cfg.repetitions
-    rows = [
-        np.bincount(indices[i * m_rep : (i + 1) * m_rep], minlength=len(ref))
-        for i in range(cfg.repetitions)
-    ]
-    return test_from_counts(ref, np.array(rows), cfg)
+    counts = np.asarray(counts)
+    m = int(counts.sum())
+    if np.any(counts[ref == 0.0] > 0):
+        return TestVerdict(accept=False, statistic=math.inf, samples_used=m)
+    stat = _statistic(counts, ref, m, cfg.n)
+    return TestVerdict(accept=stat < _threshold(ref, m, cfg), statistic=stat, samples_used=m)
 
 
 def planted_shift(probs: np.ndarray, tv: float) -> np.ndarray:
@@ -190,19 +134,16 @@ def accept_rate(cfg: IdentityTestConfig, ref: DiscreteDistribution, source_probs
                 runs: int, seed: int) -> float:
     """Empirical acceptance rate of the tester over independent runs."""
     m_total = required_samples(cfg)
-    m_rep = m_total // cfg.repetitions
-    ref_probs = ref.probs
     accepted = 0
     for run in range(runs):
-        rng = child_rng(seed, run)
-        rows = np.stack([rng.multinomial(m_rep, source_probs) for _ in range(cfg.repetitions)])
-        if test_from_counts(ref_probs, rows, cfg).accept:
+        counts = child_rng(seed, run).multinomial(m_total, source_probs)
+        if test_from_counts(ref.probs, counts, cfg).accept:
             accepted += 1
     return accepted / runs
 
 
 def calibrate(n: int, epsilon: float, delta: float, runs: int = 200, seed: int = 0,
-              c_grid: tuple = (0.5, 1.0, 2.0, 4.0, 8.0), repetitions: int = 1) -> dict:
+              c_grid: tuple = (0.5, 1.0, 2.0, 4.0, 8.0)) -> dict:
     """Search the smallest sample-size constant meeting the tester contract.
 
     For each candidate C, plants TV in {0, inner, eps/2, eps, 2*eps} against
@@ -215,8 +156,7 @@ def calibrate(n: int, epsilon: float, delta: float, runs: int = 200, seed: int =
     results = []
     chosen = None
     for c in c_grid:
-        cfg = IdentityTestConfig(n=n, epsilon=epsilon, delta=delta, constant_C=c,
-                                 repetitions=repetitions)
+        cfg = IdentityTestConfig(n=n, epsilon=epsilon, delta=delta, constant_C=c)
         grid = [0.0, cfg.inner, epsilon / 2.0, epsilon, 2.0 * epsilon]
         rates = [accept_rate(cfg, ref, planted_shift(ref.probs, tv), runs, seed) for tv in grid]
         ok = (
@@ -241,7 +181,7 @@ def calibrate(n: int, epsilon: float, delta: float, runs: int = 200, seed: int =
         "delta": delta,
         "runs_per_point": runs,
         "seed": seed,
-        "repetitions": repetitions,
+        "repetitions": 1,  # one sample per test; the key keeps the report format
         "grid": results,
         "smallest_passing_C": chosen,
     }

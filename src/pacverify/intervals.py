@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteDistribution, LabeledSample, child_rng
+from .core import LabeledSample, child_rng
 from .harness import (
     GarbageProver,
     ProtocolViolation,
     SilentProver,
     VerificationParams,
     VerifierOutcome,
+    parse_counts,
     run_interaction,
 )
 from .identity_test import IdentityTestConfig, required_samples, test_from_counts
@@ -179,7 +180,6 @@ class IntervalProtocolConfig:
     m_v: int
     m_p: int
     tester_C: float = 2.0
-    tester_repetitions: int = 1
 
     def __post_init__(self):
         inv_eps = 1.0 / self.epsilon
@@ -202,13 +202,11 @@ class IntervalProtocolConfig:
             epsilon=self.epsilon / 6.0,
             delta=self.delta / 2.0,
             constant_C=self.tester_C,
-            repetitions=self.tester_repetitions,
         )
 
     @classmethod
     def default(cls, d: int, epsilon: float, delta: float,
-                c_v: float = 2.0, c_p: float = 8.0,
-                tester_repetitions: int = 1) -> "IntervalProtocolConfig":
+                c_v: float = 2.0, c_p: float = 8.0) -> "IntervalProtocolConfig":
         """Sample budgets following the protocol's asymptotic shapes.
 
         m_v is exactly the tolerant tester's budget at parameters
@@ -218,35 +216,24 @@ class IntervalProtocolConfig:
         """
         k = round(12 * d / epsilon)
         tcfg = IdentityTestConfig(n=2 * k, epsilon=epsilon / 6.0, delta=delta / 2.0,
-                                  constant_C=c_v, repetitions=tester_repetitions)
+                                  constant_C=c_v)
         m_v = required_samples(tcfg)
         base = c_p * (d * d * math.log(max(d / epsilon, math.e)) + math.log(1.0 / delta)) / epsilon**4
         m_p = int(math.ceil(base / k) * k)
-        return cls(d=d, epsilon=epsilon, delta=delta, k=k, m_v=m_v, m_p=m_p,
-                   tester_C=c_v, tester_repetitions=tester_repetitions)
+        return cls(d=d, epsilon=epsilon, delta=delta, k=k, m_v=m_v, m_p=m_p, tester_C=c_v)
 
 
 @dataclass(frozen=True)
 class DiscretizedMessage:
-    """The prover's discretization claim: interval cut points and exact counts."""
+    """The prover's discretization claim: interval cut points and exact counts.
+
+    Provers build it from their own arrays; a received claim goes through
+    ``from_payload``, which validates it.
+    """
 
     boundaries: np.ndarray  # k+1 points, 0 = b_0 <= ... <= b_k = 1
     counts: np.ndarray      # (k, 2) integer label counts
     denominator: int
-
-    def __post_init__(self):
-        boundaries = np.asarray(self.boundaries, dtype=float)
-        counts = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "boundaries", boundaries)
-        object.__setattr__(self, "counts", counts)
-        if counts.ndim != 2 or counts.shape[1] != 2:
-            raise ProtocolViolation("counts must be a (k, 2) table")
-        if len(boundaries) != counts.shape[0] + 1:
-            raise ProtocolViolation("boundaries must have one more entry than intervals")
-        if boundaries[0] != 0.0 or boundaries[-1] != 1.0 or np.any(np.diff(boundaries) < 0):
-            raise ProtocolViolation("boundaries must increase from 0 to 1")
-        if np.any(counts < 0) or int(counts.sum()) != self.denominator:
-            raise ProtocolViolation("counts must be nonnegative and sum to the denominator")
 
     @property
     def k(self) -> int:
@@ -265,17 +252,19 @@ class DiscretizedMessage:
 
     @classmethod
     def from_payload(cls, payload) -> "DiscretizedMessage":
+        """Parse and validate an untrusted claim; any defect is a ProtocolViolation."""
         if not isinstance(payload, dict):
             raise ProtocolViolation("message must be a JSON object")
         try:
-            boundaries = np.asarray(payload["boundaries"], dtype=float)
-            counts = np.asarray(payload["counts"], dtype=np.int64)
-            denominator = int(payload["denominator"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolViolation(f"malformed discretization message: {exc}") from exc
-        counts_raw = np.asarray(payload["counts"])
-        if counts_raw.dtype.kind == "f" and np.any(counts_raw != np.floor(counts_raw)):
-            raise ProtocolViolation("counts must be exact integers")
+            boundaries = np.asarray(payload.get("boundaries"), dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ProtocolViolation(f"malformed boundaries: {exc}") from exc
+        if boundaries.ndim != 1 or len(boundaries) < 2 or not np.isfinite(boundaries).all():
+            raise ProtocolViolation("boundaries must be a list of at least two finite numbers")
+        if boundaries[0] != 0.0 or boundaries[-1] != 1.0 or np.any(np.diff(boundaries) < 0):
+            raise ProtocolViolation("boundaries must increase from 0 to 1")
+        denominator = payload.get("denominator")
+        counts = parse_counts(payload.get("counts"), (len(boundaries) - 1, 2), denominator)
         return cls(boundaries, counts, denominator)
 
 
@@ -308,38 +297,6 @@ def map_to_interval(boundaries: np.ndarray, xs: np.ndarray) -> np.ndarray:
     inner = np.asarray(boundaries, dtype=float)[1:-1]
     j = np.searchsorted(inner, xs, side="right")
     return np.clip(j, 0, len(inner))
-
-
-def discretize(dist, boundaries: np.ndarray, representatives: np.ndarray) -> DiscreteDistribution:
-    """Pushforward of a labeled population onto one representative per interval.
-
-    The mass of (x*_j, y) equals the source mass of interval j at label y.
-    Accepts an :class:`IntervalPopulation` or a DiscreteDistribution whose
-    support is (x, y) pairs.
-    """
-    boundaries = np.asarray(boundaries, dtype=float)
-    representatives = np.asarray(representatives, dtype=float)
-    k = len(boundaries) - 1
-    if len(representatives) != k:
-        raise ValueError("one representative per interval required")
-    lo = map_to_interval(boundaries, representatives - 0.0)
-    if np.any((representatives < boundaries[:-1]) | (representatives > boundaries[1:])):
-        raise ValueError("representatives must lie in their intervals")
-    if isinstance(dist, IntervalPopulation):
-        table = dist.interval_label_masses(boundaries)
-    else:
-        xs = np.array([elem[0] for elem in dist.support], dtype=float)
-        ys = np.array([elem[1] for elem in dist.support], dtype=np.int64)
-        j = map_to_interval(boundaries, xs)
-        table = np.zeros((k, 2))
-        np.add.at(table, (j, ys), dist.probs)
-    support = []
-    probs = []
-    for j in range(k):
-        for y in (0, 1):
-            support.append((float(representatives[j]), y))
-            probs.append(table[j, y])
-    return DiscreteDistribution(tuple(support), np.array(probs))
 
 
 def erm_runs(mass0: np.ndarray, mass1: np.ndarray, d: int) -> tuple[list, float]:
@@ -419,22 +376,6 @@ def erm_runs(mass0: np.ndarray, mass1: np.ndarray, d: int) -> tuple[list, float]
     return runs, float(total_loss)
 
 
-def erm_discretized(dist: DiscreteDistribution, d: int) -> tuple[UnionOfIntervals, float]:
-    """Exact ERM over unions of <= d intervals for a discretized distribution.
-
-    The support must consist of (x*, y) pairs ordered by x*. Returned
-    interval endpoints sit at the representatives themselves.
-    """
-    xs = sorted({elem[0] for elem in dist.support})
-    index = {x: i for i, x in enumerate(xs)}
-    mass = np.zeros((len(xs), 2))
-    for (x, y), w in zip(dist.support, dist.probs):
-        mass[index[x], int(y)] += w
-    runs, loss = erm_runs(mass[:, 0], mass[:, 1], d)
-    intervals = [(xs[s], xs[e]) for s, e in runs]
-    return UnionOfIntervals(tuple(intervals)), loss
-
-
 def verifier_protocol1(s_v: LabeledSample, msg: DiscretizedMessage,
                        cfg: IntervalProtocolConfig) -> VerifierOutcome:
     """The verifier side of the intervals protocol, as a pure function.
@@ -454,12 +395,8 @@ def verifier_protocol1(s_v: LabeledSample, msg: DiscretizedMessage,
         raise ValueError(f"verifier sample too small: need {m_total}")
 
     atom = 2 * map_to_interval(msg.boundaries, s_v.xs) + np.asarray(s_v.ys, dtype=np.int64)
-    m_rep = m_total // tcfg.repetitions
-    rows = np.stack([
-        np.bincount(atom[i * m_rep:(i + 1) * m_rep], minlength=2 * cfg.k)
-        for i in range(tcfg.repetitions)
-    ])
-    verdict = test_from_counts(msg.reference_probs(), rows, tcfg)
+    counts = np.bincount(atom[:m_total], minlength=2 * cfg.k)
+    verdict = test_from_counts(msg.reference_probs(), counts, tcfg)
     if not verdict.accept:
         return VerifierOutcome.reject()
 

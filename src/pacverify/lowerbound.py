@@ -103,10 +103,10 @@ def distinguisher_success(d: int, t: int, trials: int, seed: int) -> dict:
     xs_u = rng_u.integers(0, d, size=(trials, t))
     ys_u = rng_u.integers(0, 2, size=(trials, t))
     xs_m = rng_m.integers(0, d, size=(trials, t))
-    hs = rng_m.integers(0, 2, size=(trials, d))
-    ys_m = np.take_along_axis(hs, xs_m, axis=1)
     cells_u = _collision_cells(xs_u, ys_u)
-    cells_m = _collision_cells(xs_m, ys_m)
+    # a labelling function never disagrees with itself on a repeated x, so
+    # the mixture's collision cell depends on xs alone
+    cells_m = _collision_cells(xs_m, np.zeros_like(xs_m))
     p_u = np.bincount(cells_u, minlength=3) / trials
     p_m = np.bincount(cells_m, minlength=3) / trials
     # verdict scores: undecided 1/2, agreeing collision -> mixture, disagree -> uniform

@@ -13,7 +13,7 @@ holdout sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .harness import (
     ProtocolViolation,
     VerificationParams,
     VerifierOutcome,
+    parse_counts,
     run_interaction,
 )
 from .identity_test import IdentityTestConfig, test_from_counts
@@ -32,7 +33,6 @@ class Query:
     """An indicator function on a finite domain, given by its value table."""
 
     values: np.ndarray  # one {0,1} entry per domain element
-    label: str = ""
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.int8)
@@ -47,7 +47,6 @@ class Query:
 @dataclass(frozen=True)
 class QueryBatch:
     queries: tuple
-    index: int = 0
 
     def __post_init__(self):
         if not self.queries:
@@ -56,10 +55,6 @@ class QueryBatch:
         if len(sizes) != 1:
             raise ValueError("all queries must share one domain")
         object.__setattr__(self, "queries", tuple(self.queries))
-
-    @property
-    def domain_size(self) -> int:
-        return len(self.queries[0].values)
 
     def matrix(self) -> np.ndarray:
         return np.stack([q.values for q in self.queries])
@@ -97,16 +92,13 @@ class AtomPartition:
         return out
 
 
-def atoms_of(batch: QueryBatch, domain_size: int | None = None) -> AtomPartition:
+def atoms_of(batch: QueryBatch) -> AtomPartition:
     """Atoms as equivalence classes of the per-element query-signature vectors.
 
     Atom order follows numpy's lexicographic unique-row order, which both
     sides of the protocol recompute identically from the batch.
     """
-    mat = batch.matrix()
-    if domain_size is not None and mat.shape[1] != domain_size:
-        raise ValueError("batch domain does not match the declared domain")
-    uniq, inverse = np.unique(mat.T, axis=0, return_inverse=True)
+    uniq, inverse = np.unique(batch.matrix().T, axis=0, return_inverse=True)
     return AtomPartition(signature=inverse.ravel(), atom_query_values=uniq.T)
 
 
@@ -123,37 +115,9 @@ def induced_evaluations(ap: AtomPartition, atom_probs: np.ndarray) -> np.ndarray
     return ap.atom_query_values.astype(float) @ atom_probs
 
 
-def honest_prover_sq(items: np.ndarray, ap: AtomPartition) -> DiscreteDistribution:
-    """Empirical atom frequencies of a sample of domain elements."""
-    counts = np.bincount(ap.signature[np.asarray(items)], minlength=ap.size)
-    return DiscreteDistribution.from_counts(tuple(range(ap.size)), counts)
-
-
 def iteration_count(epsilon: float, delta: float) -> int:
     """Number of independent simulations, ceil(8 log(4/delta) / epsilon)."""
     return math.ceil(8.0 * math.log(4.0 / delta) / epsilon)
-
-
-def amplification_bound(p: float, T: int) -> float:
-    """Probability that T independent tries all miss, at per-try success p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    return (1.0 - p) ** T
-
-
-def amplification_check(epsilon: float, delta: float, p: float | None = None) -> dict:
-    """All-iterations-fail bound at the configured iteration count.
-
-    With per-iteration success probability p (default epsilon/8), checks
-    (1-p)^T <= delta/4, the slack the repetition argument budgets for the
-    event that no iteration produces a good hypothesis.
-    """
-    if p is None:
-        p = epsilon / 8.0
-    T = iteration_count(epsilon, delta)
-    bound = amplification_bound(p, T)
-    return {"T": T, "p": p, "failure_bound": bound, "budget": delta / 4.0,
-            "ok": bound <= delta / 4.0}
 
 
 @dataclass(frozen=True)
@@ -205,7 +169,7 @@ class SqProtocolConfig:
 
     @classmethod
     def default(cls, tau: float, epsilon: float, delta: float, s: int, b: int = 1,
-                c_v: float = 4.0, c_p: float = 16.0, **overrides) -> "SqProtocolConfig":
+                c_v: float = 4.0, c_p: float = 16.0) -> "SqProtocolConfig":
         """Budgets at the protocol's asymptotic shapes with calibrated constants.
 
         m_v ~ sqrt(s) log(1/delta') / tau^2 (the tolerant tester at the worst
@@ -218,9 +182,8 @@ class SqProtocolConfig:
         m_p = math.ceil(c_p * s * s / tau**2)
         T = iteration_count(epsilon, delta)
         m_hold = math.ceil(2.0 * math.log(16.0 * T / delta) / epsilon**2)
-        cfg = cls(tau=tau, b=b, s=s, epsilon=epsilon, delta=delta,
-                  m_v=m_v, m_v_holdout=m_hold, m_p=m_p, tester_C=c_v)
-        return replace(cfg, **overrides) if overrides else cfg
+        return cls(tau=tau, b=b, s=s, epsilon=epsilon, delta=delta,
+                   m_v=m_v, m_v_holdout=m_hold, m_p=m_p, tester_C=c_v)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +237,11 @@ class PortfolioAlgorithm(SqAlgorithm):
 
     def batch(self) -> QueryBatch:
         queries = []
-        for j, block in enumerate(self.blocks):
+        for block in self.blocks:
             values = np.zeros(self.N, dtype=np.int8)
             values[block] = 1
-            queries.append(Query(values, label=f"block-{j}"))
-        return QueryBatch(tuple(queries), index=1)
+            queries.append(Query(values))
+        return QueryBatch(tuple(queries))
 
     def step(self, evaluations):
         if not self._sent:
@@ -316,38 +279,6 @@ class ExactOracle:
 
     def evaluate_batch(self, batch: QueryBatch) -> np.ndarray:
         return batch.matrix().astype(float) @ self.probs
-
-
-class NoisyOracle:
-    """Perturbs each exact answer by an independent uniform shift in [-tau, tau]."""
-
-    def __init__(self, dist: DiscreteDistribution, tau: float, rng):
-        self.exact = ExactOracle(dist)
-        self.tau = tau
-        self.rng = rng
-
-    def evaluate_batch(self, batch: QueryBatch) -> np.ndarray:
-        v = self.exact.evaluate_batch(batch)
-        noise = self.rng.uniform(-self.tau, self.tau, size=len(v))
-        return np.clip(v + noise, 0.0, 1.0)
-
-
-class GreedyAdversarialOracle:
-    """Shifts each answer by the full tau against the mass ordering.
-
-    Heavy-looking queries are reported tau lighter and light ones tau
-    heavier, the per-call-greedy way to make a mass-ranking algorithm pick
-    badly while staying inside the oracle's precision contract.
-    """
-
-    def __init__(self, dist: DiscreteDistribution, tau: float):
-        self.exact = ExactOracle(dist)
-        self.tau = tau
-
-    def evaluate_batch(self, batch: QueryBatch) -> np.ndarray:
-        v = self.exact.evaluate_batch(batch)
-        shift = np.where(v >= np.median(v), -self.tau, self.tau)
-        return np.clip(v + shift, 0.0, 1.0)
 
 
 def simulate_algorithm(alg: SqAlgorithm, oracle, rng, max_batches: int = 10_000):
@@ -406,8 +337,7 @@ def verifier_iteration(element_counts_v: np.ndarray, alg: SqAlgorithm, channel,
         claimed = _parse_atom_claim(reply, ap.size, cfg.m_p)
         if ap.size >= 2:
             atom_counts = ap.atom_counts(element_counts_v)
-            verdict = test_from_counts(claimed.probs, atom_counts[None, :],
-                                       cfg.tester_config(ap.size))
+            verdict = test_from_counts(claimed.probs, atom_counts, cfg.tester_config(ap.size))
             if not verdict.accept:
                 return _REJECT
         evaluations = induced_evaluations(ap, claimed.probs)
@@ -420,17 +350,9 @@ def verifier_iteration(element_counts_v: np.ndarray, alg: SqAlgorithm, channel,
 def _parse_atom_claim(reply, atom_count: int, m_p: int) -> DiscreteDistribution:
     if not isinstance(reply, dict):
         raise ProtocolViolation("atom claim must be a JSON object")
-    try:
-        counts = np.asarray(reply["counts"], dtype=np.int64)
-        denominator = int(reply["denominator"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolViolation(f"malformed atom claim: {exc}") from exc
-    raw = np.asarray(reply["counts"])
-    if raw.dtype.kind == "f" and np.any(raw != np.floor(raw)):
-        raise ProtocolViolation("atom counts must be exact integers")
-    if counts.shape != (atom_count,) or np.any(counts < 0):
-        raise ProtocolViolation("atom claim has wrong shape or negative counts")
-    if denominator != m_p or int(counts.sum()) != m_p:
+    denominator = reply.get("denominator")
+    counts = parse_counts(reply.get("counts"), (atom_count,), denominator)
+    if denominator != m_p:
         raise ProtocolViolation("atom counts must sum to the agreed denominator")
     return DiscreteDistribution.from_counts(tuple(range(atom_count)), counts)
 

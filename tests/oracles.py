@@ -4,6 +4,8 @@ Everything here is deliberately brute-force and written against the problem
 statements, not against the library code paths it checks.
 """
 
+from itertools import combinations, product
+
 import numpy as np
 
 
@@ -38,3 +40,19 @@ def exact_no_collision(d, t):
     for i in range(t):
         p *= (d - i) / d
     return p
+
+
+def bruteforce_vc_intervals(points, d):
+    """VC dimension of unions of <= d intervals on a point set: the largest
+    subset on which every labeling is realized, by exhaustive search. A
+    labeling of sorted points is realized iff its ones form at most d runs."""
+    def realizable(labels):
+        return labels[0] + sum(1 for a, b in zip(labels, labels[1:]) if b > a) <= d
+
+    best = 0
+    for size in range(1, len(points) + 1):
+        for subset in combinations(sorted(points), size):
+            if all(realizable(labels) for labels in product((0, 1), repeat=size)):
+                best = size
+                break
+    return best

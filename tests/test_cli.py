@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from pacverify import cli
+from pacverify import intervals as iv
+from pacverify import sq
 
 INTERVALS_SPEC = {
     "protocol": "intervals",
@@ -104,6 +106,42 @@ class TestRunExperiment:
         assert cli.report_json(serial, False) == cli.report_json(parallel, False)
 
 
+class TestUntrustedClaims:
+    """Claims no JSON parser maps to int64 end in reject, not in a crash."""
+
+    BAD = [("counts", 2**70), ("denominator", float("inf"))]
+
+    @pytest.mark.parametrize("key,value", BAD, ids=["huge-count", "inf-denominator"])
+    def test_intervals_claim(self, monkeypatch, key, value):
+        class Prover(iv.WrongBoundaryProver):
+            def open(self, params, rng):
+                payload = super().open(params, rng)
+                if key == "counts":
+                    payload["counts"][0][0] = value
+                else:
+                    payload[key] = value
+                return payload
+
+        monkeypatch.setattr(iv, "make_interval_prover", lambda name, pop, cfg: Prover(cfg))
+        report = cli.run_experiment(cli.ExperimentSpec.from_doc(dict(INTERVALS_SPEC, trials=1)))
+        assert report["trials"][0]["outcome"] == "reject"
+
+    @pytest.mark.parametrize("key,value", BAD, ids=["huge-count", "inf-denominator"])
+    def test_sq_claim(self, monkeypatch, key, value):
+        class Prover(sq.HonestSqProver):
+            def respond(self, payload, params, rng):
+                reply = super().respond(payload, params, rng)
+                if key == "counts":
+                    reply["counts"][0] = value
+                else:
+                    reply[key] = value
+                return reply
+
+        monkeypatch.setattr(sq, "make_sq_prover", lambda name, dist, cfg: Prover(dist, cfg))
+        report = cli.run_experiment(cli.ExperimentSpec.from_doc(dict(SQ_SPEC, trials=1)))
+        assert report["trials"][0]["outcome"] == "reject"
+
+
 class TestReplay:
     def test_replay_matches_recorded_classifications(self, tmp_path):
         spec = cli.ExperimentSpec.from_doc(INTERVALS_SPEC)
@@ -148,7 +186,7 @@ class TestCommandLine:
         report = json.loads((out / "report.json").read_text())
         assert report["spec"]["trials"] == 1
         assert (out / "rates.csv").read_text().startswith("protocol,")
-        assert (out / "trial_00000.jsonl").exists()
+        assert "transcript" in report["trials"][0]
 
     def test_replay_subcommand(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -1,22 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bruteforce_vc_intervals
 
-from pacverify.core import (
-    DiscreteDistribution,
-    GroundSetTooLargeError,
-    LabeledSample,
-    child_rng,
-    empirical_loss,
-    interval_union_realizable,
-    population_loss_01,
-    shatters,
-    total_variation,
-    tv_from_probs,
-    vc_dimension_bruteforce,
-    zero_one_loss,
-)
+from pacverify.core import DiscreteDistribution, child_rng, tv_from_probs
+from pacverify.harness import ProtocolViolation, parse_counts
+from pacverify.intervals import IntervalPopulation, UnionOfIntervals
 
 
 def probs_strategy(n):
@@ -26,10 +18,10 @@ def probs_strategy(n):
 
 class TestDiscreteDistribution:
     def test_from_counts_keeps_exact_counts(self):
+        # probabilities are the exact count ratios
         d = DiscreteDistribution.from_counts(("a", "b"), [3, 1])
-        assert d.denominator == 4
-        assert list(d.counts) == [3, 1]
-        assert d.prob_of("a") == 0.75
+        assert list(d.probs) == [0.75, 0.25]
+        assert len(d) == 2
 
     def test_rejects_duplicate_support(self):
         with pytest.raises(ValueError):
@@ -39,67 +31,33 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError):
             DiscreteDistribution.from_probs(("a", "b"), [0.9, 0.2])
 
-    def test_point_mass(self):
-        d = DiscreteDistribution.point_mass("x")
-        assert d.prob_of("x") == 1.0
-        assert d.prob_of("y") == 0.0
-
-    def test_uniform_sample_frequencies(self):
-        d = DiscreteDistribution.uniform((1, 2))
-        draws = d.sample(10_000, child_rng(0))
-        freq = draws.count(1) / 10_000
-        assert abs(freq - 0.5) < 0.02
-
-    def test_sample_deterministic_given_seed(self):
-        d = DiscreteDistribution.from_probs(range(5), [0.1, 0.2, 0.3, 0.2, 0.2])
-        assert d.sample(50, child_rng(7, 1)) == d.sample(50, child_rng(7, 1))
-        assert d.sample(50, child_rng(7, 1)) != d.sample(50, child_rng(7, 2))
-
-    def test_sample_counts_matches_law(self):
-        # multinomial fast path: same mean, correct total, Hoeffding-scale spread
-        d = DiscreteDistribution.from_probs(range(4), [0.4, 0.3, 0.2, 0.1])
-        m = 10_000
-        hits = 0
-        for i in range(1000):
-            counts = d.sample_counts(m, child_rng(3, i))
-            assert counts.sum() == m
-            if abs(counts[0] / m - 0.4) <= 3 / np.sqrt(m):
-                hits += 1
-        assert hits >= 990
-
     def test_json_round_trip_exact(self):
-        d = DiscreteDistribution.from_counts((0, 1, 2), [5, 3, 2])
-        doc = d.to_json()
-        assert doc == {"support": [0, 1, 2], "counts": [5, 3, 2], "denominator": 10}
-        back = DiscreteDistribution.from_json(doc)
-        assert np.allclose(back.probs, d.probs)
+        # a claimed count vector survives the JSON wire format exactly
+        doc = json.loads(json.dumps({"counts": [5, 3, 2], "denominator": 10}))
+        counts = parse_counts(doc["counts"], (3,), doc["denominator"])
+        assert list(counts) == [5, 3, 2]
+        d = DiscreteDistribution.from_counts((0, 1, 2), counts)
+        assert list(d.probs) == [0.5, 0.3, 0.2]
 
     def test_json_rejects_inconsistent_denominator(self):
-        with pytest.raises(ValueError):
-            DiscreteDistribution.from_json({"support": [0, 1], "counts": [1, 1], "denominator": 3})
+        with pytest.raises(ProtocolViolation):
+            parse_counts([1, 1], (2,), 3)
 
 
 class TestTotalVariation:
     def test_worked_example(self):
-        p = DiscreteDistribution.from_probs(("a", "b"), [0.2, 0.8])
-        q = DiscreteDistribution.from_probs(("a", "b"), [0.5, 0.5])
-        assert total_variation(p, q) == pytest.approx(0.3)
+        assert tv_from_probs([0.2, 0.8], [0.5, 0.5]) == pytest.approx(0.3)
 
     def test_disjoint_supports(self):
-        p = DiscreteDistribution.point_mass("a")
-        q = DiscreteDistribution.point_mass("b")
-        assert total_variation(p, q) == pytest.approx(1.0)
+        assert tv_from_probs([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
 
     @given(probs_strategy(6), probs_strategy(6))
     @settings(max_examples=200, deadline=None)
     def test_metric_properties(self, ps, qs):
-        p = DiscreteDistribution.from_probs(range(6), ps)
-        q = DiscreteDistribution.from_probs(range(6), qs)
-        tv = total_variation(p, q)
+        tv = tv_from_probs(ps, qs)
         assert 0.0 <= tv <= 1.0
-        assert tv == pytest.approx(total_variation(q, p))
-        assert tv == pytest.approx(tv_from_probs(ps, qs))
-        assert total_variation(p, p) == pytest.approx(0.0, abs=1e-12)
+        assert tv == pytest.approx(tv_from_probs(qs, ps))
+        assert tv_from_probs(ps, ps) == pytest.approx(0.0, abs=1e-12)
 
     @given(probs_strategy(5), probs_strategy(5), probs_strategy(5))
     @settings(max_examples=100, deadline=None)
@@ -108,22 +66,12 @@ class TestTotalVariation:
 
 
 class TestLosses:
-    def test_zero_one_loss_on_sample(self):
-        sample = LabeledSample(np.array([0.1, 0.5, 0.9]), np.array([1, 0, 1]))
-        h = lambda xs: (np.asarray(xs) > 0.4).astype(int)
-        assert empirical_loss(h, sample, zero_one_loss()) == pytest.approx(2 / 3)
-
     def test_population_loss_exact(self):
-        dist = DiscreteDistribution.from_probs(
-            ((0.1, 1), (0.5, 0), (0.9, 1)), [0.5, 0.25, 0.25])
-        h = lambda xs: (np.asarray(xs) > 0.4).astype(int)
-        # h mislabels (0.1, 1) and (0.5, 0)
-        assert population_loss_01(h, dist) == pytest.approx(0.75)
-
-    def test_reject_loss_bounds(self):
-        from pacverify.core import LossFunction
-        with pytest.raises(ValueError):
-            LossFunction(lambda z, h: 0.0, reject_loss=1.5)
+        # point masses (0.1, 1), (0.5, 0), (0.9, 1) with weights 1/2, 1/4, 1/4
+        pop = IntervalPopulation(np.array([0.1, 0.5, 0.9]), np.array([0.5, 0.25, 0.25]),
+                                 np.array([1.0, 0.0, 1.0]))
+        # h = 1 on (0.4, 1] mislabels (0.1, 1) and (0.5, 0)
+        assert pop.loss01(UnionOfIntervals(((0.4, 1.0),))) == pytest.approx(0.75)
 
 
 class TestVcBruteForce:
@@ -131,16 +79,11 @@ class TestVcBruteForce:
         for d in (1, 2):
             for n in (2, 3, 5, 6):
                 grid = [(i + 0.5) / n for i in range(n)]
-                got = vc_dimension_bruteforce(interval_union_realizable(d), grid)
-                assert got == min(2 * d, n), (d, n)
+                assert bruteforce_vc_intervals(grid, d) == min(2 * d, n), (d, n)
 
     def test_shatters_two_points_single_interval(self):
-        assert shatters(interval_union_realizable(1), (0.2, 0.8))
-        assert not shatters(interval_union_realizable(1), (0.2, 0.5, 0.8))
-
-    def test_ground_set_cap(self):
-        with pytest.raises(GroundSetTooLargeError):
-            vc_dimension_bruteforce(interval_union_realizable(1), list(range(21)))
+        assert bruteforce_vc_intervals((0.2, 0.8), 1) == 2
+        assert bruteforce_vc_intervals((0.2, 0.5, 0.8), 1) < 3
 
 
 class TestChildRng:

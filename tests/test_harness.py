@@ -18,6 +18,7 @@ from pacverify.harness import (
     VerificationParams,
     VerifierOutcome,
     classify_outcome,
+    parse_counts,
     run_interaction,
 )
 
@@ -175,3 +176,30 @@ class TestClassification:
         t = self.transcript(VerifierOutcome.of(0.55))
         for _ in range(3):
             assert classify_outcome(t, self.loss_of, 0.5, 0.1) == COMPLETENESS_SUCCESS
+
+
+class TestParseCounts:
+    def test_accepts_exact_counts(self):
+        counts = parse_counts([[3, 1.0], [0, 4]], (2, 2), 8)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [[3, 1], [0, 4]]
+
+    @pytest.mark.parametrize("value,denominator", [
+        ([2**70, 0], 2**70),                 # beyond int64
+        ([True, 1], 2),                      # bool
+        ([float("nan"), 1], 1),
+        ([float("inf"), 1], 1),
+        ([0.5, 0.5], 1),                     # non-integral
+        ([[1], [1, 2]], 4),                  # ragged
+        ([[1, 1]], 2),                       # wrong shape
+        (["1", 1], 2),                       # not a number
+        ([-1, 3], 2),                        # negative
+        ([1, 1], 3),                         # wrong total
+        ([1, 1], 2.0),                       # denominator not an int
+        ([1, 1], float("inf")),
+        ([1, 1], True),
+        ([0, 0], 0),                         # empty total
+    ])
+    def test_rejects_malformed_tables(self, value, denominator):
+        with pytest.raises(ProtocolViolation):
+            parse_counts(value, (2,), denominator)

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
+from pacverify import identity_test as it
+from pacverify import intervals as iv
 from pacverify.core import DiscreteDistribution, child_rng, tv_from_probs
 from pacverify.identity_test import (
     IdentityTestConfig,
-    SampleTooSmallError,
     accept_rate,
     calibrate,
     planted_shift,
     required_samples,
-    tolerant_identity_test,
 )
 
 CFG = IdentityTestConfig(n=100, epsilon=0.1, delta=0.1)
@@ -35,7 +35,7 @@ class TestBudget:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            IdentityTestConfig(n=100, epsilon=0.1, delta=0.1, repetitions=2)
+            IdentityTestConfig(n=1, epsilon=0.1, delta=0.1)
         with pytest.raises(ValueError):
             IdentityTestConfig(n=100, epsilon=0.1, delta=0.1, inner_radius=0.2)
 
@@ -57,21 +57,28 @@ class TestPlantedShift:
 class TestVerdicts:
     def test_deterministic_given_sample(self):
         ref = DiscreteDistribution.uniform(tuple(range(100)))
-        sample = ref.sample_indices(required_samples(CFG), child_rng(1))
-        v1 = tolerant_identity_test(ref, sample, CFG)
-        v2 = tolerant_identity_test(ref, sample, CFG)
+        counts = child_rng(1).multinomial(required_samples(CFG), ref.probs)
+        v1 = it.test_from_counts(ref.probs, counts, CFG)
+        v2 = it.test_from_counts(ref.probs, counts, CFG)
         assert v1 == v2
+        assert v1.samples_used == required_samples(CFG)
 
     def test_small_sample_rejected_loudly(self):
-        ref = DiscreteDistribution.uniform(tuple(range(100)))
-        with pytest.raises(SampleTooSmallError):
-            tolerant_identity_test(ref, [0, 1, 2], CFG)
+        # the verifier refuses to test on fewer samples than the tester's budget
+        cfg = iv.IntervalProtocolConfig.default(1, 0.5, 0.5)
+        pop = iv.IntervalPopulation.grid_realizable(8, iv.UnionOfIntervals(((0.25, 0.5),)))
+        msg = iv.HonestIntervalProver(pop, cfg).build_message(child_rng(1))
+        with pytest.raises(ValueError):
+            iv.verifier_protocol1(pop.sample(cfg.m_v - 1, child_rng(2)), msg, cfg)
 
     def test_out_of_support_draw_rejects(self):
         # mass on a zero-probability atom contradicts the reference outright
-        ref = DiscreteDistribution.uniform(tuple(range(100)))
-        sample = ["ghost"] * required_samples(CFG)
-        assert not tolerant_identity_test(ref, sample, CFG).accept
+        ref = np.append(np.full(100, 0.01), 0.0)
+        counts = np.zeros(101, dtype=np.int64)
+        counts[100] = required_samples(CFG)
+        verdict = it.test_from_counts(ref, counts, CFG)
+        assert not verdict.accept
+        assert verdict.statistic == np.inf
 
     def test_accepts_identical_source(self):
         ref = DiscreteDistribution.uniform(tuple(range(100)))
@@ -90,13 +97,6 @@ class TestVerdicts:
                  for tv in (0.0, CFG.inner, 0.05, 0.1, 0.2)]
         for earlier, later in zip(rates, rates[1:]):
             assert earlier >= later - 0.05
-
-    def test_majority_vote_repetitions(self):
-        cfg = IdentityTestConfig(n=50, epsilon=0.1, delta=0.2, repetitions=3)
-        ref = DiscreteDistribution.uniform(tuple(range(50)))
-        assert accept_rate(cfg, ref, ref.probs, runs=30, seed=5) >= 0.9
-        far = planted_shift(ref.probs, 0.2)
-        assert accept_rate(cfg, ref, far, runs=30, seed=6) <= 0.1
 
 
 class TestCalibration:

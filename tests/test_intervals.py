@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import bruteforce_interval_erm
 
-from pacverify.core import DiscreteDistribution, child_rng
+from pacverify.core import child_rng
 from pacverify.harness import ProtocolViolation
 from pacverify.identity_test import IdentityTestConfig, required_samples
 from pacverify.intervals import (
@@ -11,8 +11,6 @@ from pacverify.intervals import (
     IntervalPopulation,
     IntervalProtocolConfig,
     UnionOfIntervals,
-    discretize,
-    erm_discretized,
     erm_runs,
     honest_prover_partition,
     make_interval_prover,
@@ -112,56 +110,46 @@ class TestWireFormat:
 
 
 class TestDiscretize:
+    """The exact pushforward of a population onto interval x label cells."""
+
     def test_identity_when_supported_on_representatives(self):
-        reps = np.array([0.125, 0.375, 0.625, 0.875])
-        dist = DiscreteDistribution.from_probs(
-            ((0.125, 0), (0.625, 1)), [0.4, 0.6])
-        out = discretize(dist, np.array([0.0, 0.25, 0.5, 0.75, 1.0]), reps)
-        assert out.prob_of((0.125, 0)) == pytest.approx(0.4)
-        assert out.prob_of((0.625, 1)) == pytest.approx(0.6)
+        pop = IntervalPopulation(np.array([0.125, 0.625]), np.array([0.4, 0.6]),
+                                 np.array([0.0, 1.0]))
+        table = pop.interval_label_masses(np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+        assert table[0, 0] == pytest.approx(0.4)
+        assert table[2, 1] == pytest.approx(0.6)
+        assert table.sum() == pytest.approx(1.0)
 
     def test_uniform_bands_quarter_masses(self):
         # near-uniform x-marginal with y = 1 everywhere: quarters get 1/4 each
         pop = IntervalPopulation.grid_realizable(64, UnionOfIntervals(((0.0, 1.0),)))
-        reps = np.array([0.125, 0.375, 0.625, 0.875])
-        out = discretize(pop, np.array([0.0, 0.25, 0.5, 0.75, 1.0]), reps)
-        for rep in reps:
-            assert out.prob_of((rep, 1)) == pytest.approx(0.25)
-            assert out.prob_of((rep, 0)) == pytest.approx(0.0)
+        table = pop.interval_label_masses(np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+        assert np.allclose(table[:, 1], 0.25)
+        assert np.allclose(table[:, 0], 0.0)
 
     def test_same_interval_masses_merge(self):
-        dist = DiscreteDistribution.from_probs(
-            ((0.30, 1), (0.40, 1)), [0.7, 0.3])
-        out = discretize(dist, np.array([0.0, 0.25, 0.5, 1.0]), np.array([0.1, 0.3, 0.7]))
-        assert out.prob_of((0.3, 1)) == pytest.approx(1.0)
-
-    def test_representatives_must_lie_inside(self):
-        with pytest.raises(ValueError):
-            discretize(DiscreteDistribution.from_probs(((0.5, 0),), [1.0]),
-                       np.array([0.0, 0.5, 1.0]), np.array([0.9, 0.1]))
+        pop = IntervalPopulation(np.array([0.30, 0.40]), np.array([0.7, 0.3]), np.ones(2))
+        table = pop.interval_label_masses(np.array([0.0, 0.25, 0.5, 1.0]))
+        assert table[1, 1] == pytest.approx(1.0)
 
 
 class TestErm:
     def test_all_zero_labels_empty_union(self):
-        h, loss = erm_discretized(DiscreteDistribution.from_probs(
-            ((0.1, 0), (0.5, 0), (0.9, 0)), [0.3, 0.3, 0.4]), d=2)
-        assert h.intervals == ()
+        runs, loss = erm_runs(np.array([0.3, 0.3, 0.4]), np.zeros(3), d=2)
+        assert runs == []
         assert loss == 0.0
 
     def test_four_point_single_interval_example(self):
         # label-1 masses (1/4, 0, 1/4, 0): one interval cannot cover both runs
-        support = ((0.2, 1), (0.4, 0), (0.6, 1), (0.8, 0))
-        dist = DiscreteDistribution.from_probs(support, [0.25, 0.25, 0.25, 0.25])
-        h, loss = erm_discretized(dist, d=1)
+        mass0, mass1 = np.array([0, 0.25, 0, 0.25]), np.array([0.25, 0, 0.25, 0])
+        _, loss = erm_runs(mass0, mass1, d=1)
         assert loss == pytest.approx(0.25)
 
     def test_realizable_when_budget_covers_runs(self):
-        support = ((0.2, 1), (0.4, 0), (0.6, 1), (0.8, 0))
-        dist = DiscreteDistribution.from_probs(support, [0.25, 0.25, 0.25, 0.25])
-        h, loss = erm_discretized(dist, d=2)
+        mass0, mass1 = np.array([0, 0.25, 0, 0.25]), np.array([0.25, 0, 0.25, 0])
+        runs, loss = erm_runs(mass0, mass1, d=2)
         assert loss == pytest.approx(0.0)
-        assert h.contains([0.2, 0.6]).all()
-        assert not h.contains([0.4, 0.8]).any()
+        assert runs == [(0, 0), (2, 2)]
 
     def test_matches_bruteforce_on_random_instances(self):
         rng = child_rng(77)
@@ -238,14 +226,13 @@ class TestDiscretizationError:
         k = 16
         boundaries = np.linspace(0.0, 1.0, k + 1)
         reps = 0.5 * (boundaries[:-1] + boundaries[1:])
-        disc = discretize(pop, boundaries, reps)
+        table = pop.interval_label_masses(boundaries)
         for _ in range(50):
             d = int(rng.integers(1, 4))
             cuts = np.sort(rng.random(2 * d))
             h = UnionOfIntervals(tuple((cuts[2 * i], cuts[2 * i + 1]) for i in range(d)))
-            xs = np.array([e[0] for e in disc.support])
-            ys = np.array([e[1] for e in disc.support])
-            disc_loss = float(disc.probs[h.contains(xs).astype(int) != ys].sum())
+            # the cell's representative decides its label; the other label's mass is lost
+            disc_loss = float(np.where(h.contains(reps), table[:, 0], table[:, 1]).sum())
             assert abs(pop.loss01(h) - disc_loss) <= 2 * d / k + 1e-9
 
 

@@ -9,17 +9,12 @@ from pacverify.harness import VerificationParams, run_interaction
 from pacverify.sq import (
     AtomSwapSqProver,
     ExactOracle,
-    GreedyAdversarialOracle,
     HonestSqProver,
-    NoisyOracle,
     PortfolioAlgorithm,
     Query,
     QueryBatch,
     SqProtocolConfig,
-    amplification_bound,
-    amplification_check,
     atoms_of,
-    honest_prover_sq,
     induced_evaluations,
     iteration_count,
     make_sq_prover,
@@ -107,18 +102,16 @@ class TestInducedEvaluations:
 class TestHonestProverEstimates:
     def test_sample_inside_one_atom(self):
         ap = atoms_of(batch_from_rows([[1, 0, 0], [0, 1, 0]]))
-        items = np.zeros(10, dtype=int)
-        p = honest_prover_sq(items, ap)
-        probs = np.zeros(ap.size)
-        probs[ap.signature[0]] = 1.0
-        assert np.allclose(p.probs, probs)
+        counts = ap.atom_counts(np.array([10, 0, 0]))
+        expected = np.zeros(ap.size)
+        expected[ap.signature[0]] = 10
+        assert (counts == expected).all()
 
     def test_counts_to_frequencies(self):
         ap = atoms_of(batch_from_rows([[1, 1, 0, 0], [0, 1, 1, 0]]))
-        items = np.array([0] * 5 + [1] * 3 + [2] * 2)
-        p = honest_prover_sq(items, ap)
-        assert p.denominator == 10
-        assert sorted(p.probs, reverse=True)[:3] == [0.5, 0.3, 0.2]
+        counts = ap.atom_counts(np.array([5, 3, 2, 0]))
+        assert counts.sum() == 10
+        assert sorted(counts / 10, reverse=True)[:3] == [0.5, 0.3, 0.2]
 
     def test_large_sample_concentrates(self):
         dist = zipf_distribution(32)
@@ -143,18 +136,11 @@ class TestAmplification:
         assert iteration_count(0.1, 0.2) == 240
 
     def test_failure_bound_example(self):
-        check = amplification_check(0.1, 0.2)
-        assert check["T"] == 240
-        assert check["failure_bound"] == pytest.approx(0.0494, abs=5e-3)
-        assert check["ok"]  # <= delta/4 = 0.05
-
-    def test_certain_success_zero_bound(self):
-        assert amplification_bound(1.0, 10) == 0.0
-
-    def test_doubling_T_squares_bound(self):
-        b1 = amplification_bound(0.01, 100)
-        b2 = amplification_bound(0.01, 200)
-        assert b2 == pytest.approx(b1 ** 2)
+        # T tries at per-try success epsilon/8 all miss with probability <= delta/4
+        T = iteration_count(0.1, 0.2)
+        bound = (1.0 - 0.1 / 8.0) ** T
+        assert bound == pytest.approx(0.0494, abs=5e-3)
+        assert bound <= 0.2 / 4.0
 
 
 class TestPortfolioAlgorithm:
@@ -174,23 +160,6 @@ class TestPortfolioAlgorithm:
     def test_requires_headroom(self):
         with pytest.raises(ValueError):
             PortfolioAlgorithm(8, 5)
-
-    def test_noisy_oracle_stays_near_exact(self):
-        dist = zipf_distribution(64)
-        base = portfolio_baseline(dist, 64, 8)
-        losses = []
-        for i in range(30):
-            alg = PortfolioAlgorithm(64, 8)
-            sel = simulate_algorithm(alg, NoisyOracle(dist, 0.01, child_rng(21, i)), child_rng(0))
-            losses.append(portfolio_population_loss(sel, dist))
-        assert np.mean(losses) <= base + 0.1
-
-    def test_greedy_adversarial_oracle_respects_precision(self):
-        dist = zipf_distribution(16)
-        oracle = GreedyAdversarialOracle(dist, 0.05)
-        batch = PortfolioAlgorithm(16, 2, num_blocks=8).batch()
-        exact = ExactOracle(dist).evaluate_batch(batch)
-        assert np.abs(oracle.evaluate_batch(batch) - exact).max() <= 0.05 + 1e-12
 
 
 class _DirectChannel:

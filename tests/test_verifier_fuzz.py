@@ -1,0 +1,83 @@
+"""Mutated claims driven through the real verifiers: reject or output, never raise."""
+
+import copy
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pacverify import intervals as iv
+from pacverify import sq
+from pacverify.core import child_rng
+from pacverify.harness import VerificationParams, run_interaction
+
+IV_CFG = iv.IntervalProtocolConfig.default(1, 0.5, 0.5)
+IV_POP = iv.IntervalPopulation.grid_realizable(8, iv.UnionOfIntervals(((0.25, 0.5),)))
+IV_PAYLOAD = iv.HonestIntervalProver(IV_POP, IV_CFG).open(None, child_rng(0))
+
+SQ_DIST = sq.zipf_distribution(8)
+SQ_CFG = sq.SqProtocolConfig.default(tau=0.2, epsilon=0.5, delta=0.5, s=4)
+SQ_BATCH = sq.PortfolioAlgorithm(8, 2, num_blocks=4).batch()
+SQ_REPLY = sq.HonestSqProver(SQ_DIST, SQ_CFG).respond(
+    {"queries": SQ_BATCH.to_payload()}, None, child_rng(0))
+
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from([2**63, 2**70, -2**64, 10**400, float("inf"), float("nan")]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6)
+
+
+def mutate(payload, data):
+    """One defect in an honest payload: a dropped key, a replaced field, a
+    replaced or extra element of a list field, or a replaced payload."""
+    doc = copy.deepcopy(payload)
+    key = data.draw(st.sampled_from(sorted(doc)))
+    how = data.draw(st.sampled_from(["drop", "field", "element", "append", "payload"]))
+    value = data.draw(JUNK)
+    if how == "payload":
+        return value
+    if how == "drop":
+        del doc[key]
+    elif how == "field" or not isinstance(doc[key], list) or not doc[key]:
+        doc[key] = value
+    elif how == "append":
+        doc[key].append(value)
+    else:
+        seq = doc[key]
+        i = data.draw(st.integers(0, len(seq) - 1))
+        if isinstance(seq[i], list):
+            seq = seq[i]
+            i = data.draw(st.integers(0, len(seq) - 1))
+        seq[i] = value
+    return doc
+
+
+class FixedProver:
+    def __init__(self, payload):
+        self.payload = payload
+
+    def open(self, params, rng):
+        return self.payload
+
+    def respond(self, payload, params, rng):
+        return self.payload
+
+
+def outcome(verifier, payload, cfg):
+    params = VerificationParams(cfg.epsilon, cfg.delta)
+    return run_interaction(verifier, FixedProver(payload), params, seed=1).outcome.kind
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_intervals_verifier_never_raises(data):
+    verifier = iv.make_protocol1_verifier(IV_POP, IV_CFG)
+    assert outcome(verifier, mutate(IV_PAYLOAD, data), IV_CFG) in ("reject", "hypothesis")
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_sq_verifier_never_raises(data):
+    alg_factory = lambda: sq.PortfolioAlgorithm(8, 2, num_blocks=4)
+    verifier = sq.make_sq_verifier(SQ_DIST, alg_factory, SQ_CFG, sq.portfolio_holdout_loss)
+    assert outcome(verifier, mutate(SQ_REPLY, data), SQ_CFG) in ("reject", "hypothesis")
