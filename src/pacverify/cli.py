@@ -93,6 +93,10 @@ class ExperimentSpec:
                 for name in ("tau", "epsilon", "delta", "N", "n"):
                     if name not in p:
                         raise SpecError(f"params.{name}", "required for sq verify")
+                if 2 * p["n"] > p["N"]:
+                    raise SpecError("params.n", "need 2n <= N")
+                if not 1 <= p.get("num_blocks", min(p["N"], 2 * p["n"])) <= p["N"]:
+                    raise SpecError("params.num_blocks", "must lie in [1, N]")
                 if self.adversary != "honest" and self.adversary not in sq.SQ_ADVERSARIES:
                     raise SpecError("adversary", f"unknown sq prover {self.adversary!r}")
                 _build_sq_distribution(self.distribution, p["N"])
@@ -201,6 +205,7 @@ def _run_trial(spec_doc: dict, index: int) -> dict:
         "baseline": baseline,
     }
     if transcript.outcome.kind == "hypothesis":
+        out["hypothesis"] = transcript.outcome.hypothesis
         out["hypothesis_loss"] = loss_of(transcript.outcome.hypothesis)
     if _record_transcripts(spec):
         out["transcript"] = transcript.to_jsonl()

@@ -71,7 +71,7 @@ def tv_from_probs(p: np.ndarray, q: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class LabeledSample:
-    """An ordered i.i.d. sample of (x, y) pairs."""
+    """An i.i.d. sample of (x, y) pairs, in the order its sampler returns them."""
 
     xs: np.ndarray
     ys: np.ndarray

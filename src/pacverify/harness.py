@@ -110,18 +110,16 @@ class Transcript:
                 continue
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TranscriptParseError(lineno, str(exc)) from exc
-            if "outcome" in doc:
-                if doc["outcome"] == "reject":
-                    transcript.outcome = VerifierOutcome.reject()
+                if not isinstance(doc, dict):
+                    raise ValueError("line is not a JSON object")
+                if "outcome" in doc:
+                    transcript.outcome = VerifierOutcome(doc["outcome"], doc.get("hypothesis"))
                 else:
-                    transcript.outcome = VerifierOutcome.of(doc.get("hypothesis"))
-            else:
-                try:
                     transcript.messages.append(Message(doc["sender"], doc["round"], doc["payload"]))
-                except KeyError as exc:
-                    raise TranscriptParseError(lineno, f"missing field {exc}") from exc
+            except KeyError as exc:
+                raise TranscriptParseError(lineno, f"missing field {exc}") from exc
+            except ValueError as exc:
+                raise TranscriptParseError(lineno, str(exc)) from exc
         return transcript
 
 

@@ -115,24 +115,18 @@ class IntervalPopulation:
         return cls(centers, np.full(n_points, 1.0 / n_points), labels, halfwidth=hw)
 
     def sample(self, m: int, rng: np.random.Generator) -> LabeledSample:
-        """Draw m i.i.d. labeled points, in i.i.d. (shuffled) order."""
+        """Draw m i.i.d. labeled points, returned sorted by x.
+
+        Bands are disjoint and ordered and labels are independent of x, so
+        sorting the jittered x's keeps each band's points in one block, and
+        each sorted position draws its label from its own band.
+        """
         counts = rng.multinomial(m, self.masses)
         xs = np.repeat(self.centers, counts)
         if self.halfwidth > 0:
-            xs = xs + rng.uniform(-self.halfwidth, self.halfwidth, size=m)
-        ys = np.zeros(m, dtype=np.int64)
-        start = 0
-        for c, p1 in zip(counts, self.label1):
-            if c == 0:
-                continue
-            if p1 >= 1.0:
-                ys[start:start + c] = 1
-            elif p1 > 0.0:
-                ones = rng.binomial(c, p1)
-                ys[start:start + ones] = 1
-            start += c
-        order = rng.permutation(m)
-        return LabeledSample(xs[order], ys[order])
+            xs = np.sort(xs + rng.uniform(-self.halfwidth, self.halfwidth, size=m))
+        ys = (rng.random(m) < np.repeat(self.label1, counts)).astype(np.int64)
+        return LabeledSample(xs, ys)
 
     def _coverage(self, h: UnionOfIntervals) -> np.ndarray:
         """Fraction of each band covered by h."""
@@ -153,22 +147,15 @@ class IntervalPopulation:
     def interval_label_masses(self, boundaries: np.ndarray) -> np.ndarray:
         """Exact pushforward masses (k, 2) under half-open intervals [b_{j-1}, b_j)."""
         boundaries = np.asarray(boundaries, dtype=float)
-        k = len(boundaries) - 1
-        out = np.zeros((k, 2))
+        a, b = boundaries[:-1, None], boundaries[1:, None]
+        # share[j, i]: the fraction of band i's mass inside interval j
         if self.halfwidth == 0.0:
-            j = np.searchsorted(boundaries[1:-1], self.centers, side="right")
-            np.add.at(out[:, 1], j, self.masses * self.label1)
-            np.add.at(out[:, 0], j, self.masses * (1.0 - self.label1))
-            return out
-        lo = self.centers - self.halfwidth
-        hi = self.centers + self.halfwidth
-        # overlap of each interval with each band, vectorized over bands
-        for j in range(k):
-            a, b = boundaries[j], boundaries[j + 1]
-            frac = np.clip(np.minimum(hi, b) - np.maximum(lo, a), 0.0, None) / (2 * self.halfwidth)
-            out[j, 1] = float((self.masses * self.label1 * frac).sum())
-            out[j, 0] = float((self.masses * (1.0 - self.label1) * frac).sum())
-        return out
+            share = (map_to_interval(boundaries, self.centers) == np.arange(len(a))[:, None]) * 1.0
+        else:
+            lo, hi = self.centers - self.halfwidth, self.centers + self.halfwidth
+            share = np.clip(np.minimum(hi, b) - np.maximum(lo, a), 0.0, None) / (2 * self.halfwidth)
+        ones = self.masses * self.label1
+        return np.stack([share @ (self.masses - ones), share @ ones], axis=1)
 
 
 @dataclass(frozen=True)
@@ -376,13 +363,16 @@ def erm_runs(mass0: np.ndarray, mass1: np.ndarray, d: int) -> tuple[list, float]
     return runs, float(total_loss)
 
 
-def verifier_protocol1(s_v: LabeledSample, msg: DiscretizedMessage,
-                       cfg: IntervalProtocolConfig) -> VerifierOutcome:
-    """The verifier side of the intervals protocol, as a pure function.
+def verifier_protocol1(pop: IntervalPopulation, msg: DiscretizedMessage,
+                       cfg: IntervalProtocolConfig, rng: np.random.Generator) -> VerifierOutcome:
+    """The verifier side of the intervals protocol.
 
     Rejects on the exact equal-share identity failing, then on the tolerant
     identity test failing against the claimed discretization; otherwise
-    outputs the ERM hypothesis over the claim.
+    outputs the ERM hypothesis over the claim. The tester reads only the
+    sample's occupancy counts over the claim's (interval, label) atoms, so
+    they are drawn directly: the counts of m_v i.i.d. points are
+    Multinomial(m_v, pushforward masses of the claimed intervals).
     """
     if msg.k != cfg.k or msg.denominator != cfg.m_p:
         return VerifierOutcome.reject()
@@ -390,12 +380,11 @@ def verifier_protocol1(s_v: LabeledSample, msg: DiscretizedMessage,
         return VerifierOutcome.reject()
 
     tcfg = cfg.tester_config()
-    m_total = required_samples(tcfg)
-    if len(s_v) < m_total:
-        raise ValueError(f"verifier sample too small: need {m_total}")
+    if cfg.m_v < required_samples(tcfg):
+        raise ValueError(f"verifier budget m_v={cfg.m_v} is below the tester's "
+                         f"{required_samples(tcfg)}")
 
-    atom = 2 * map_to_interval(msg.boundaries, s_v.xs) + np.asarray(s_v.ys, dtype=np.int64)
-    counts = np.bincount(atom[:m_total], minlength=2 * cfg.k)
+    counts = rng.multinomial(cfg.m_v, pop.interval_label_masses(msg.boundaries).ravel())
     verdict = test_from_counts(msg.reference_probs(), counts, tcfg)
     if not verdict.accept:
         return VerifierOutcome.reject()
@@ -498,12 +487,11 @@ def make_interval_prover(name: str, pop: IntervalPopulation, cfg: IntervalProtoc
 
 
 def make_protocol1_verifier(pop: IntervalPopulation, cfg: IntervalProtocolConfig):
-    """Verifier strategy bound to a population it can sample from."""
+    """Verifier strategy bound to the population it draws its counts from."""
 
     def verifier(channel, params, rng):
-        s_v = pop.sample(cfg.m_v, rng)
         msg = DiscretizedMessage.from_payload(channel.initial())
-        return verifier_protocol1(s_v, msg, cfg)
+        return verifier_protocol1(pop, msg, cfg, rng)
 
     return verifier
 

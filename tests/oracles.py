@@ -56,3 +56,49 @@ def bruteforce_vc_intervals(points, d):
                 best = size
                 break
     return best
+
+
+def reference_interval_sample(pop, m, rng):
+    """m i.i.d. labeled points of an IntervalPopulation, band by band, then
+    shuffled into i.i.d. order. Returns (xs, ys)."""
+    counts = rng.multinomial(m, pop.masses)
+    xs = np.repeat(pop.centers, counts)
+    if pop.halfwidth > 0:
+        xs = xs + rng.uniform(-pop.halfwidth, pop.halfwidth, size=m)
+    ys = np.zeros(m, dtype=np.int64)
+    start = 0
+    for c, p1 in zip(counts, pop.label1):
+        ys[start:start + rng.binomial(c, p1)] = 1
+        start += c
+    order = rng.permutation(m)
+    return xs[order], ys[order]
+
+
+def reference_interval_label_masses(pop, boundaries):
+    """Pushforward masses (k, 2) of an IntervalPopulation onto the
+    (interval, label) cells of [b_{j-1}, b_j): point masses placed by
+    ``searchsorted``, bands cut one interval at a time."""
+    boundaries = np.asarray(boundaries, dtype=float)
+    k = len(boundaries) - 1
+    out = np.zeros((k, 2))
+    if pop.halfwidth == 0.0:
+        j = np.searchsorted(boundaries[1:-1], pop.centers, side="right")
+        np.add.at(out[:, 1], j, pop.masses * pop.label1)
+        np.add.at(out[:, 0], j, pop.masses * (1.0 - pop.label1))
+        return out
+    lo = pop.centers - pop.halfwidth
+    hi = pop.centers + pop.halfwidth
+    for j in range(k):
+        a, b = boundaries[j], boundaries[j + 1]
+        frac = np.clip(np.minimum(hi, b) - np.maximum(lo, a), 0.0, None) / (2 * pop.halfwidth)
+        out[j, 1] = float((pop.masses * pop.label1 * frac).sum())
+        out[j, 0] = float((pop.masses * (1.0 - pop.label1) * frac).sum())
+    return out
+
+
+def reference_verifier_counts(pop, boundaries, m, rng):
+    """Occupancy counts over the (interval, label) atoms of m points drawn by
+    ``reference_interval_sample``: atom 2j + y for a point in [b_{j-1}, b_j)."""
+    xs, ys = reference_interval_sample(pop, m, rng)
+    j = np.searchsorted(np.asarray(boundaries, dtype=float)[1:-1], xs, side="right")
+    return np.bincount(2 * j + ys, minlength=2 * (len(boundaries) - 1))

@@ -54,6 +54,17 @@ class TestSpecValidation:
             cli.ExperimentSpec.from_doc(doc)
         assert err.value.field == "adversary"
 
+    @pytest.mark.parametrize("params,field", [
+        ({"N": 8, "n": 5}, "params.n"),
+        ({"num_blocks": 0}, "params.num_blocks"),
+        ({"num_blocks": 65}, "params.num_blocks"),
+    ])
+    def test_bad_sq_shape_exits_2(self, tmp_path, capsys, params, field):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(SQ_SPEC, params=dict(SQ_SPEC["params"], **params))))
+        assert cli.main(["sq-verify", "--spec", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_bad_distribution_kind(self):
         doc = dict(INTERVALS_SPEC, distribution={"kind": "cauchy"})
         with pytest.raises(cli.SpecError) as err:
@@ -91,6 +102,16 @@ class TestRunExperiment:
         assert cli.report_json(a, include_wall_clock=False) == \
             cli.report_json(b, include_wall_clock=False)
         assert "wall_clock_seconds" in a
+
+    @pytest.mark.parametrize("base", [INTERVALS_SPEC, SQ_SPEC], ids=["intervals", "sq"])
+    def test_accepted_output_recorded_without_transcripts(self, base):
+        spec = cli.ExperimentSpec.from_doc(dict(base, record_transcripts=False))
+        report = cli.run_experiment(spec)
+        _, _, loss_of = cli._build_trials(spec)
+        for trial in report["trials"]:
+            assert "transcript" not in trial
+            assert trial["outcome"] == "hypothesis"
+            assert loss_of(trial["hypothesis"]) == trial["hypothesis_loss"]
 
     def test_sq_experiment_runs(self):
         spec = cli.ExperimentSpec.from_doc(SQ_SPEC)
@@ -163,6 +184,16 @@ class TestReplay:
         with pytest.raises(TranscriptParseError) as err:
             cli.replay(str(path))
         assert err.value.lineno == 1
+
+    def test_malformed_outcome_line_exits_2(self, tmp_path, capsys):
+        report = cli.run_experiment(cli.ExperimentSpec.from_doc(dict(INTERVALS_SPEC, trials=1)))
+        lines = report["trials"][0]["transcript"].splitlines()
+        lines[-1] = '{"outcome": "hypothesis"}'
+        report["trials"][0]["transcript"] = "\n".join(lines)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert cli.main(["replay", str(path)]) == 2
+        assert f"line {len(lines)}" in capsys.readouterr().err
 
 
 class TestCommandLine:

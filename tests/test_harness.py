@@ -142,6 +142,20 @@ class TestTranscriptSerialization:
             Transcript.from_jsonl("\n".join(lines))
         assert err.value.lineno == 2
 
+    @pytest.mark.parametrize("line", [
+        "[1, 2]",
+        "5",
+        '{"outcome": "hypothesis"}',
+        '{"outcome": "bogus", "hypothesis": [1]}',
+    ], ids=["list", "number", "hypothesis-missing", "unknown-outcome"])
+    def test_malformed_line_reports_position(self, line):
+        t = run_interaction(echo_verifier, EchoProver(), PARAMS, seed=1)
+        lines = t.to_jsonl().splitlines()
+        lines[1] = line
+        with pytest.raises(TranscriptParseError) as err:
+            Transcript.from_jsonl("\n".join(lines))
+        assert err.value.lineno == 2
+
 
 class TestClassification:
     def loss_of(self, payload):

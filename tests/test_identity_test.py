@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,8 +70,9 @@ class TestVerdicts:
         cfg = iv.IntervalProtocolConfig.default(1, 0.5, 0.5)
         pop = iv.IntervalPopulation.grid_realizable(8, iv.UnionOfIntervals(((0.25, 0.5),)))
         msg = iv.HonestIntervalProver(pop, cfg).build_message(child_rng(1))
+        short = dataclasses.replace(cfg, m_v=required_samples(cfg.tester_config()) - 1)
         with pytest.raises(ValueError):
-            iv.verifier_protocol1(pop.sample(cfg.m_v - 1, child_rng(2)), msg, cfg)
+            iv.verifier_protocol1(pop, msg, short, child_rng(2))
 
     def test_out_of_support_draw_rejects(self):
         # mass on a zero-probability atom contradicts the reference outright

@@ -1,6 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from oracles import bruteforce_interval_erm
+from oracles import (
+    bruteforce_interval_erm,
+    reference_interval_label_masses,
+    reference_interval_sample,
+    reference_verifier_counts,
+)
 
 from pacverify.core import child_rng
 from pacverify.harness import ProtocolViolation
@@ -187,8 +194,7 @@ class TestVerifier:
         counts[0, 0] += 1
         counts[1, 0] -= 1
         bad = DiscretizedMessage(msg.boundaries, counts, msg.denominator)
-        s_v = pop.sample(cfg.m_v, child_rng(4))
-        assert verifier_protocol1(s_v, bad, cfg).kind == "reject"
+        assert verifier_protocol1(pop, bad, cfg, child_rng(4)).kind == "reject"
 
     def test_map_to_interval_conventions(self):
         boundaries = np.array([0.0, 0.25, 0.5, 1.0])
@@ -234,6 +240,97 @@ class TestDiscretizationError:
             # the cell's representative decides its label; the other label's mass is lost
             disc_loss = float(np.where(h.contains(reps), table[:, 0], table[:, 1]).sum())
             assert abs(pop.loss01(h) - disc_loss) <= 2 * d / k + 1e-9
+
+
+def same_law_columns(a, b, z=4.75):
+    """Columns of two (replicates, c) integer tables whose values fail a
+    two-sample chi-square homogeneity test at standard-normal score z (about
+    1e-6 per column). Values seen fewer than 20 times in a column are pooled;
+    the upper chi-square quantile is the Wilson-Hilferty approximation."""
+    failed = []
+    for col in range(a.shape[1]):
+        values, inverse = np.unique(np.concatenate([a[:, col], b[:, col]]), return_inverse=True)
+        table = np.stack([np.bincount(inverse[:len(a)], minlength=len(values)),
+                          np.bincount(inverse[len(a):], minlength=len(values))])
+        rare = table.sum(axis=0) < 20
+        table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+        table = table[:, table.sum(axis=0) > 0]
+        df = table.shape[1] - 1
+        if df == 0:
+            continue
+        expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+        stat = float(((table - expected) ** 2 / expected).sum())
+        if stat > df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3:
+            failed.append(col)
+    return failed
+
+
+def library_sample(pop, m, rng):
+    s = pop.sample(m, rng)
+    return s.xs, s.ys
+
+
+class TestSamplingLaw:
+    """The sorted sampler and the verifier's multinomial counts against the
+    point-by-point references in ``oracles``."""
+
+    BANDS = dict(centers=np.array([0.1, 0.3, 0.5, 0.7, 0.9]),
+                 masses=np.array([0.1, 0.3, 0.2, 0.25, 0.15]),
+                 label1=np.array([0.2, 0.9, 0.5, 0.0, 1.0]))
+
+    def pop(self, halfwidth, label1=None):
+        bands = dict(self.BANDS, halfwidth=halfwidth)
+        if label1 is not None:
+            bands["label1"] = label1
+        return IntervalPopulation(**bands)
+
+    def boundary_sets(self, pop):
+        rng = child_rng(8)
+        edges = np.concatenate([pop.centers - pop.halfwidth, pop.centers + pop.halfwidth])
+        inners = [
+            np.sort(rng.random(6)),
+            np.repeat(np.sort(rng.random(3)), [1, 3, 2]),
+            np.sort(np.concatenate([pop.centers, edges])),  # on the point masses and band edges
+            np.array([0.3, 0.3, 0.5, 0.5]),
+            np.zeros(5),
+            np.ones(5),
+        ]
+        return [np.concatenate(([0.0], np.clip(inner, 0.0, 1.0), [1.0])) for inner in inners]
+
+    @pytest.mark.parametrize("halfwidth", [0.0, 0.05])
+    def test_label_masses_match_reference(self, halfwidth):
+        pop = self.pop(halfwidth)
+        for boundaries in self.boundary_sets(pop):
+            table = pop.interval_label_masses(boundaries)
+            assert np.allclose(table, reference_interval_label_masses(pop, boundaries),
+                               rtol=0.0, atol=1e-12), boundaries
+            assert table.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def chunk_ones(sampler, pop, reps, seed, m=60, k=6):
+        messages = (honest_prover_partition(*sampler(pop, m, child_rng(seed, r)), k)
+                    for r in range(reps))
+        return np.array([msg.counts[:, 1] for msg in messages])
+
+    def test_honest_chunk_label_counts_match_reference(self):
+        pop = self.pop(0.05)
+        new = self.chunk_ones(library_sample, pop, 3000, seed=1)
+        ref = self.chunk_ones(reference_interval_sample, pop, 3000, seed=2)
+        assert same_law_columns(new, ref) == []
+        # the test sees a 0.1 change of one band's label law
+        shifted = self.pop(0.05, label1=self.BANDS["label1"] + [0, 0, 0.1, 0, 0])
+        assert same_law_columns(self.chunk_ones(reference_interval_sample, shifted, 3000, 3), ref)
+
+    @pytest.mark.parametrize("halfwidth", [0.0, 0.05])
+    def test_verifier_counts_match_reference(self, halfwidth):
+        pop = self.pop(halfwidth)
+        m, reps = 50, 2000
+        for i, boundaries in enumerate(self.boundary_sets(pop)[:3]):
+            masses = pop.interval_label_masses(boundaries).ravel()
+            new = np.array([child_rng(4, i, r).multinomial(m, masses) for r in range(reps)])
+            ref = np.array([reference_verifier_counts(pop, boundaries, m, child_rng(5, i, r))
+                            for r in range(reps)])
+            assert same_law_columns(new, ref) == [], boundaries
 
 
 class TestBudgets:

@@ -2,6 +2,7 @@
 
 import copy
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from pacverify.harness import VerificationParams, run_interaction
 IV_CFG = iv.IntervalProtocolConfig.default(1, 0.5, 0.5)
 IV_POP = iv.IntervalPopulation.grid_realizable(8, iv.UnionOfIntervals(((0.25, 0.5),)))
 IV_PAYLOAD = iv.HonestIntervalProver(IV_POP, IV_CFG).open(None, child_rng(0))
+IV_POINT_POP = iv.IntervalPopulation(IV_POP.centers, IV_POP.masses, IV_POP.label1)
 
 SQ_DIST = sq.zipf_distribution(8)
 SQ_CFG = sq.SqProtocolConfig.default(tau=0.2, epsilon=0.5, delta=0.5, s=4)
@@ -81,3 +83,41 @@ def test_sq_verifier_never_raises(data):
     alg_factory = lambda: sq.PortfolioAlgorithm(8, 2, num_blocks=4)
     verifier = sq.make_sq_verifier(SQ_DIST, alg_factory, SQ_CFG, sq.portfolio_holdout_loss)
     assert outcome(verifier, mutate(SQ_REPLY, data), SQ_CFG) in ("reject", "hypothesis")
+
+
+def adversarial_boundaries(data):
+    """k + 1 sorted boundaries from 0 to 1 chosen to stress the pushforward:
+    any floats, runs of duplicates, consecutive floats (subnormal spacing
+    near 0, one ulp apart elsewhere, also on a point mass), or every
+    population point inside one interval."""
+    n = IV_CFG.k - 1
+    kind = data.draw(st.sampled_from(["floats", "duplicates", "consecutive", "one-interval"]))
+    if kind == "floats":
+        inner = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    elif kind == "duplicates":
+        values = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+        inner = data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    elif kind == "consecutive":
+        starts = st.sampled_from([0.0, 1.0 - n * 2**-53, *IV_POP.centers]) | st.floats(0.0, 1.0)
+        x = data.draw(starts)
+        inner = [x]
+        for _ in range(n - 1):
+            inner.append(min(float(np.nextafter(inner[-1], 2.0)), 1.0))
+    else:
+        j = data.draw(st.integers(0, n))
+        inner = [0.0] * j + [1.0] * (n - j)
+    return [0.0, *sorted(inner), 1.0]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_intervals_verifier_adversarial_boundaries(data):
+    """Claims of valid shape that pass the equal-share gate, so untrusted
+    boundaries reach the verifier's multinomial draw."""
+    pop = data.draw(st.sampled_from([IV_POP, IV_POINT_POP]))
+    zeros = data.draw(st.lists(st.integers(0, IV_CFG.chunk), min_size=IV_CFG.k, max_size=IV_CFG.k))
+    payload = {"boundaries": adversarial_boundaries(data),
+               "counts": [[c, IV_CFG.chunk - c] for c in zeros],
+               "denominator": IV_CFG.m_p}
+    verifier = iv.make_protocol1_verifier(pop, IV_CFG)
+    assert outcome(verifier, payload, IV_CFG) in ("reject", "hypothesis")
