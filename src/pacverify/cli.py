@@ -83,10 +83,15 @@ class ExperimentSpec:
             for name in ("d", "epsilon", "delta"):
                 if name not in p:
                     raise SpecError(f"params.{name}", "required for intervals")
+            _check_params(p, ints=("d",), unit=("epsilon", "delta"), positive=("c_v", "c_p"))
+            if abs(1.0 / p["epsilon"] - round(1.0 / p["epsilon"])) > 1e-9:
+                raise SpecError("params.epsilon", "1/epsilon must be an integer")
             if self.adversary not in ("honest", "garbage", "silent", *iv.INTERVAL_ADVERSARIES):
                 raise SpecError("adversary", f"unknown interval prover {self.adversary!r}")
             _build_interval_population(self.distribution)
         elif self.protocol == "sq":
+            _check_params(p, ints=("N", "n", "num_blocks", "b"),
+                          unit=("tau", "epsilon", "delta"), positive=("c_v", "c_p"))
             if p.get("experiment", "verify") not in ("verify", "gap"):
                 raise SpecError("params.experiment", "must be 'verify' or 'gap'")
             if p.get("experiment", "verify") == "verify":
@@ -108,6 +113,19 @@ class ExperimentSpec:
     @property
     def role(self) -> str:
         return "honest" if self.adversary == "honest" else "adversarial"
+
+
+def _check_params(p: dict, ints=(), unit=(), positive=()) -> None:
+    """Types and ranges of the named params present in ``p``: ``ints`` are
+    integers >= 1 (bools refused), ``unit`` numbers in (0, 1), ``positive``
+    finite numbers > 0."""
+    for name in ints:
+        if name in p and (type(p[name]) is not int or p[name] < 1):
+            raise SpecError(f"params.{name}", "must be an integer >= 1")
+    for names, high in ((unit, 1.0), (positive, math.inf)):
+        for name in names:
+            if name in p and (type(p[name]) not in (int, float) or not 0 < p[name] < high):
+                raise SpecError(f"params.{name}", f"must be a number in (0, {high})")
 
 
 def _build_interval_population(doc: dict) -> iv.IntervalPopulation:
@@ -347,20 +365,24 @@ def replay(report_path: str) -> dict:
     """
     with open(report_path) as f:
         report = json.load(f)
-    spec = ExperimentSpec.from_doc(report["spec"])
+    if not isinstance(report, dict) or not isinstance(report.get("trials", []), list):
+        raise SpecError("report", "must be a JSON object with a list of trials")
+    spec = ExperimentSpec.from_doc(report.get("spec"))
     _, baseline, loss_of = _build_trials(spec)
     rows = []
     mismatches = 0
-    for trial in report.get("trials", []):
+    for i, trial in enumerate(report.get("trials", [])):
+        if not isinstance(trial, dict) or not isinstance(trial.get("transcript", ""), str):
+            raise SpecError(f"trials[{i}]", "must be an object whose transcript is a string")
         if "transcript" not in trial:
             continue
         transcript = Transcript.from_jsonl(trial["transcript"])
         classification = classify_outcome(transcript, loss_of, baseline,
                                           spec.params["epsilon"], role=spec.role)
-        match = classification == trial["classification"]
+        match = classification == trial.get("classification")
         mismatches += 0 if match else 1
-        rows.append({"trial": trial["trial"], "classification": classification,
-                     "recorded": trial["classification"], "match": match})
+        rows.append({"trial": trial.get("trial"), "classification": classification,
+                     "recorded": trial.get("classification"), "match": match})
     return {"report": report_path, "replayed": len(rows), "mismatches": mismatches,
             "rows": rows}
 

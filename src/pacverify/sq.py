@@ -4,6 +4,7 @@ An SQ algorithm learns by asking batches of indicator queries and receiving
 their expectations to within a precision tau. The verifier simulates the
 algorithm while outsourcing distribution estimation to an untrusted prover:
 per batch it computes the atoms of the sigma-algebra the batch generates,
+sends the prover that partition (the atom index of every domain element),
 receives the prover's claimed atom distribution, identity-tests the claim
 against its own (much smaller) sample, and answers the algorithm from the
 claim. The whole simulation is repeated and the best output is selected on a
@@ -59,9 +60,6 @@ class QueryBatch:
     def matrix(self) -> np.ndarray:
         return np.stack([q.values for q in self.queries])
 
-    def to_payload(self) -> list:
-        return self.matrix().tolist()
-
 
 @dataclass(frozen=True)
 class AtomPartition:
@@ -81,23 +79,17 @@ class AtomPartition:
         return self.atom_query_values.shape[1]
 
     def atom_counts(self, element_counts: np.ndarray) -> np.ndarray:
-        """Aggregate per-element occupancy counts into per-atom counts."""
-        out = np.zeros(self.size, dtype=np.int64)
-        np.add.at(out, self.signature, np.asarray(element_counts, dtype=np.int64))
-        return out
+        """Aggregate per-element occupancy counts into per-atom counts (float
+        sums of counts below 2**53 are exact; every atom holds an element)."""
+        return np.bincount(self.signature, weights=element_counts).astype(np.int64)
 
     def true_atom_probs(self, dist: DiscreteDistribution) -> np.ndarray:
-        out = np.zeros(self.size)
-        np.add.at(out, self.signature, dist.probs)
-        return out
+        return np.bincount(self.signature, weights=dist.probs)
 
 
 def atoms_of(batch: QueryBatch) -> AtomPartition:
-    """Atoms as equivalence classes of the per-element query-signature vectors.
-
-    Atom order follows numpy's lexicographic unique-row order, which both
-    sides of the protocol recompute identically from the batch.
-    """
+    """Atoms as equivalence classes of the per-element query-signature vectors,
+    in numpy's lexicographic unique-row order."""
     uniq, inverse = np.unique(batch.matrix().T, axis=0, return_inverse=True)
     return AtomPartition(signature=inverse.ravel(), atom_query_values=uniq.T)
 
@@ -230,23 +222,21 @@ class PortfolioAlgorithm(SqAlgorithm):
         # contiguous blocks, sizes differing by at most one
         edges = np.linspace(0, N, num_blocks + 1).round().astype(int)
         self.blocks = [np.arange(edges[j], edges[j + 1]) for j in range(num_blocks)]
+        queries = []
+        for block in self.blocks:
+            values = np.zeros(N, dtype=np.int8)
+            values[block] = 1
+            queries.append(Query(values))
+        self.batch = QueryBatch(tuple(queries))
         self._sent = False
 
     def reset(self, rng) -> None:
         self._sent = False
 
-    def batch(self) -> QueryBatch:
-        queries = []
-        for block in self.blocks:
-            values = np.zeros(self.N, dtype=np.int8)
-            values[block] = 1
-            queries.append(Query(values))
-        return QueryBatch(tuple(queries))
-
     def step(self, evaluations):
         if not self._sent:
             self._sent = True
-            return ("batch", self.batch())
+            return ("batch", self.batch)
         v = np.asarray(evaluations, dtype=float)
         per_item = v / np.array([len(b) for b in self.blocks])
         order = np.argsort(-per_item, kind="stable")  # ties: lower block first
@@ -312,11 +302,11 @@ def verifier_iteration(element_counts_v: np.ndarray, alg: SqAlgorithm, channel,
                        instrument=None):
     """Simulate one full run of the algorithm through the prover channel.
 
-    Per batch: recompute the atoms, obtain the prover's claimed atom
-    distribution, identity-test it against the verifier sample's atom counts,
-    and feed the claim's induced evaluations back to the algorithm. Returns
-    the algorithm's output, or the module-level reject sentinel on any bound
-    or test failure.
+    Per batch: compute the atoms, send the prover their partition, identity-
+    test its claimed atom distribution against the verifier sample's atom
+    counts, and feed the claim's induced evaluations back to the algorithm.
+    Returns the algorithm's output, or the module-level reject sentinel on any
+    bound or test failure.
     """
     alg.reset(rng)
     kind, value = alg.step(None)
@@ -332,7 +322,7 @@ def verifier_iteration(element_counts_v: np.ndarray, alg: SqAlgorithm, channel,
         reply = channel.ask({
             "iteration": iteration,
             "batch": t,
-            "queries": batch.to_payload(),
+            "atoms": ap.signature.tolist(),
         })
         claimed = _parse_atom_claim(reply, ap.size, cfg.m_p)
         if ap.size >= 2:
@@ -357,13 +347,14 @@ def _parse_atom_claim(reply, atom_count: int, m_p: int) -> DiscreteDistribution:
     return DiscreteDistribution.from_counts(tuple(range(atom_count)), counts)
 
 
-def make_sq_verifier(dist: DiscreteDistribution, alg_factory, cfg: SqProtocolConfig,
-                     holdout_loss, instrument=None):
+def make_sq_verifier(dist: DiscreteDistribution, alg: SqAlgorithm, cfg: SqProtocolConfig,
+                     holdout_loss):
     """Verifier strategy: T independent simulations, then holdout selection.
 
-    ``holdout_loss(hypothesis, element_counts, total)`` scores a candidate on
-    the holdout occupancy counts. The main sample is reused across all T
-    iterations unless cfg.fresh_samples is set.
+    Each simulation resets ``alg`` with fresh randomness and runs it to its
+    output. ``holdout_loss(hypothesis, element_counts, total)`` scores a
+    candidate on the holdout occupancy counts. The main sample is reused
+    across all T iterations unless cfg.fresh_samples is set.
     """
 
     def verifier(channel, params, rng):
@@ -373,8 +364,7 @@ def make_sq_verifier(dist: DiscreteDistribution, alg_factory, cfg: SqProtocolCon
         for i in range(cfg.T):
             if cfg.fresh_samples and i > 0:
                 element_counts_v = rng.multinomial(cfg.m_v, dist.probs)
-            result = verifier_iteration(element_counts_v, alg_factory(), channel,
-                                        cfg, i, rng, instrument=instrument)
+            result = verifier_iteration(element_counts_v, alg, channel, cfg, i, rng)
             if result is _REJECT:
                 return VerifierOutcome.reject()
             candidates.append(result)
@@ -394,17 +384,13 @@ def portfolio_holdout_loss(selection, element_counts: np.ndarray, total: int) ->
 
 
 class HonestSqProver:
-    """Draws one sample up front and reports its empirical atom frequencies.
-
-    Atom partitions are recomputed from each received batch exactly as the
-    verifier computes them, so atom indices agree by construction.
-    """
+    """Draws one sample up front and reports its empirical atom frequencies,
+    aggregated over the atom partition each verifier message carries."""
 
     def __init__(self, dist: DiscreteDistribution, cfg: SqProtocolConfig):
         self.dist = dist
         self.cfg = cfg
         self._element_counts = None
-        self._cache: dict = {}
 
     def open(self, params, rng):
         return {"ready": True}
@@ -412,12 +398,7 @@ class HonestSqProver:
     def _atom_counts(self, payload, rng) -> np.ndarray:
         if self._element_counts is None:
             self._element_counts = rng.multinomial(self.cfg.m_p, self.dist.probs)
-        mat = np.asarray(payload["queries"], dtype=np.int8)
-        key = mat.tobytes()
-        if key not in self._cache:
-            ap = atoms_of(QueryBatch(tuple(Query(row) for row in mat)))
-            self._cache[key] = ap.atom_counts(self._element_counts)
-        return self._cache[key]
+        return np.bincount(payload["atoms"], weights=self._element_counts).astype(np.int64)
 
     def respond(self, payload, params, rng):
         counts = self._atom_counts(payload, rng)
@@ -429,7 +410,7 @@ class MassShiftSqProver(HonestSqProver):
     placing the claim at total variation 2*tau from the honest one."""
 
     def respond(self, payload, params, rng):
-        counts = self._atom_counts(payload, rng).copy()
+        counts = self._atom_counts(payload, rng)
         if len(counts) >= 2:
             shift = min(int(round(2.0 * self.cfg.tau * self.cfg.m_p)), int(counts.max()))
             counts[int(np.argmax(counts))] -= shift
@@ -441,7 +422,7 @@ class AtomSwapSqProver(HonestSqProver):
     """Swaps the claimed masses of the two heaviest atoms."""
 
     def respond(self, payload, params, rng):
-        counts = self._atom_counts(payload, rng).copy()
+        counts = self._atom_counts(payload, rng)
         if len(counts) >= 2:
             top = np.argsort(-counts, kind="stable")[:2]
             counts[top[0]], counts[top[1]] = counts[top[1]], counts[top[0]]
@@ -459,11 +440,8 @@ class StaleSqProver:
         return {"ready": True}
 
     def respond(self, payload, params, rng):
-        mat = np.asarray(payload["queries"], dtype=np.int8)
-        ap = atoms_of(QueryBatch(tuple(Query(row) for row in mat)))
         uniform = np.full(self.n_elements, 1.0 / self.n_elements)
-        atom_probs = np.zeros(ap.size)
-        np.add.at(atom_probs, ap.signature, uniform)
+        atom_probs = np.bincount(payload["atoms"], weights=uniform)
         counts = np.floor(atom_probs * self.cfg.m_p).astype(np.int64)
         counts[0] += self.cfg.m_p - int(counts.sum())
         return {"counts": [int(c) for c in counts], "denominator": int(self.cfg.m_p)}
@@ -495,11 +473,10 @@ def zipf_distribution(N: int, a: float = 1.0) -> DiscreteDistribution:
 
 def portfolio_run(dist: DiscreteDistribution, cfg: SqProtocolConfig,
                   N: int, n: int, seed: int, prover_name: str = "honest",
-                  num_blocks: int | None = None, instrument=None):
+                  num_blocks: int | None = None):
     """One full verified portfolio run; returns the transcript."""
-    alg_factory = lambda: PortfolioAlgorithm(N, n, num_blocks)
-    verifier = make_sq_verifier(dist, alg_factory, cfg, portfolio_holdout_loss,
-                                instrument=instrument)
+    verifier = make_sq_verifier(dist, PortfolioAlgorithm(N, n, num_blocks), cfg,
+                                portfolio_holdout_loss)
     prover = make_sq_prover(prover_name, dist, cfg)
     params = VerificationParams(cfg.epsilon, cfg.delta)
     return run_interaction(verifier, prover, params, seed)

@@ -102,3 +102,33 @@ def reference_verifier_counts(pop, boundaries, m, rng):
     xs, ys = reference_interval_sample(pop, m, rng)
     j = np.searchsorted(np.asarray(boundaries, dtype=float)[1:-1], xs, side="right")
     return np.bincount(2 * j + ys, minlength=2 * (len(boundaries) - 1))
+
+
+def _atoms_from_queries(query_matrix):
+    from pacverify.sq import Query, QueryBatch, atoms_of
+
+    mat = np.asarray(query_matrix, dtype=np.int8)
+    return atoms_of(QueryBatch(tuple(Query(row) for row in mat)))
+
+
+def reference_honest_atom_counts(query_matrix, element_counts):
+    """The honest SQ prover's atom counts when the verifier sent the query
+    matrix: rebuild the batch, recompute its atoms, add the per-element
+    counts atom by atom in int64."""
+    ap = _atoms_from_queries(query_matrix)
+    out = np.zeros(ap.size, dtype=np.int64)
+    np.add.at(out, ap.signature, np.asarray(element_counts, dtype=np.int64))
+    return out
+
+
+def reference_stale_atom_counts(query_matrix, m_p):
+    """The stale SQ prover's claim from a query-matrix message: uniform atom
+    masses summed element by element, floored at denominator m_p, with the
+    remainder on atom 0."""
+    ap = _atoms_from_queries(query_matrix)
+    n = ap.signature.size
+    atom_probs = np.zeros(ap.size)
+    np.add.at(atom_probs, ap.signature, np.full(n, 1.0 / n))
+    counts = np.floor(atom_probs * m_p).astype(np.int64)
+    counts[0] += m_p - int(counts.sum())
+    return counts

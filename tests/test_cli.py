@@ -65,6 +65,25 @@ class TestSpecValidation:
         assert cli.main(["sq-verify", "--spec", str(path)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("base,params,field", [
+        (SQ_SPEC, {"N": "64"}, "params.N"),
+        (SQ_SPEC, {"n": True}, "params.n"),
+        (SQ_SPEC, {"num_blocks": 4.0}, "params.num_blocks"),
+        (SQ_SPEC, {"epsilon": 2.0}, "params.epsilon"),
+        (SQ_SPEC, {"tau": float("nan")}, "params.tau"),
+        (SQ_SPEC, {"c_p": -1.0}, "params.c_p"),
+        (INTERVALS_SPEC, {"epsilon": 0.3}, "params.epsilon"),
+        (INTERVALS_SPEC, {"d": "2"}, "params.d"),
+        (INTERVALS_SPEC, {"d": True}, "params.d"),
+        (INTERVALS_SPEC, {"delta": 0}, "params.delta"),
+    ])
+    def test_bad_param_type_or_range_exits_2(self, tmp_path, capsys, base, params, field):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(base, params=dict(base["params"], **params))))
+        command = "sq-verify" if base is SQ_SPEC else "intervals-verify"
+        assert cli.main([command, "--spec", str(path)]) == 2
+        assert f"spec error: {field}:" in capsys.readouterr().err
+
     def test_bad_distribution_kind(self):
         doc = dict(INTERVALS_SPEC, distribution={"kind": "cauchy"})
         with pytest.raises(cli.SpecError) as err:
@@ -194,6 +213,19 @@ class TestReplay:
         path.write_text(json.dumps(report))
         assert cli.main(["replay", str(path)]) == 2
         assert f"line {len(lines)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,field", [
+        (lambda r: r["trials"][0].update(transcript=5), "trials[0]"),
+        (lambda r: r.pop("spec"), "spec"),
+        (lambda r: r.update(trials={"0": {}}), "report"),
+    ], ids=["transcript-not-string", "no-spec", "trials-not-list"])
+    def test_malformed_report_exits_2(self, tmp_path, capsys, edit, field):
+        report = cli.run_experiment(cli.ExperimentSpec.from_doc(dict(INTERVALS_SPEC, trials=1)))
+        edit(report)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert cli.main(["replay", str(path)]) == 2
+        assert f"spec error: {field}:" in capsys.readouterr().err
 
 
 class TestCommandLine:

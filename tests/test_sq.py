@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bruteforce_atoms
+from oracles import bruteforce_atoms, reference_honest_atom_counts, reference_stale_atom_counts
 
 from pacverify.core import DiscreteDistribution, child_rng
 from pacverify.harness import VerificationParams, run_interaction
@@ -14,6 +16,7 @@ from pacverify.sq import (
     Query,
     QueryBatch,
     SqProtocolConfig,
+    StaleSqProver,
     atoms_of,
     induced_evaluations,
     iteration_count,
@@ -116,19 +119,55 @@ class TestHonestProverEstimates:
     def test_large_sample_concentrates(self):
         dist = zipf_distribution(32)
         cfg = SqProtocolConfig.default(tau=0.05, epsilon=0.1, delta=0.2, s=8)
-        batch = PortfolioAlgorithm(32, 4, num_blocks=8).batch()
-        ap = atoms_of(batch)
+        ap = atoms_of(PortfolioAlgorithm(32, 4, num_blocks=8).batch)
         true_p = ap.true_atom_probs(dist)
-        prover = HonestSqProver(dist, cfg)
         worst = 0.0
         for i in range(30):
-            prover._element_counts = None
-            prover._cache.clear()
-            reply = prover.respond({"queries": batch.to_payload()}, None, child_rng(13, i))
+            prover = HonestSqProver(dist, cfg)
+            reply = prover.respond({"atoms": ap.signature.tolist()}, None, child_rng(13, i))
             claimed = np.array(reply["counts"]) / cfg.m_p
             worst = max(worst, float(np.abs(claimed - true_p).sum()))
         # comfortably inside the inner test radius tau/(2 sqrt s)
         assert worst <= cfg.tau / (2 * np.sqrt(cfg.s))
+
+
+class TestWireFormat:
+    """Verifier messages carry the atom partition; provers aggregate over it."""
+
+    @given(st.integers(1, 6), st.integers(1, 40), st.sampled_from([0.05, 0.07, 0.3]),
+           st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_replies_match_query_matrix_references(self, n_queries, domain, tau, seed):
+        rng = child_rng(seed)
+        mat = rng.integers(0, 2, size=(n_queries, domain))
+        probs = rng.random(domain) + 1e-3
+        dist = DiscreteDistribution.from_probs(tuple(range(domain)), probs / probs.sum())
+        cfg = SqProtocolConfig.default(tau=tau, epsilon=0.1, delta=0.2, s=64)
+        payload = {"atoms": atoms_of(batch_from_rows(mat)).signature.tolist()}
+
+        honest = HonestSqProver(dist, cfg).respond(payload, None, child_rng(seed, 1))
+        element_counts = child_rng(seed, 1).multinomial(cfg.m_p, dist.probs)
+        assert honest == {"counts": reference_honest_atom_counts(mat, element_counts).tolist(),
+                          "denominator": cfg.m_p}
+
+        stale = StaleSqProver(dist, cfg).respond(payload, None, child_rng(seed, 2))
+        assert stale == {"counts": reference_stale_atom_counts(mat, cfg.m_p).tolist(),
+                         "denominator": cfg.m_p}
+
+    def test_transcript_verifier_lines_carry_the_partition(self):
+        dist = zipf_distribution(16)
+        cfg = SqProtocolConfig.default(tau=0.1, epsilon=0.2, delta=0.2, s=8)
+        signature = atoms_of(PortfolioAlgorithm(16, 2, num_blocks=8).batch).signature
+        lines = portfolio_run(dist, cfg, 16, 2, seed=5, num_blocks=8).to_jsonl().splitlines()
+        docs = [json.loads(line) for line in lines]
+        payloads = [doc["payload"] for doc in docs if doc.get("sender") == "verifier"]
+        assert [p["iteration"] for p in payloads] == list(range(cfg.T))
+        for payload in payloads:
+            assert set(payload) == {"iteration", "batch", "atoms"}
+            assert payload["batch"] == 1
+            assert len(payload["atoms"]) == 16
+            assert all(type(a) is int for a in payload["atoms"])
+            assert payload["atoms"] == signature.tolist()
 
 
 class TestAmplification:
@@ -207,7 +246,7 @@ class TestVerifierIteration:
         class ChattyAlgorithm(PortfolioAlgorithm):
             def step(self, evaluations):
                 self._sent = False  # keep re-sending the batch forever
-                return ("batch", self.batch())
+                return ("batch", self.batch)
 
         from pacverify.sq import _REJECT
         result = self.run_iter(HonestSqProver(self.dist, self.cfg),
@@ -238,6 +277,36 @@ class TestProtocol2:
         # deterministic algorithm + reused samples: every iteration agrees
         assert t.outcome.hypothesis == simulate_algorithm(
             PortfolioAlgorithm(16, 2, num_blocks=8), ExactOracle(dist), child_rng(0))
+
+    def test_one_algorithm_instance_serves_every_simulation(self):
+        class CountingPortfolio(PortfolioAlgorithm):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.resets = 0
+                self.batches = []
+
+            def reset(self, rng):
+                self.resets += 1
+                super().reset(rng)
+
+            def step(self, evaluations):
+                kind, value = super().step(evaluations)
+                if kind == "batch":
+                    self.batches.append(value)
+                return kind, value
+
+        dist = zipf_distribution(16)
+        cfg = SqProtocolConfig.default(tau=0.1, epsilon=0.2, delta=0.2, s=8)
+        alg = CountingPortfolio(16, 2, num_blocks=8)
+        verifier = make_sq_verifier(dist, alg, cfg, portfolio_holdout_loss)
+        t = run_interaction(verifier, HonestSqProver(dist, cfg),
+                            VerificationParams(cfg.epsilon, cfg.delta), seed=5)
+        assert alg.resets == cfg.T
+        assert len(alg.batches) == cfg.T
+        assert all(batch is alg.batch for batch in alg.batches)
+        expected = portfolio_run(dist, cfg, 16, 2, seed=5, num_blocks=8)
+        assert t.outcome.hypothesis == expected.outcome.hypothesis
+        assert t.to_jsonl() == expected.to_jsonl()
 
     def test_small_iteration_count_config(self):
         import math

@@ -18,9 +18,9 @@ IV_POINT_POP = iv.IntervalPopulation(IV_POP.centers, IV_POP.masses, IV_POP.label
 
 SQ_DIST = sq.zipf_distribution(8)
 SQ_CFG = sq.SqProtocolConfig.default(tau=0.2, epsilon=0.5, delta=0.5, s=4)
-SQ_BATCH = sq.PortfolioAlgorithm(8, 2, num_blocks=4).batch()
+SQ_ATOMS = sq.atoms_of(sq.PortfolioAlgorithm(8, 2, num_blocks=4).batch).signature
 SQ_REPLY = sq.HonestSqProver(SQ_DIST, SQ_CFG).respond(
-    {"queries": SQ_BATCH.to_payload()}, None, child_rng(0))
+    {"atoms": SQ_ATOMS.tolist()}, None, child_rng(0))
 
 JUNK = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
@@ -80,8 +80,8 @@ def test_intervals_verifier_never_raises(data):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_sq_verifier_never_raises(data):
-    alg_factory = lambda: sq.PortfolioAlgorithm(8, 2, num_blocks=4)
-    verifier = sq.make_sq_verifier(SQ_DIST, alg_factory, SQ_CFG, sq.portfolio_holdout_loss)
+    alg = sq.PortfolioAlgorithm(8, 2, num_blocks=4)
+    verifier = sq.make_sq_verifier(SQ_DIST, alg, SQ_CFG, sq.portfolio_holdout_loss)
     assert outcome(verifier, mutate(SQ_REPLY, data), SQ_CFG) in ("reject", "hypothesis")
 
 
