@@ -109,23 +109,38 @@ class ExperimentSpec:
             for name in ("n", "epsilon", "delta"):
                 if name not in p:
                     raise SpecError(f"params.{name}", "required for calibration")
+            _check_params(p, ints=("runs",), sizes=("n",), unit=("epsilon", "delta"))
+        elif self.protocol == "lowerbound":
+            _check_params(p, ints=("trials_per_point",), size_lists=("ds",))
 
     @property
     def role(self) -> str:
         return "honest" if self.adversary == "honest" else "adversarial"
 
 
-def _check_params(p: dict, ints=(), unit=(), positive=()) -> None:
-    """Types and ranges of the named params present in ``p``: ``ints`` are
-    integers >= 1 (bools refused), ``unit`` numbers in (0, 1), ``positive``
-    finite numbers > 0."""
-    for name in ints:
-        if name in p and (type(p[name]) is not int or p[name] < 1):
-            raise SpecError(f"params.{name}", "must be an integer >= 1")
-    for names, high in ((unit, 1.0), (positive, math.inf)):
+def _check_params(p: dict, ints=(), sizes=(), size_lists=(), unit=(), positive=(),
+                  finite=(), where: str = "params") -> None:
+    """Types and ranges of the named fields present in ``p``: ``ints`` are
+    integers >= 1 and ``sizes`` integers >= 2 (bools refused), ``size_lists``
+    non-empty lists of sizes, ``unit`` numbers in (0, 1), ``positive`` finite
+    numbers > 0, ``finite`` any finite numbers. ``where`` prefixes the field
+    name in the ``SpecError``."""
+    def is_int(value, low):
+        return type(value) is int and value >= low
+
+    for names, low in ((ints, 1), (sizes, 2)):
         for name in names:
-            if name in p and (type(p[name]) not in (int, float) or not 0 < p[name] < high):
-                raise SpecError(f"params.{name}", f"must be a number in (0, {high})")
+            if name in p and not is_int(p[name], low):
+                raise SpecError(f"{where}.{name}", f"must be an integer >= {low}")
+    for name in size_lists:
+        if name in p and not (isinstance(p[name], (list, tuple)) and p[name]
+                              and all(is_int(d, 2) for d in p[name])):
+            raise SpecError(f"{where}.{name}", "must be a non-empty list of integers >= 2")
+    for names, low, high in ((unit, 0, 1.0), (positive, 0, math.inf),
+                             (finite, -math.inf, math.inf)):
+        for name in names:
+            if name in p and (type(p[name]) not in (int, float) or not low < p[name] < high):
+                raise SpecError(f"{where}.{name}", f"must be a number in ({low}, {high})")
 
 
 def _build_interval_population(doc: dict) -> iv.IntervalPopulation:
@@ -147,6 +162,7 @@ def _build_interval_population(doc: dict) -> iv.IntervalPopulation:
 def _build_sq_distribution(doc: dict, N: int):
     kind = doc.get("kind", "zipf")
     if kind == "zipf":
+        _check_params(doc, finite=("a",), where="distribution")
         return sq.zipf_distribution(N, a=doc.get("a", 1.0))
     if kind == "uniform":
         from .core import DiscreteDistribution
@@ -363,8 +379,7 @@ def replay(report_path: str) -> dict:
     transcript's recorded outcome is reparsed and reclassified under the
     report's own spec, and must match the stored classification.
     """
-    with open(report_path) as f:
-        report = json.load(f)
+    report = _read_json(report_path, "report")
     if not isinstance(report, dict) or not isinstance(report.get("trials", []), list):
         raise SpecError("report", "must be a JSON object with a list of trials")
     spec = ExperimentSpec.from_doc(report.get("spec"))
@@ -411,10 +426,19 @@ DEFAULT_SPECS = {
 }
 
 
+def _read_json(path: str, what: str):
+    """The JSON document in a file; a file that is not JSON is a ``SpecError``
+    naming ``what``."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SpecError(what, f"not a JSON file ({exc})") from exc
+
+
 def _load_spec(args, subcommand: str) -> ExperimentSpec:
     if args.spec:
-        with open(args.spec) as f:
-            doc = json.load(f)
+        doc = _read_json(args.spec, "spec")
     else:
         doc = json.loads(json.dumps(DEFAULT_SPECS[subcommand]))
     if args.seed is not None:

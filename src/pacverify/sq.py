@@ -8,7 +8,9 @@ sends the prover that partition (the atom index of every domain element),
 receives the prover's claimed atom distribution, identity-tests the claim
 against its own (much smaller) sample, and answers the algorithm from the
 claim. The whole simulation is repeated and the best output is selected on a
-holdout sample.
+holdout sample; within one verifier run the partition is computed once per
+distinct batch, since the T simulations of a deterministic algorithm ask the
+same batches.
 """
 
 from __future__ import annotations
@@ -298,15 +300,19 @@ _REJECT = object()
 
 
 def verifier_iteration(element_counts_v: np.ndarray, alg: SqAlgorithm, channel,
-                       cfg: SqProtocolConfig, iteration: int, rng,
+                       cfg: SqProtocolConfig, iteration: int, rng, partitions: dict,
                        instrument=None):
     """Simulate one full run of the algorithm through the prover channel.
 
-    Per batch: compute the atoms, send the prover their partition, identity-
-    test its claimed atom distribution against the verifier sample's atom
-    counts, and feed the claim's induced evaluations back to the algorithm.
-    Returns the algorithm's output, or the module-level reject sentinel on any
-    bound or test failure.
+    Per batch: look up or compute the atoms, send the prover their partition,
+    identity-test its claimed atom distribution against the verifier sample's
+    atom counts, and feed the claim's induced evaluations back to the
+    algorithm. Returns the algorithm's output, or the module-level reject
+    sentinel on any bound or test failure.
+
+    ``partitions`` memoises read-only atom partitions by batch content (the
+    query matrix's shape and bytes, never the batch object, whose value
+    arrays are mutable); pass one dict to every simulation of a run.
     """
     alg.reset(rng)
     kind, value = alg.step(None)
@@ -316,7 +322,14 @@ def verifier_iteration(element_counts_v: np.ndarray, alg: SqAlgorithm, channel,
         if t > cfg.b:
             return _REJECT
         batch = value
-        ap = atoms_of(batch)
+        m = batch.matrix()
+        key = (m.shape, m.tobytes())
+        ap = partitions.get(key)
+        if ap is None:
+            ap = atoms_of(batch)
+            ap.signature.setflags(write=False)
+            ap.atom_query_values.setflags(write=False)
+            partitions[key] = ap
         if ap.size > cfg.s:
             return _REJECT
         reply = channel.ask({
@@ -354,17 +367,19 @@ def make_sq_verifier(dist: DiscreteDistribution, alg: SqAlgorithm, cfg: SqProtoc
     Each simulation resets ``alg`` with fresh randomness and runs it to its
     output. ``holdout_loss(hypothesis, element_counts, total)`` scores a
     candidate on the holdout occupancy counts. The main sample is reused
-    across all T iterations unless cfg.fresh_samples is set.
+    across all T iterations unless cfg.fresh_samples is set; the atom
+    partition of each distinct batch is computed once per run.
     """
 
     def verifier(channel, params, rng):
         element_counts_v = rng.multinomial(cfg.m_v, dist.probs)
         holdout_counts = rng.multinomial(cfg.m_v_holdout, dist.probs)
+        partitions: dict = {}
         candidates = []
         for i in range(cfg.T):
             if cfg.fresh_samples and i > 0:
                 element_counts_v = rng.multinomial(cfg.m_v, dist.probs)
-            result = verifier_iteration(element_counts_v, alg, channel, cfg, i, rng)
+            result = verifier_iteration(element_counts_v, alg, channel, cfg, i, rng, partitions)
             if result is _REJECT:
                 return VerifierOutcome.reject()
             candidates.append(result)

@@ -132,3 +132,49 @@ def reference_stale_atom_counts(query_matrix, m_p):
     counts = np.floor(atom_probs * m_p).astype(np.int64)
     counts[0] += m_p - int(counts.sum())
     return counts
+
+
+def reference_sq_verifier(dist, alg, cfg, holdout_loss):
+    """The SQ verifier without a partition memo: ``atoms_of`` on every batch
+    of every one of the T simulations, the main sample reused throughout,
+    then holdout selection. Consumes the verifier's randomness in the same
+    order as ``make_sq_verifier``."""
+    from pacverify import sq
+    from pacverify.harness import VerifierOutcome
+    from pacverify.identity_test import test_from_counts
+
+    def simulate(counts_v, channel, iteration, rng):
+        alg.reset(rng)
+        kind, value = alg.step(None)
+        t = 0
+        while kind == "batch":
+            t += 1
+            if t > cfg.b:
+                return None
+            ap = sq.atoms_of(value)
+            if ap.size > cfg.s:
+                return None
+            reply = channel.ask({"iteration": iteration, "batch": t,
+                                 "atoms": ap.signature.tolist()})
+            claimed = sq._parse_atom_claim(reply, ap.size, cfg.m_p)
+            if ap.size >= 2:
+                verdict = test_from_counts(claimed.probs, ap.atom_counts(counts_v),
+                                           cfg.tester_config(ap.size))
+                if not verdict.accept:
+                    return None
+            kind, value = alg.step(sq.induced_evaluations(ap, claimed.probs))
+        return value
+
+    def verifier(channel, params, rng):
+        counts_v = rng.multinomial(cfg.m_v, dist.probs)
+        holdout = rng.multinomial(cfg.m_v_holdout, dist.probs)
+        candidates = []
+        for i in range(cfg.T):
+            result = simulate(counts_v, channel, i, rng)
+            if result is None:
+                return VerifierOutcome.reject()
+            candidates.append(result)
+        losses = [holdout_loss(h, holdout, cfg.m_v_holdout) for h in candidates]
+        return VerifierOutcome.of(candidates[int(np.argmin(losses))])
+
+    return verifier

@@ -149,6 +149,8 @@ class TestCriterion5OracleChannelInvariant:
         checked = 0
         iterations = 0
         i = 0
+        alg = sq.PortfolioAlgorithm(64, 8)
+        partitions: dict = {}
         while iterations < 10_000:
             rng_v = child_rng(55, i, 0)
             rng_p = child_rng(55, i, 1)
@@ -168,8 +170,8 @@ class TestCriterion5OracleChannelInvariant:
                 err = float(np.abs(evaluations - exact).max())
                 local.append((l1, err))
 
-            sq.verifier_iteration(counts_v, sq.PortfolioAlgorithm(64, 8), Channel(),
-                                  cfg, i, child_rng(55, i, 2), instrument=instrument)
+            sq.verifier_iteration(counts_v, alg, Channel(), cfg, i, child_rng(55, i, 2),
+                                  partitions, instrument=instrument)
             iterations += 1
             for l1, err in local:
                 if l1 <= cfg.tau:

@@ -84,6 +84,29 @@ class TestSpecValidation:
         assert cli.main([command, "--spec", str(path)]) == 2
         assert f"spec error: {field}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,doc,field", [
+        ("calibrate", {"params": {"n": 1}}, "params.n"),
+        ("calibrate", {"params": {"n": 2.0}}, "params.n"),
+        ("calibrate", {"params": {"epsilon": 1.5}}, "params.epsilon"),
+        ("calibrate", {"params": {"delta": 0}}, "params.delta"),
+        ("calibrate", {"params": {"runs": 0}}, "params.runs"),
+        ("lowerbound", {"params": {"ds": []}}, "params.ds"),
+        ("lowerbound", {"params": {"ds": [64, 1]}}, "params.ds"),
+        ("lowerbound", {"params": {"ds": "64"}}, "params.ds"),
+        ("lowerbound", {"params": {"ds": [True, 64]}}, "params.ds"),
+        ("lowerbound", {"params": {"trials_per_point": 0}}, "params.trials_per_point"),
+        ("sq-verify", {"distribution": {"kind": "zipf", "a": "x"}}, "distribution.a"),
+        ("sq-verify", {"distribution": {"kind": "zipf", "a": float("inf")}}, "distribution.a"),
+    ])
+    def test_bad_calibrate_lowerbound_or_zipf_exits_2(self, tmp_path, capsys, command, doc, field):
+        spec = json.loads(json.dumps(cli.DEFAULT_SPECS[command]))
+        spec["params"].update(doc.get("params", {}))
+        spec.update({k: v for k, v in doc.items() if k != "params"})
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main([command, "--spec", str(path)]) == 2
+        assert f"spec error: {field}:" in capsys.readouterr().err
+
     def test_bad_distribution_kind(self):
         doc = dict(INTERVALS_SPEC, distribution={"kind": "cauchy"})
         with pytest.raises(cli.SpecError) as err:
@@ -226,6 +249,24 @@ class TestReplay:
         path.write_text(json.dumps(report))
         assert cli.main(["replay", str(path)]) == 2
         assert f"spec error: {field}:" in capsys.readouterr().err
+
+
+class TestNotJson:
+    def test_report_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("{not json")
+        assert cli.main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spec error: report: not a JSON file")
+        assert err.count("\n") == 1
+
+    def test_spec_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text("{not json")
+        assert cli.main(["sq-verify", "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spec error: spec: not a JSON file")
+        assert err.count("\n") == 1
 
 
 class TestCommandLine:

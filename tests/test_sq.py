@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bruteforce_atoms, reference_honest_atom_counts, reference_stale_atom_counts
+from oracles import (
+    bruteforce_atoms,
+    reference_honest_atom_counts,
+    reference_sq_verifier,
+    reference_stale_atom_counts,
+)
 
+from pacverify import sq
 from pacverify.core import DiscreteDistribution, child_rng
 from pacverify.harness import VerificationParams, run_interaction
 from pacverify.sq import (
@@ -15,6 +21,7 @@ from pacverify.sq import (
     PortfolioAlgorithm,
     Query,
     QueryBatch,
+    SqAlgorithm,
     SqProtocolConfig,
     StaleSqProver,
     atoms_of,
@@ -217,13 +224,14 @@ class TestVerifierIteration:
         self.dist = zipf_distribution(64)
         self.cfg = SqProtocolConfig.default(tau=0.05, epsilon=0.1, delta=0.2, s=16)
 
-    def run_iter(self, prover, alg=None, cfg=None):
+    def run_iter(self, prover, alg=None, cfg=None, partitions=None):
         cfg = cfg or self.cfg
         rng = child_rng(41)
         counts_v = rng.multinomial(cfg.m_v, self.dist.probs)
         channel = _DirectChannel(prover, child_rng(42))
         alg = alg or PortfolioAlgorithm(64, 8)
-        return verifier_iteration(counts_v, alg, channel, cfg, 0, child_rng(43))
+        partitions = {} if partitions is None else partitions
+        return verifier_iteration(counts_v, alg, channel, cfg, 0, child_rng(43), partitions)
 
     def test_single_pass_returns_algorithm_output(self):
         result = self.run_iter(HonestSqProver(self.dist, self.cfg))
@@ -253,11 +261,127 @@ class TestVerifierIteration:
                                alg=ChattyAlgorithm(64, 8))
         assert result is _REJECT
 
+    def test_memoised_partition_is_read_only(self):
+        partitions = {}
+        self.run_iter(HonestSqProver(self.dist, self.cfg), partitions=partitions)
+        (ap,) = partitions.values()
+        with pytest.raises(ValueError):
+            ap.signature[0] = 1
+        with pytest.raises(ValueError):
+            ap.atom_query_values[0, 0] = 1
+
     def test_partition_size_guard(self):
         cfg = SqProtocolConfig.default(tau=0.05, epsilon=0.1, delta=0.2, s=4)
         from pacverify.sq import _REJECT
         result = self.run_iter(HonestSqProver(self.dist, cfg), cfg=cfg)  # PS=16 > s=4
         assert result is _REJECT
+
+
+class _CountingAtoms:
+    """Replaces ``sq.atoms_of`` for one test and counts its calls."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = sq.atoms_of
+
+        def counted(batch):
+            self.calls += 1
+            return original(batch)
+
+        monkeypatch.setattr(sq, "atoms_of", counted)
+
+
+class _RefiningAlgorithm(SqAlgorithm):
+    """Two adaptive batches on a 16-item domain: the masses of four blocks of
+    four items, then the masses of the four items of one block, the
+    heaviest-looking block shifted by an offset drawn at reset. The second
+    batch is one object rewritten in place, so only its content tells its
+    versions apart. Outputs the two heaviest-looking items."""
+
+    def __init__(self):
+        self.blocks = np.arange(16).reshape(4, 4)
+        self.first = QueryBatch(tuple(Query((np.arange(16) // 4 == j).astype(np.int8))
+                                      for j in range(4)))
+        self.second = QueryBatch(tuple(Query(np.zeros(16, dtype=np.int8)) for _ in range(4)))
+        self.refined = []  # the block refined in each simulation
+
+    def reset(self, rng):
+        self.offset = int(rng.integers(4))
+        self.stage = 0
+
+    def step(self, evaluations):
+        self.stage += 1
+        if self.stage == 1:
+            return ("batch", self.first)
+        if self.stage == 2:
+            self.block_masses = np.asarray(evaluations)
+            j = (int(np.argmax(evaluations)) + self.offset) % 4
+            self.refined.append(j)
+            for query, item in zip(self.second.queries, self.blocks[j]):
+                query.values[:] = 0
+                query.values[item] = 1
+            return ("batch", self.second)
+        item_masses = np.repeat(self.block_masses / 4, 4)
+        item_masses[self.blocks[self.refined[-1]]] = evaluations
+        return ("output", sorted(np.argsort(-item_masses, kind="stable")[:2].tolist()))
+
+
+class TestPartitionMemo:
+    """One verifier run computes each distinct batch's partition once."""
+
+    def setup_method(self):
+        self.dist = zipf_distribution(16)
+        self.cfg = SqProtocolConfig.default(tau=0.1, epsilon=0.2, delta=0.2, s=8, b=2)
+        self.params = VerificationParams(self.cfg.epsilon, self.cfg.delta)
+
+    def run(self, verifier, seed=5):
+        return run_interaction(verifier, HonestSqProver(self.dist, self.cfg), self.params, seed)
+
+    def test_atoms_of_runs_once_per_trial(self, monkeypatch):
+        counter = _CountingAtoms(monkeypatch)
+        for trials, seed in enumerate((5, 6), start=1):
+            t = portfolio_run(self.dist, self.cfg, 16, 2, seed=seed, num_blocks=8)
+            assert t.outcome.kind == "hypothesis"
+            assert counter.calls == trials
+
+    def test_fresh_equal_batch_hits_the_memo(self, monkeypatch):
+        class FreshBatchPortfolio(PortfolioAlgorithm):
+            def step(self, evaluations):
+                kind, value = super().step(evaluations)
+                if kind == "batch":
+                    value = QueryBatch(tuple(Query(q.values.copy()) for q in value.queries))
+                return kind, value
+
+        counter = _CountingAtoms(monkeypatch)
+        verifier = make_sq_verifier(self.dist, FreshBatchPortfolio(16, 2, num_blocks=8),
+                                    self.cfg, portfolio_holdout_loss)
+        t = self.run(verifier)
+        assert counter.calls == 1
+        expected = portfolio_run(self.dist, self.cfg, 16, 2, seed=5, num_blocks=8)
+        assert t.to_jsonl() == expected.to_jsonl()
+
+    def test_adaptive_batches_get_their_own_partitions(self, monkeypatch):
+        counter = _CountingAtoms(monkeypatch)
+        alg = _RefiningAlgorithm()
+        t = self.run(make_sq_verifier(self.dist, alg, self.cfg, portfolio_holdout_loss))
+        assert t.outcome.kind == "hypothesis"
+        assert len(alg.refined) == self.cfg.T
+        assert len(set(alg.refined)) >= 2
+        assert counter.calls == 1 + len(set(alg.refined))
+
+        payloads = [doc["payload"] for doc in map(json.loads, t.to_jsonl().splitlines())
+                    if doc.get("sender") == "verifier"]
+        assert [p["batch"] for p in payloads] == [1, 2] * self.cfg.T
+        for p, j in zip(payloads[1::2], alg.refined):
+            atoms = np.array(p["atoms"])
+            inside = atoms[alg.blocks[j]]
+            outside = np.delete(atoms, alg.blocks[j])
+            assert len(set(inside)) == 4 and len(set(outside)) == 1
+            assert not set(inside) & set(outside)
+
+        reference = self.run(reference_sq_verifier(self.dist, _RefiningAlgorithm(), self.cfg,
+                                                   portfolio_holdout_loss))
+        assert t.to_jsonl() == reference.to_jsonl()
 
 
 class TestProtocol2:
@@ -353,7 +477,7 @@ class TestOracleChannelInvariant:
                 seen.append((l1, err))
 
             result = verifier_iteration(counts_v, PortfolioAlgorithm(64, 8), channel,
-                                        cfg, 0, child_rng(93, i), instrument=instrument)
+                                        cfg, 0, child_rng(93, i), {}, instrument=instrument)
             for l1, err in seen:
                 if l1 <= cfg.tau and err > cfg.tau:
                     violations += 1
