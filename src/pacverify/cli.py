@@ -46,6 +46,9 @@ class SpecError(ValueError):
 
 PROTOCOLS = ("intervals", "sq", "lowerbound", "identity-calibrate")
 
+# the most entries a spec may make the program hold in one array
+MAX_ENTRIES = 2**26
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -64,6 +67,8 @@ class ExperimentSpec:
         unknown = set(doc) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise SpecError(sorted(unknown)[0], "unknown field")
+        if "protocol" not in doc:
+            raise SpecError("protocol", "required")
         spec = cls(**doc)
         spec.validate()
         return spec
@@ -78,6 +83,11 @@ class ExperimentSpec:
             raise SpecError("trials", "must be an integer >= 1")
         if not isinstance(self.root_seed, int) or self.root_seed < 0:
             raise SpecError("root_seed", "must be a nonnegative integer")
+        for name in ("distribution", "params"):
+            if not isinstance(getattr(self, name), dict):
+                raise SpecError(name, "must be a JSON object")
+        if not isinstance(self.adversary, str):
+            raise SpecError("adversary", "must be a string")
         p = self.params
         if self.protocol == "intervals":
             for name in ("d", "epsilon", "delta"):
@@ -90,7 +100,7 @@ class ExperimentSpec:
                 raise SpecError("adversary", f"unknown interval prover {self.adversary!r}")
             _build_interval_population(self.distribution)
         elif self.protocol == "sq":
-            _check_params(p, ints=("N", "n", "num_blocks", "b"),
+            _check_params(p, ints=("N", "n", "num_blocks", "b"), size_lists=("ds",),
                           unit=("tau", "epsilon", "delta"), positive=("c_v", "c_p"))
             if p.get("experiment", "verify") not in ("verify", "gap"):
                 raise SpecError("params.experiment", "must be 'verify' or 'gap'")
@@ -100,11 +110,16 @@ class ExperimentSpec:
                         raise SpecError(f"params.{name}", "required for sq verify")
                 if 2 * p["n"] > p["N"]:
                     raise SpecError("params.n", "need 2n <= N")
-                if not 1 <= p.get("num_blocks", min(p["N"], 2 * p["n"])) <= p["N"]:
+                num_blocks = p.get("num_blocks", min(p["N"], 2 * p["n"]))
+                if not 1 <= num_blocks <= p["N"]:
                     raise SpecError("params.num_blocks", "must lie in [1, N]")
+                if p["N"] * num_blocks > MAX_ENTRIES:
+                    raise SpecError("params.N", f"N * num_blocks must be at most {MAX_ENTRIES}")
                 if self.adversary != "honest" and self.adversary not in sq.SQ_ADVERSARIES:
                     raise SpecError("adversary", f"unknown sq prover {self.adversary!r}")
                 _build_sq_distribution(self.distribution, p["N"])
+            elif any(d * d > MAX_ENTRIES for d in p.get("ds", ())):
+                raise SpecError("params.ds", f"d * d must be at most {MAX_ENTRIES}")
         elif self.protocol == "identity-calibrate":
             for name in ("n", "epsilon", "delta"):
                 if name not in p:
@@ -112,6 +127,13 @@ class ExperimentSpec:
             _check_params(p, ints=("runs",), sizes=("n",), unit=("epsilon", "delta"))
         elif self.protocol == "lowerbound":
             _check_params(p, ints=("trials_per_point",), size_lists=("ds",))
+            # crossing_point draws (trials, ceil(1.75 sqrt(d))) arrays at its
+            # largest factor; past MAX_ENTRIES**2, sqrt(d) alone is over the cap
+            trials = p.get("trials_per_point", 3000)
+            if any(trials * math.ceil(1.75 * math.sqrt(min(d, MAX_ENTRIES**2))) > MAX_ENTRIES
+                   for d in p.get("ds", (64, 256, 1024, 4096))):
+                raise SpecError("params.ds", f"trials_per_point * ceil(1.75 sqrt(d)) must be "
+                                             f"at most {MAX_ENTRIES}")
 
     @property
     def role(self) -> str:
@@ -145,15 +167,25 @@ def _check_params(p: dict, ints=(), sizes=(), size_lists=(), unit=(), positive=(
 
 def _build_interval_population(doc: dict) -> iv.IntervalPopulation:
     kind = doc.get("kind", "grid")
+    _check_params(doc, ints=("n_points",), where="distribution")
     n_points = doc.get("n_points", 64)
+    band_fraction = doc.get("band_fraction", 0.25)
+    # wider bands would overlap their neighbours on the grid
+    if type(band_fraction) not in (int, float) or not 0 <= band_fraction < 0.5:
+        raise SpecError("distribution.band_fraction", "must be a number in [0, 0.5)")
     if kind == "grid":
-        target = iv.UnionOfIntervals(tuple(tuple(x) for x in doc.get("target", [])))
+        target = doc.get("target", [])
+        if not (isinstance(target, (list, tuple)) and all(
+                isinstance(x, (list, tuple)) and len(x) == 2 and all(type(v) in (int, float) for v in x)
+                and 0 <= x[0] <= x[1] <= 1 for x in target)):
+            raise SpecError("distribution.target",
+                            "must be a list of intervals [a, b] with 0 <= a <= b <= 1")
         return iv.IntervalPopulation.grid_realizable(
-            n_points, target, band_fraction=doc.get("band_fraction", 0.25))
+            n_points, iv.UnionOfIntervals(tuple(tuple(x) for x in target)), band_fraction)
     if kind == "coin":
         # every hypothesis has loss exactly 1/2
         centers = (np.arange(n_points) + 0.5) / n_points
-        hw = doc.get("band_fraction", 0.25) / n_points
+        hw = band_fraction / n_points
         return iv.IntervalPopulation(centers, np.full(n_points, 1.0 / n_points),
                                      np.full(n_points, 0.5), halfwidth=hw)
     raise SpecError("distribution.kind", f"unknown interval population kind {kind!r}")
@@ -170,8 +202,11 @@ def _build_sq_distribution(doc: dict, N: int):
     if kind == "explicit":
         from .core import DiscreteDistribution
         probs = doc.get("probs")
-        if probs is None or len(probs) != N:
+        if not (isinstance(probs, (list, tuple)) and len(probs) == N
+                and all(type(x) in (int, float) and 0 <= x <= 1 for x in probs)):
             raise SpecError("distribution.probs", f"must list exactly {N} probabilities")
+        if abs(float(np.sum(probs)) - 1.0) > 1e-9:
+            raise SpecError("distribution.probs", "must sum to 1")
         return DiscreteDistribution.from_probs(tuple(range(N)), probs)
     raise SpecError("distribution.kind", f"unknown sq distribution kind {kind!r}")
 
@@ -427,13 +462,15 @@ DEFAULT_SPECS = {
 
 
 def _read_json(path: str, what: str):
-    """The JSON document in a file; a file that is not JSON is a ``SpecError``
-    naming ``what``."""
-    with open(path) as f:
-        try:
+    """The JSON document in a file; a file that cannot be read or is not JSON
+    is a ``SpecError`` naming ``what``."""
+    try:
+        with open(path) as f:
             return json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise SpecError(what, f"not a JSON file ({exc})") from exc
+    except OSError as exc:
+        raise SpecError(what, f"cannot read {path} ({exc.strerror})") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SpecError(what, f"not a JSON file ({exc})") from exc
 
 
 def _load_spec(args, subcommand: str) -> ExperimentSpec:

@@ -295,72 +295,35 @@ def erm_runs(mass0: np.ndarray, mass1: np.ndarray, d: int) -> tuple[list, float]
     runs. Returns (runs as (start, end) index pairs, minimum loss).
     """
     k = len(mass0)
-    if k == 0:
-        return [], 0.0
-    INF = (math.inf, math.inf)
-    # togo[u][p]: best (loss, intervals still to open) from position j given
-    # u intervals already opened and previous position inside (p = 1) or not
-    togo = [[(0.0, 0.0), (0.0, 0.0)] for _ in range(d + 1)]
-    layers = [None] * (k + 1)
-    layers[k] = [row[:] for row in togo]
+    # best[u][p]: (loss, intervals still to open) from the current position on,
+    # given u intervals opened and the previous position inside (p = 1) or not;
+    # choice[j][u][p]: the (b, nu) that attains it at position j. Trying the
+    # state switch first and keeping only strictly better candidates prefers
+    # switching at exact ties, which yields the lexicographically earliest runs.
+    best = [[(0.0, 0), (0.0, 0)] for _ in range(d + 1)]
+    choice = [None] * k
+    cost = np.stack([mass1, mass0], axis=1).tolist()  # cost[j][b]: predict b at j
     for j in range(k - 1, -1, -1):
-        nxt = layers[j + 1]
-        cur = [[INF, INF] for _ in range(d + 1)]
+        cur = [[None, None] for _ in range(d + 1)]
+        choice[j] = [[None, None] for _ in range(d + 1)]
         for u in range(d + 1):
             for p in (0, 1):
-                best = INF
-                for b in (0, 1):
-                    nu = u + (1 if (b == 1 and p == 0) else 0)
+                for b in (1 - p, p):
+                    nu = u + (b > p)
                     if nu > d:
                         continue
-                    step = mass0[j] if b == 1 else mass1[j]
-                    tail = nxt[nu][b]
-                    cand = (step + tail[0], (nu - u) + tail[1])
-                    if cand < best:
-                        best = cand
-                cur[u][p] = best
-        layers[j] = cur
-    total_loss = layers[0][0][0][0]
-    # forward reconstruction; at exact ties prefer switching state, which
-    # yields the lexicographically earliest run list
+                    tail = best[nu][b]
+                    cand = (cost[j][b] + tail[0], nu - u + tail[1])
+                    if cur[u][p] is None or cand < cur[u][p]:
+                        cur[u][p], choice[j][u][p] = cand, (b, nu)
+        best = cur
     inside = np.zeros(k, dtype=bool)
-    u, p = 0, 0
+    u = p = 0
     for j in range(k):
-        chosen = None
-        for b in (1 - p, p):
-            nu = u + (1 if (b == 1 and p == 0) else 0)
-            if nu > d:
-                continue
-            step = mass0[j] if b == 1 else mass1[j]
-            tail = layers[j + 1][nu][b]
-            cand = (step + tail[0], (nu - u) + tail[1])
-            if cand == layers[j][u][p]:
-                chosen = (b, nu)
-                break
-        if chosen is None:  # float asymmetry fallback: take the argmin directly
-            options = []
-            for b in (1 - p, p):
-                nu = u + (1 if (b == 1 and p == 0) else 0)
-                if nu > d:
-                    continue
-                step = mass0[j] if b == 1 else mass1[j]
-                tail = layers[j + 1][nu][b]
-                options.append(((step + tail[0], (nu - u) + tail[1]), (b, nu)))
-            chosen = min(options)[1]
-        b, u = chosen[0], chosen[1]
-        inside[j] = bool(b)
-        p = b
-    runs = []
-    j = 0
-    while j < k:
-        if inside[j]:
-            start = j
-            while j < k and inside[j]:
-                j += 1
-            runs.append((start, j - 1))
-        else:
-            j += 1
-    return runs, float(total_loss)
+        p, u = choice[j][u][p]
+        inside[j] = p
+    edges = np.flatnonzero(np.diff(inside, prepend=False, append=False))
+    return [(int(s), int(e) - 1) for s, e in edges.reshape(-1, 2)], float(best[0][0][0])
 
 
 def verifier_protocol1(pop: IntervalPopulation, msg: DiscretizedMessage,

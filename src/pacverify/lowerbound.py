@@ -1,64 +1,34 @@
-"""Point-vs-mixture experiments behind the square-root sample barrier.
+"""Point-vs-mixture collision experiment behind the square-root sample barrier.
 
 Over a d-point domain, compare the fully random labeling distribution
 (uniform over domain x labels) against a mixture that first draws a hidden
 labeling function and then labels consistently. Collision-free samples from
 the two are identically distributed, so any distinguisher needs repeated
 x-values; the birthday bound places that at about sqrt(d) samples. The
-module measures the collision distinguisher's success curves and implements
-the reduction that turns a sample-efficient verifier into such a
-distinguisher.
+module measures the collision distinguisher's success curve at each d and
+where it crosses 7/12, and fits how that crossing scales with d.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledSample, child_rng
-
-UNIFORM = "uniform"
-MIXTURE = "function-mixture"
-UNDECIDED = "undecided"
-
-# test-sample size of the reduction: ceil(18^2 * ln 12) = 806
-REDUCTION_TEST_SIZE = math.ceil(324 * math.log(12))
-REDUCTION_LOSS_THRESHOLD = 1.0 / 3.0
-
-
-@dataclass(frozen=True)
-class ShatteredInstance:
-    """A d-point domain together with which labeling law is in force."""
-
-    d: int
-    mode: str  # UNIFORM | MIXTURE
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.mode not in (UNIFORM, MIXTURE):
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-
-def draw_mixture(inst: ShatteredInstance, t: int, rng: np.random.Generator) -> LabeledSample:
-    """t labeled draws: label coins per draw (uniform mode) or one hidden
-    labeling function applied consistently (mixture mode)."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    xs = rng.integers(0, inst.d, size=t)
-    if inst.mode == UNIFORM:
-        ys = rng.integers(0, 2, size=t)
-    else:
-        h = rng.integers(0, 2, size=inst.d)
-        ys = h[xs]
-    return LabeledSample(xs, ys)
+from .core import child_rng
 
 
 def _collision_cells(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Row-wise collision classification: 0 no collision, 1 all collisions
-    agree, 2 some collision disagrees. xs, ys are (trials, t) arrays."""
+    agree, 2 some collision disagrees. xs, ys are (trials, t) arrays.
+
+    The distinguisher's verdict per cell: a repeated x with two labels is
+    impossible under a labeling function, so a disagreeing collision means
+    the uniform law; an agreeing collision is twice as likely under the
+    mixture (a fresh label coin matches with probability 1/2), so it votes
+    mixture; with no collision the two laws coincide and the verdict is a
+    coin flip.
+    """
     order = np.argsort(xs, axis=1, kind="stable")
     sx = np.take_along_axis(xs, order, axis=1)
     sy = np.take_along_axis(ys, order, axis=1)
@@ -68,26 +38,6 @@ def _collision_cells(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     cells[dup.any(axis=1)] = 1
     cells[disagree.any(axis=1)] = 2
     return cells
-
-
-def collision_distinguisher(sample: LabeledSample) -> str:
-    """Verdict from collisions alone.
-
-    A repeated x with two labels is impossible under a labeling function, so
-    any disagreeing collision means the uniform law. Each agreeing collision
-    is twice as likely under the mixture (a fresh label coin matches with
-    probability 1/2), so agreeing collisions vote mixture. No collision
-    leaves the two laws identical: undecided.
-    """
-    cell = int(_collision_cells(np.asarray(sample.xs)[None, :], np.asarray(sample.ys)[None, :])[0])
-    return (UNDECIDED, MIXTURE, UNIFORM)[cell]
-
-
-def no_collision_probability(d: int, t: int) -> float:
-    """Exact probability that t uniform draws from d points are all distinct."""
-    if t > d:
-        return 0.0
-    return float(np.prod(1.0 - np.arange(t) / d))
 
 
 def distinguisher_success(d: int, t: int, trials: int, seed: int) -> dict:
@@ -167,40 +117,3 @@ def crossing_experiment(ds=(64, 256, 1024, 4096), trials: int = 3000, seed: int 
         "crossing_slope": float(slope),
         "crossing_intercept": float(intercept),
     }
-
-
-def make_source(inst: ShatteredInstance, rng: np.random.Generator):
-    """A persistent sampler for one realized distribution D.
-
-    In mixture mode the hidden labeling function is drawn once and shared by
-    every subsequent draw, matching how a single D is handed to both the
-    protocol and the follow-up test sample.
-    """
-    h = rng.integers(0, 2, size=inst.d) if inst.mode == MIXTURE else None
-
-    def draw(t: int) -> LabeledSample:
-        xs = rng.integers(0, inst.d, size=t)
-        ys = rng.integers(0, 2, size=t) if h is None else h[xs]
-        return LabeledSample(xs, ys)
-
-    return draw
-
-
-def reduction_tester(protocol, inst: ShatteredInstance, seed: int) -> str:
-    """Turn a sample-efficient verifier into a point-vs-mixture distinguisher.
-
-    ``protocol(draw, rng)`` runs one verified-learning interaction where
-    ``draw(t)`` samples labeled points from the realized D; it returns a
-    hypothesis ``h(xs) -> labels`` or None for reject. The tester then takes
-    a fresh test sample of 806 points from D and declares the mixture when
-    the protocol rejected or the hypothesis's test loss is at most 1/3:
-    rejection and low loss are both consistent with a learnable (function)
-    law, while under the uniform law every hypothesis has loss near 1/2.
-    """
-    draw = make_source(inst, child_rng(seed, 0))
-    h = protocol(draw, child_rng(seed, 1))
-    if h is None:
-        return MIXTURE
-    test = draw(REDUCTION_TEST_SIZE)
-    loss = float((np.asarray(h(test.xs)) != test.ys).mean())
-    return MIXTURE if loss <= REDUCTION_LOSS_THRESHOLD else UNIFORM

@@ -85,9 +85,6 @@ class AtomPartition:
         sums of counts below 2**53 are exact; every atom holds an element)."""
         return np.bincount(self.signature, weights=element_counts).astype(np.int64)
 
-    def true_atom_probs(self, dist: DiscreteDistribution) -> np.ndarray:
-        return np.bincount(self.signature, weights=dist.probs)
-
 
 def atoms_of(batch: QueryBatch) -> AtomPartition:
     """Atoms as equivalence classes of the per-element query-signature vectors,

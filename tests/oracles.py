@@ -4,6 +4,7 @@ Everything here is deliberately brute-force and written against the problem
 statements, not against the library code paths it checks.
 """
 
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -34,12 +35,92 @@ def bruteforce_atoms(query_matrix):
     return len(signatures)
 
 
+def bruteforce_interval_erm_runs(mass0, mass1, d):
+    """The ERM tie rule by enumeration: over all binary masks with at most d
+    runs of ones, the minimizer of (loss, run count, run list), with the loss
+    summed exactly in Python arithmetic. Returns (runs, loss)."""
+    k = len(mass0)
+    best = None
+    for bits in product((0, 1), repeat=k):
+        runs, start = [], None
+        for j, bit in enumerate(bits + (0,)):
+            if bit and start is None:
+                start = j
+            elif not bit and start is not None:
+                runs.append((start, j - 1))
+                start = None
+        if len(runs) > d:
+            continue
+        loss = sum(mass0[j] if bit else mass1[j] for j, bit in enumerate(bits))
+        if best is None or (loss, len(runs), runs) < best:
+            best = (loss, len(runs), runs)
+    return best[2], best[0]
+
+
 def exact_no_collision(d, t):
     """Birthday-problem survival probability, computed with plain floats."""
     p = 1.0
     for i in range(t):
         p *= (d - i) / d
     return p
+
+
+def exact_success_rate(d, t):
+    """Exact success of the collision distinguisher at sample size t, scoring
+    an undecided verdict 1/2: 1 - E[2^(D - t)] / 2, with D the number of
+    distinct values among t uniform draws from d points.
+
+    Under the uniform law all collisions agree with probability 2^(D - t)
+    given D (each repeated value needs its extra labels to match); averaging
+    the two laws' success leaves only this term. P(D = j) comes from the
+    occupancy recursion, one draw at a time."""
+    dist = [1.0] + [0.0] * t  # dist[j] = P(j distinct values so far)
+    for _ in range(t):
+        dist = [dist[j] * j / d + (dist[j - 1] * (d - j + 1) / d if j else 0.0)
+                for j in range(t + 1)]
+    return 1.0 - sum(p * 2.0 ** (j - t) for j, p in enumerate(dist)) / 2.0
+
+
+# test-sample size of the reduction: ceil(18^2 * ln 12) = 806
+REDUCTION_TEST_SIZE = math.ceil(324 * math.log(12))
+
+
+def reduction_tester(protocol, d, mixture, seed):
+    """Turn a sample-efficient verifier into a point-vs-mixture distinguisher
+    over a d-point domain; returns "mixture" or "uniform".
+
+    The realized law D is fixed once: under the mixture a hidden labeling
+    function of the d points is drawn and applied by every draw, under the
+    uniform law each draw flips its own label coin. ``protocol(draw, rng)``
+    runs one verified-learning interaction, where ``draw(t)`` returns t
+    labeled points (xs, ys) from D, and returns a hypothesis ``h(xs) ->
+    labels`` or None for reject. The tester then takes 806 fresh points from D
+    and declares the mixture when the protocol rejected or the hypothesis's
+    test loss is at most 1/3: rejection and low loss are both consistent with
+    a learnable (function) law, while under the uniform law every hypothesis
+    has loss near 1/2.
+    """
+    rng = np.random.default_rng([seed, 0])
+    labels = rng.integers(0, 2, size=d) if mixture else None
+
+    def draw(t):
+        xs = rng.integers(0, d, size=t)
+        return xs, (rng.integers(0, 2, size=t) if labels is None else labels[xs])
+
+    h = protocol(draw, np.random.default_rng([seed, 1]))
+    if h is None:
+        return "mixture"
+    xs, ys = draw(REDUCTION_TEST_SIZE)
+    loss = float((np.asarray(h(xs)) != ys).mean())
+    return "mixture" if loss <= 1.0 / 3.0 else "uniform"
+
+
+def true_atom_probs(ap, dist):
+    """True mass of each atom of an AtomPartition: the element masses of
+    ``dist`` added atom by atom."""
+    out = np.zeros(ap.size)
+    np.add.at(out, ap.signature, dist.probs)
+    return out
 
 
 def bruteforce_vc_intervals(points, d):

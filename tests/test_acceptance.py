@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import bruteforce_interval_erm
+from oracles import bruteforce_interval_erm, exact_no_collision, true_atom_probs
 
 from pacverify import cli
 from pacverify import intervals as iv
@@ -164,7 +164,7 @@ class TestCriterion5OracleChannelInvariant:
             local = []
 
             def instrument(batch, ap, claimed, evaluations):
-                p = ap.true_atom_probs(dist)
+                p = true_atom_probs(ap, dist)
                 l1 = float(np.abs(claimed.probs - p).sum())
                 exact = sq.induced_evaluations(ap, p)
                 err = float(np.abs(evaluations - exact).max())
@@ -231,7 +231,7 @@ class TestCriterion8LowerBoundCrossing:
         details = [f"crossing slope {report['crossing_slope']:.3f}"]
         for d, t in ((64, 4), (256, 8), (1024, 16)):
             r = lb.distinguisher_success(d, t, trials=10_000, seed=78)
-            p = lb.no_collision_probability(d, t)
+            p = exact_no_collision(d, t)
             sigma = math.sqrt(p * (1 - p) / 10_000)
             for emp in (r["no_collision_rate_uniform"], r["no_collision_rate_mixture"]):
                 if abs(emp - p) > 3 * sigma:

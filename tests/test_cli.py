@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacverify import cli
 from pacverify import intervals as iv
@@ -112,6 +114,114 @@ class TestSpecValidation:
         with pytest.raises(cli.SpecError) as err:
             cli.ExperimentSpec.from_doc(doc)
         assert err.value.field == "distribution.kind"
+
+    @pytest.mark.parametrize("doc,field", [
+        ({"params": {}}, "protocol"),
+        (dict(INTERVALS_SPEC, distribution=5), "distribution"),
+        (dict(INTERVALS_SPEC, params=[2]), "params"),
+        (dict(INTERVALS_SPEC, adversary=["honest"]), "adversary"),
+        (dict(INTERVALS_SPEC, distribution={"n_points": "x"}), "distribution.n_points"),
+        (dict(INTERVALS_SPEC, distribution={"n_points": 0}), "distribution.n_points"),
+        (dict(INTERVALS_SPEC, distribution={"n_points": 1.5}), "distribution.n_points"),
+        (dict(INTERVALS_SPEC, distribution={"band_fraction": 2.0}), "distribution.band_fraction"),
+        (dict(INTERVALS_SPEC, distribution={"kind": "coin", "band_fraction": 0.5}),
+         "distribution.band_fraction"),
+        (dict(INTERVALS_SPEC, distribution={"target": [[0.5, 0.2]]}), "distribution.target"),
+        (dict(INTERVALS_SPEC, distribution={"target": "abc"}), "distribution.target"),
+        (dict(SQ_SPEC, distribution={"kind": "explicit", "probs": 5}), "distribution.probs"),
+        (dict(SQ_SPEC, distribution={"kind": "explicit", "probs": [0.5] * 64}),
+         "distribution.probs"),
+        ({"protocol": "sq", "params": {"experiment": "gap", "ds": ["x"]}}, "params.ds"),
+        ({"protocol": "sq", "params": {"experiment": "gap", "ds": [1]}}, "params.ds"),
+        ({"protocol": "sq", "params": {"experiment": "gap", "ds": "abc"}}, "params.ds"),
+        # sizes over cli.MAX_ENTRIES
+        ({"protocol": "lowerbound", "params": {"ds": [10**14]}}, "params.ds"),
+        ({"protocol": "lowerbound", "params": {"ds": [10**400]}}, "params.ds"),
+        ({"protocol": "lowerbound", "params": {"trials_per_point": 10**6}}, "params.ds"),
+        ({"protocol": "lowerbound", "params": {"ds": [4096], "trials_per_point": 599_187}},
+         "params.ds"),
+        (dict(SQ_SPEC, params=dict(SQ_SPEC["params"], N=8193, num_blocks=8192)), "params.N"),
+        ({"protocol": "sq", "params": {"experiment": "gap", "ds": [8193]}}, "params.ds"),
+    ])
+    def test_malformed_or_oversized_field_is_spec_error(self, doc, field):
+        with pytest.raises(cli.SpecError) as err:
+            cli.ExperimentSpec.from_doc(doc)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("doc", [
+        {"protocol": "lowerbound", "params": {"ds": [4096], "trials_per_point": 599_186}},
+        dict(SQ_SPEC, params=dict(SQ_SPEC["params"], N=8192, num_blocks=8192)),
+        {"protocol": "sq", "params": {"experiment": "gap", "ds": [8192]}},
+    ])
+    def test_size_at_cap_is_valid(self, doc):
+        cli.ExperimentSpec.from_doc(doc)
+
+
+# Spec documents for the fuzz test: a valid document of each protocol with one
+# or two values anywhere in it replaced, dropped or added, or any JSON value.
+JSON_LEAF = (st.none() | st.booleans() | st.integers(-3, 300) | st.floats()
+             | st.floats(0, 1) | st.text(max_size=3)
+             | st.sampled_from(["verify", "gap", "grid", "coin", "zipf", "uniform", "explicit",
+                                "honest", "stale"]))
+JSON_VALUE = st.recursive(
+    JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=8)
+FUZZ_BASES = {
+    "intervals-grid": INTERVALS_SPEC,
+    "intervals-coin": dict(INTERVALS_SPEC, distribution={"kind": "coin", "n_points": 8}),
+    "sq-zipf": dict(SQ_SPEC, adversary="stale"),
+    "sq-explicit": dict(SQ_SPEC, distribution={"kind": "explicit", "probs": [0.25] * 4},
+                        params=dict(SQ_SPEC["params"], N=4, n=2)),
+    "sq-gap": {"protocol": "sq", "params": {"experiment": "gap", "ds": [4, 16]}},
+    "lowerbound": cli.DEFAULT_SPECS["lowerbound"],
+    "calibrate": cli.DEFAULT_SPECS["calibrate"],
+}
+FUZZ_FIELDS = {
+    None: ["protocol", "distribution", "adversary", "params", "trials", "root_seed",
+           "record_transcripts"],
+    "params": ["d", "epsilon", "delta", "c_v", "c_p", "N", "n", "num_blocks", "b", "tau",
+               "experiment", "ds", "runs", "trials_per_point"],
+    "distribution": ["kind", "n_points", "target", "band_fraction", "a", "probs"],
+}
+
+
+def positions(node):
+    """(container, key) of every value inside a JSON document."""
+    for key in list(node) if isinstance(node, dict) else range(len(node)):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from positions(node[key])
+
+
+def edited(base, data):
+    if data.draw(st.integers(0, 9)) == 0:
+        return data.draw(JSON_VALUE)
+    doc = json.loads(json.dumps(base))
+    for _ in range(data.draw(st.integers(1, 2))):
+        slots = list(positions(doc))
+        for section, names in FUZZ_FIELDS.items():
+            fields = doc if section is None else doc.get(section)
+            if isinstance(fields, dict):
+                slots += [(fields, name) for name in names if name not in fields]
+        where, key = slots[data.draw(st.integers(0, len(slots) - 1))]
+        if data.draw(st.booleans()) and (isinstance(where, list) or key in where):
+            where.pop(key)
+        else:
+            where[key] = data.draw(JSON_VALUE)
+    return doc
+
+
+class TestSpecFuzz:
+    @pytest.mark.parametrize("base", FUZZ_BASES.values(), ids=FUZZ_BASES.keys())
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_from_doc_returns_or_raises_spec_error(self, base, data):
+        try:
+            cli.ExperimentSpec.from_doc(edited(base, data))
+        except cli.SpecError:
+            pass
 
 
 class TestWilson:
@@ -266,6 +376,20 @@ class TestNotJson:
         assert cli.main(["sq-verify", "--spec", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("spec error: spec: not a JSON file")
+        assert err.count("\n") == 1
+
+
+class TestMissingFile:
+    def test_report_file_exits_2(self, tmp_path, capsys):
+        assert cli.main(["replay", str(tmp_path / "missing.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spec error: report: cannot read")
+        assert err.count("\n") == 1
+
+    def test_spec_file_exits_2(self, tmp_path, capsys):
+        assert cli.main(["sq-verify", "--spec", str(tmp_path / "missing.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spec error: spec: cannot read")
         assert err.count("\n") == 1
 
 

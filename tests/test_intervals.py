@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import (
     bruteforce_interval_erm,
+    bruteforce_interval_erm_runs,
     reference_interval_label_masses,
     reference_interval_sample,
     reference_verifier_counts,
@@ -171,11 +172,15 @@ class TestErm:
             assert len(runs) <= d
 
     def test_deterministic_tie_breaking(self):
-        mass0 = np.array([0.25, 0.25, 0.0, 0.0])
-        mass1 = np.array([0.0, 0.0, 0.25, 0.25])
-        a = erm_runs(mass0, mass1, 2)
-        b = erm_runs(mass0, mass1, 2)
-        assert a == b
+        # integer masses make exact ties common; the stated rule is the
+        # minimizer of (loss, run count, run list)
+        rng = child_rng(78)
+        for trial in range(3000):
+            k = int(rng.integers(1, 10))
+            d = int(rng.integers(1, 4))
+            mass = rng.integers(0, 3, size=(k, 2))
+            expected = bruteforce_interval_erm_runs(mass[:, 0].tolist(), mass[:, 1].tolist(), d)
+            assert erm_runs(mass[:, 0], mass[:, 1], d) == expected, (k, d, trial)
 
 
 class TestVerifier:

@@ -2,100 +2,84 @@ import math
 
 import numpy as np
 import pytest
-from oracles import exact_no_collision
+from oracles import REDUCTION_TEST_SIZE, exact_no_collision, exact_success_rate, reduction_tester
 
-from pacverify.core import LabeledSample, child_rng
-from pacverify.lowerbound import (
-    MIXTURE,
-    REDUCTION_TEST_SIZE,
-    UNDECIDED,
-    UNIFORM,
-    ShatteredInstance,
-    collision_distinguisher,
-    crossing_experiment,
-    distinguisher_success,
-    draw_mixture,
-    make_source,
-    no_collision_probability,
-    reduction_tester,
-)
+from pacverify.lowerbound import _collision_cells, crossing_experiment, distinguisher_success
+
+
+def drawn(d, mixture, seed, *sizes):
+    """The samples the reduction's sampler of D hands a protocol that draws
+    ``sizes`` points in turn and then rejects."""
+    samples = []
+
+    def protocol(draw, rng):
+        samples.extend(draw(t) for t in sizes)
+        return None
+
+    reduction_tester(protocol, d, mixture, seed)
+    return samples
+
+
+def labels_agree(samples) -> bool:
+    seen = {}
+    return all(seen.setdefault(int(x), int(y)) == int(y)
+               for xs, ys in samples for x, y in zip(xs, ys))
 
 
 class TestDraws:
+    """The two laws as the reduction's sampler realizes them."""
+
     def test_mixture_labels_are_a_function_of_x(self):
-        inst = ShatteredInstance(16, MIXTURE)
-        for i in range(50):
-            s = draw_mixture(inst, 40, child_rng(1, i))
-            seen = {}
-            for x, y in zip(s.xs, s.ys):
-                assert seen.setdefault(int(x), int(y)) == int(y)
+        assert all(labels_agree(drawn(16, True, i, 40)) for i in range(50))
 
     def test_uniform_mode_can_flip_labels(self):
-        inst = ShatteredInstance(4, UNIFORM)
-        flipped = False
-        for i in range(200):
-            s = draw_mixture(inst, 12, child_rng(2, i))
-            seen = {}
-            for x, y in zip(s.xs, s.ys):
-                if seen.setdefault(int(x), int(y)) != int(y):
-                    flipped = True
-        assert flipped
+        assert any(not labels_agree(drawn(4, False, i, 12)) for i in range(200))
 
     def test_single_point_marginals_match(self):
         # d=1: both laws are a fair label coin on the one point
-        for mode in (UNIFORM, MIXTURE):
-            ones = 0
-            for i in range(400):
-                s = draw_mixture(ShatteredInstance(1, mode), 1, child_rng(3, i))
-                ones += int(s.ys[0])
-            assert abs(ones / 400 - 0.5) < 0.1
+        for mixture in (False, True):
+            ones = [int(drawn(1, mixture, i, 1)[0][1][0]) for i in range(400)]
+            assert abs(np.mean(ones) - 0.5) < 0.1
 
     def test_x_marginals_agree_across_modes(self):
         d, t, trials = 8, 6, 300
-        counts = {m: np.zeros(d) for m in (UNIFORM, MIXTURE)}
-        for mode in counts:
-            for i in range(trials):
-                s = draw_mixture(ShatteredInstance(d, mode), t, child_rng(4, i))
-                counts[mode] += np.bincount(s.xs, minlength=d)
-        diff = np.abs(counts[UNIFORM] - counts[MIXTURE]) / (trials * t)
+        counts = {m: sum(np.bincount(drawn(d, m, i, t)[0][0], minlength=d) for i in range(trials))
+                  for m in (False, True)}
+        diff = np.abs(counts[False] - counts[True]) / (trials * t)
         assert diff.max() < 0.05
 
 
-class TestCollisionDistinguisher:
-    def test_disagreeing_collision_means_uniform(self):
-        s = LabeledSample(np.array([3, 1, 3]), np.array([0, 1, 1]))
-        assert collision_distinguisher(s) == UNIFORM
-
-    def test_agreeing_collision_means_mixture(self):
-        s = LabeledSample(np.array([3, 1, 3]), np.array([1, 0, 1]))
-        assert collision_distinguisher(s) == MIXTURE
-
-    def test_no_collision_undecided(self):
-        s = LabeledSample(np.array([0, 1, 2]), np.array([1, 0, 1]))
-        assert collision_distinguisher(s) == UNDECIDED
-
-    def test_disagreement_dominates_agreement(self):
-        s = LabeledSample(np.array([0, 0, 1, 1]), np.array([1, 1, 0, 1]))
-        assert collision_distinguisher(s) == UNIFORM
+class TestCollisionCells:
+    def test_cells_of_four_samples(self):
+        # no collision; an agreeing collision; a disagreeing one; both kinds,
+        # where the disagreement decides
+        xs = np.array([[0, 1, 2, 5], [3, 1, 3, 5], [3, 1, 3, 5], [0, 0, 1, 1]])
+        ys = np.array([[1, 0, 1, 0], [1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]])
+        assert _collision_cells(xs, ys).tolist() == [0, 1, 2, 2]
 
 
 class TestNoCollisionProbability:
     def test_closed_form_small_cases(self):
-        assert no_collision_probability(4, 2) == pytest.approx(0.75)
-        assert no_collision_probability(4, 5) == 0.0
-        assert no_collision_probability(10, 1) == 1.0
-
-    def test_matches_independent_product(self):
-        for d, t in ((64, 4), (256, 8), (1024, 16)):
-            assert no_collision_probability(d, t) == pytest.approx(exact_no_collision(d, t))
+        assert exact_no_collision(4, 2) == pytest.approx(0.75)
+        assert exact_no_collision(4, 5) == 0.0
+        assert exact_no_collision(10, 1) == 1.0
 
     def test_matches_empirics_3_sigma(self):
         for d, t in ((64, 4), (256, 8)):
             r = distinguisher_success(d, t, trials=4000, seed=11)
-            p = no_collision_probability(d, t)
+            p = exact_no_collision(d, t)
             sigma = math.sqrt(p * (1 - p) / 4000)
             assert abs(r["no_collision_rate_uniform"] - p) <= 3 * sigma
             assert abs(r["no_collision_rate_mixture"] - p) <= 3 * sigma
+
+
+def bernstein_radius(p: float, n: int, rates: int, alpha: float) -> float:
+    """Deviation s with P[any of `rates` means of n independent [0, 1] scores
+    with mean p is off by >= s] <= alpha: Bernstein's inequality with the
+    variance bound p(1 - p) per score, and a union bound."""
+    L = math.log(2.0 * rates / alpha)
+    b = 2.0 * L / 3.0
+    return (b + math.sqrt(b * b + 8.0 * n * L * p * (1.0 - p))) / (2.0 * n)
 
 
 class TestSuccessCurves:
@@ -122,6 +106,17 @@ class TestSuccessCurves:
         assert 0.4 <= report["crossing_slope"] <= 0.6
         assert not any(p["censored"] for p in report["points"])
 
+    def test_success_rates_match_exact_law(self):
+        # criterion 8's experiment; success_rate is the mean of 2 * trials
+        # independent scores in {0, 1/2, 1}, trials under each law, and the
+        # sum of their variances is at most 2 trials p(1 - p) by concavity
+        report = crossing_experiment(ds=(64, 256, 1024, 4096), trials=3000, seed=77)
+        rows = [row for point in report["points"] for row in point["rows"]]
+        for row in rows:
+            exact = exact_success_rate(row["d"], row["t"])
+            radius = bernstein_radius(exact, 2 * row["trials"], len(rows), 1e-6)
+            assert abs(row["success_rate"] - exact) <= radius, (row["d"], row["t"])
+
 
 class TestReduction:
     def test_sample_size_constant(self):
@@ -131,9 +126,9 @@ class TestReduction:
     @staticmethod
     def memorizing_protocol(draw, rng):
         # a sample-hungry but correct learner: majority label per seen point
-        s = draw(3 * 4096)
+        xs, ys = draw(3 * 4096)
         table = {}
-        for x, y in zip(s.xs, s.ys):
+        for x, y in zip(xs, ys):
             table.setdefault(int(x), []).append(int(y))
         lookup = {x: int(np.mean(ys) >= 0.5) for x, ys in table.items()}
         return lambda xs: np.array([lookup.get(int(x), 0) for x in np.asarray(xs)])
@@ -143,25 +138,17 @@ class TestReduction:
         return None
 
     def test_reject_counts_as_mixture(self):
-        verdict = reduction_tester(self.rejecting_protocol, ShatteredInstance(64, UNIFORM), seed=0)
-        assert verdict == MIXTURE
+        assert reduction_tester(self.rejecting_protocol, 64, mixture=False, seed=0) == "mixture"
 
     def test_learner_detects_function_law(self):
-        hits = sum(
-            reduction_tester(self.memorizing_protocol, ShatteredInstance(4096, MIXTURE), seed=i) == MIXTURE
-            for i in range(10))
+        hits = sum(reduction_tester(self.memorizing_protocol, 4096, mixture=True, seed=i)
+                   == "mixture" for i in range(10))
         assert hits >= 9
 
     def test_learner_fails_under_uniform_law(self):
-        hits = sum(
-            reduction_tester(self.memorizing_protocol, ShatteredInstance(4096, UNIFORM), seed=i) == UNIFORM
-            for i in range(10))
+        hits = sum(reduction_tester(self.memorizing_protocol, 4096, mixture=False, seed=i)
+                   == "uniform" for i in range(10))
         assert hits >= 9
 
     def test_source_is_persistent(self):
-        draw = make_source(ShatteredInstance(8, MIXTURE), child_rng(9))
-        a, b = draw(50), draw(50)
-        table = {}
-        for s in (a, b):
-            for x, y in zip(s.xs, s.ys):
-                assert table.setdefault(int(x), int(y)) == int(y)
+        assert labels_agree(drawn(8, True, 9, 50, 50))

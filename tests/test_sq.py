@@ -9,6 +9,7 @@ from oracles import (
     reference_honest_atom_counts,
     reference_sq_verifier,
     reference_stale_atom_counts,
+    true_atom_probs,
 )
 
 from pacverify import sq
@@ -104,7 +105,7 @@ class TestInducedEvaluations:
         dist = DiscreteDistribution.from_probs(tuple(range(domain)), probs)
         batch = batch_from_rows(mat)
         ap = atoms_of(batch)
-        v = induced_evaluations(ap, ap.true_atom_probs(dist))
+        v = induced_evaluations(ap, true_atom_probs(ap, dist))
         exact = mat.astype(float) @ probs
         assert np.abs(v - exact).max() <= 1e-12
 
@@ -127,7 +128,7 @@ class TestHonestProverEstimates:
         dist = zipf_distribution(32)
         cfg = SqProtocolConfig.default(tau=0.05, epsilon=0.1, delta=0.2, s=8)
         ap = atoms_of(PortfolioAlgorithm(32, 4, num_blocks=8).batch)
-        true_p = ap.true_atom_probs(dist)
+        true_p = true_atom_probs(ap, dist)
         worst = 0.0
         for i in range(30):
             prover = HonestSqProver(dist, cfg)
@@ -470,7 +471,7 @@ class TestOracleChannelInvariant:
             seen = []
 
             def instrument(batch, ap, claimed, evaluations):
-                p = ap.true_atom_probs(dist)
+                p = true_atom_probs(ap, dist)
                 l1 = float(np.abs(claimed.probs - p).sum())
                 exact = induced_evaluations(ap, p)
                 err = float(np.abs(evaluations - exact).max())
