@@ -49,13 +49,25 @@ class TestDraws:
         assert diff.max() < 0.05
 
 
-class TestCollisionCells:
-    def test_cells_of_four_samples(self):
-        # no collision; an agreeing collision; a disagreeing one; both kinds,
-        # where the disagreement decides
-        xs = np.array([[0, 1, 2, 5], [3, 1, 3, 5], [3, 1, 3, 5], [0, 0, 1, 1]])
-        ys = np.array([[1, 0, 1, 0], [1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]])
-        assert _collision_cells(xs, ys).tolist() == [0, 1, 2, 2]
+class TestCollisionDistinguisher:
+    """The distinguisher's verdict per collision cell: 2 uniform, 1 mixture,
+    0 undecided."""
+
+    @staticmethod
+    def cell(xs, ys):
+        return int(_collision_cells(np.array([xs]), np.array([ys]))[0])
+
+    def test_disagreeing_collision_means_uniform(self):
+        assert self.cell([3, 1, 3], [0, 1, 1]) == 2
+
+    def test_agreeing_collision_means_mixture(self):
+        assert self.cell([3, 1, 3], [1, 0, 1]) == 1
+
+    def test_no_collision_undecided(self):
+        assert self.cell([0, 1, 2], [1, 0, 1]) == 0
+
+    def test_disagreement_dominates_agreement(self):
+        assert self.cell([0, 0, 1, 1], [1, 1, 0, 1]) == 2
 
 
 class TestNoCollisionProbability:
