@@ -79,10 +79,12 @@ class ExperimentSpec:
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise SpecError("protocol", f"must be one of {PROTOCOLS}")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if type(self.trials) is not int or self.trials < 1:
             raise SpecError("trials", "must be an integer >= 1")
-        if not isinstance(self.root_seed, int) or self.root_seed < 0:
+        if type(self.root_seed) is not int or self.root_seed < 0:
             raise SpecError("root_seed", "must be a nonnegative integer")
+        if type(self.record_transcripts) not in (bool, type(None)):
+            raise SpecError("record_transcripts", "must be true, false or null")
         for name in ("distribution", "params"):
             if not isinstance(getattr(self, name), dict):
                 raise SpecError(name, "must be a JSON object")
@@ -94,11 +96,19 @@ class ExperimentSpec:
                 if name not in p:
                     raise SpecError(f"params.{name}", "required for intervals")
             _check_params(p, ints=("d",), unit=("epsilon", "delta"), positive=("c_v", "c_p"))
-            if abs(1.0 / p["epsilon"] - round(1.0 / p["epsilon"])) > 1e-9:
-                raise SpecError("params.epsilon", "1/epsilon must be an integer")
-            if self.adversary not in ("honest", "garbage", "silent", *iv.INTERVAL_ADVERSARIES):
+            inv_eps = 1.0 / p["epsilon"]
+            # m_p is a multiple of k = 12d/epsilon, so 1/epsilon over the cap puts m_p over it
+            if inv_eps > MAX_ENTRIES or abs(inv_eps - round(inv_eps)) > 1e-9:
+                raise SpecError("params.epsilon", f"1/epsilon must be an integer <= {MAX_ENTRIES}")
+            if self.adversary not in iv.INTERVAL_PROVERS:
                 raise SpecError("adversary", f"unknown interval prover {self.adversary!r}")
-            _build_interval_population(self.distribution)
+            try:
+                cfg = _interval_config(p)
+            except OverflowError as exc:
+                raise SpecError("params", f"sample budgets out of range ({exc})") from exc
+            if cfg.m_p > MAX_ENTRIES:
+                raise SpecError("params.d", f"m_p = {cfg.m_p} prover points must be <= {MAX_ENTRIES}")
+            _build_interval_population(self.distribution, cfg.k)
         elif self.protocol == "sq":
             _check_params(p, ints=("N", "n", "num_blocks", "b"), size_lists=("ds",),
                           unit=("tau", "epsilon", "delta"), positive=("c_v", "c_p"))
@@ -115,7 +125,7 @@ class ExperimentSpec:
                     raise SpecError("params.num_blocks", "must lie in [1, N]")
                 if p["N"] * num_blocks > MAX_ENTRIES:
                     raise SpecError("params.N", f"N * num_blocks must be at most {MAX_ENTRIES}")
-                if self.adversary != "honest" and self.adversary not in sq.SQ_ADVERSARIES:
+                if self.adversary not in sq.SQ_PROVERS:
                     raise SpecError("adversary", f"unknown sq prover {self.adversary!r}")
                 _build_sq_distribution(self.distribution, p["N"])
             elif any(d * d > MAX_ENTRIES for d in p.get("ds", ())):
@@ -127,12 +137,12 @@ class ExperimentSpec:
             _check_params(p, ints=("runs",), sizes=("n",), unit=("epsilon", "delta"))
         elif self.protocol == "lowerbound":
             _check_params(p, ints=("trials_per_point",), size_lists=("ds",))
-            # crossing_point draws (trials, ceil(1.75 sqrt(d))) arrays at its
-            # largest factor; past MAX_ENTRIES**2, sqrt(d) alone is over the cap
-            trials = p.get("trials_per_point", 3000)
-            if any(trials * math.ceil(1.75 * math.sqrt(min(d, MAX_ENTRIES**2))) > MAX_ENTRIES
+            # crossing_point draws (trials, ceil(f sqrt(d))) arrays at its largest
+            # factor f; past MAX_ENTRIES**2, sqrt(d) alone is over the cap
+            trials, f = p.get("trials_per_point", 3000), max(lb.SCAN_FACTORS)
+            if any(trials * math.ceil(f * math.sqrt(min(d, MAX_ENTRIES**2))) > MAX_ENTRIES
                    for d in p.get("ds", (64, 256, 1024, 4096))):
-                raise SpecError("params.ds", f"trials_per_point * ceil(1.75 sqrt(d)) must be "
+                raise SpecError("params.ds", f"trials_per_point * ceil({f} sqrt(d)) must be "
                                              f"at most {MAX_ENTRIES}")
 
     @property
@@ -144,9 +154,9 @@ def _check_params(p: dict, ints=(), sizes=(), size_lists=(), unit=(), positive=(
                   finite=(), where: str = "params") -> None:
     """Types and ranges of the named fields present in ``p``: ``ints`` are
     integers >= 1 and ``sizes`` integers >= 2 (bools refused), ``size_lists``
-    non-empty lists of sizes, ``unit`` numbers in (0, 1), ``positive`` finite
-    numbers > 0, ``finite`` any finite numbers. ``where`` prefixes the field
-    name in the ``SpecError``."""
+    lists of two or more distinct sizes (a slope fit needs them), ``unit``
+    numbers in (0, 1), ``positive`` finite numbers > 0, ``finite`` any finite
+    numbers. ``where`` prefixes the field name in the ``SpecError``."""
     def is_int(value, low):
         return type(value) is int and value >= low
 
@@ -155,9 +165,9 @@ def _check_params(p: dict, ints=(), sizes=(), size_lists=(), unit=(), positive=(
             if name in p and not is_int(p[name], low):
                 raise SpecError(f"{where}.{name}", f"must be an integer >= {low}")
     for name in size_lists:
-        if name in p and not (isinstance(p[name], (list, tuple)) and p[name]
-                              and all(is_int(d, 2) for d in p[name])):
-            raise SpecError(f"{where}.{name}", "must be a non-empty list of integers >= 2")
+        if name in p and not (isinstance(p[name], (list, tuple))
+                              and all(is_int(d, 2) for d in p[name]) and len(set(p[name])) >= 2):
+            raise SpecError(f"{where}.{name}", "must list two or more distinct integers >= 2")
     for names, low, high in ((unit, 0, 1.0), (positive, 0, math.inf),
                              (finite, -math.inf, math.inf)):
         for name in names:
@@ -165,10 +175,18 @@ def _check_params(p: dict, ints=(), sizes=(), size_lists=(), unit=(), positive=(
                 raise SpecError(f"{where}.{name}", f"must be a number in ({low}, {high})")
 
 
-def _build_interval_population(doc: dict) -> iv.IntervalPopulation:
+def _interval_config(p: dict) -> iv.IntervalProtocolConfig:
+    return iv.IntervalProtocolConfig.default(p["d"], p["epsilon"], p["delta"],
+                                             c_v=p.get("c_v", 2.0), c_p=p.get("c_p", 8.0))
+
+
+def _build_interval_population(doc: dict, k: int) -> iv.IntervalPopulation:
     kind = doc.get("kind", "grid")
     _check_params(doc, ints=("n_points",), where="distribution")
     n_points = doc.get("n_points", 64)
+    # the verifier holds a (k, n_points) pushforward matrix; k >= 1 caps n_points too
+    if k * n_points > MAX_ENTRIES:
+        raise SpecError("distribution.n_points", f"k * n_points must be at most {MAX_ENTRIES}")
     band_fraction = doc.get("band_fraction", 0.25)
     # wider bands would overlap their neighbours on the grid
     if type(band_fraction) not in (int, float) or not 0 <= band_fraction < 0.5:
@@ -234,10 +252,8 @@ def _build_trials(spec: ExperimentSpec) -> tuple:
     """
     p = spec.params
     if spec.protocol == "intervals":
-        pop = _build_interval_population(spec.distribution)
-        cfg = iv.IntervalProtocolConfig.default(
-            p["d"], p["epsilon"], p["delta"],
-            c_v=p.get("c_v", 2.0), c_p=p.get("c_p", 8.0))
+        cfg = _interval_config(p)
+        pop = _build_interval_population(spec.distribution, cfg.k)
         run = lambda seed: iv.protocol1_end_to_end(
             pop, cfg, seed, iv.make_interval_prover(spec.adversary, pop, cfg))
         baseline = iv.optimal_class_loss(pop, cfg.d)
@@ -249,8 +265,8 @@ def _build_trials(spec: ExperimentSpec) -> tuple:
             tau=p["tau"], epsilon=p["epsilon"], delta=p["delta"],
             s=num_blocks, b=p.get("b", 1),
             c_v=p.get("c_v", 4.0), c_p=p.get("c_p", 16.0))
-        run = lambda seed: sq.portfolio_run(dist, cfg, N=p["N"], n=p["n"], seed=seed,
-                                            prover_name=spec.adversary, num_blocks=num_blocks)
+        run = lambda seed: sq.portfolio_run(
+            dist, cfg, p["N"], p["n"], seed, sq.make_sq_prover(spec.adversary, dist, cfg), num_blocks)
         baseline = sq.portfolio_baseline(dist, p["N"], p["n"], num_blocks)
         loss_of = lambda payload: sq.portfolio_population_loss(payload, dist)
     else:

@@ -46,9 +46,6 @@ class UnionOfIntervals:
                 merged.append((a, b))
         object.__setattr__(self, "intervals", tuple(merged))
 
-    def __call__(self, xs):
-        return self.contains(xs)
-
     def contains(self, xs):
         xs = np.asarray(xs, dtype=float)
         if not self.intervals:
@@ -58,12 +55,6 @@ class UnionOfIntervals:
         i = np.searchsorted(starts, xs, side="right") - 1
         inside = (i >= 0) & (xs <= ends[np.clip(i, 0, None)])
         return inside
-
-    def count(self) -> int:
-        return len(self.intervals)
-
-    def to_payload(self) -> list:
-        return [[a, b] for a, b in self.intervals]
 
 
 @dataclass(frozen=True)
@@ -408,45 +399,32 @@ class LabelSwapProver(HonestIntervalProver):
         return DiscretizedMessage(msg.boundaries, msg.counts[:, ::-1], msg.denominator).to_payload()
 
 
-class WrongBoundaryProver:
+class WrongBoundaryProver(HonestIntervalProver):
     """Fabricates an equal-width partition with counts claiming all label-1
-    mass inside a region of its choosing, making that region look optimal."""
-
-    def __init__(self, cfg: IntervalProtocolConfig, region: tuple = (0.0, 0.5)):
-        self.cfg = cfg
-        self.region = region
+    mass inside [0, 0.5), making that region look optimal."""
 
     def open(self, params, rng):
         k, chunk = self.cfg.k, self.cfg.chunk
         boundaries = np.linspace(0.0, 1.0, k + 1)
-        mids = 0.5 * (boundaries[:-1] + boundaries[1:])
-        inside = (mids >= self.region[0]) & (mids < self.region[1])
+        inside = 0.5 * (boundaries[:-1] + boundaries[1:]) < 0.5
         counts = np.where(inside[:, None], [0, chunk], [chunk, 0]).astype(np.int64)
         return DiscretizedMessage(boundaries, counts, self.cfg.m_p).to_payload()
 
-    def respond(self, payload, params, rng):
-        return None
 
-
-INTERVAL_ADVERSARIES = {
+INTERVAL_PROVERS = {
+    "honest": HonestIntervalProver,
     "mass-shift": MassShiftProver,
     "label-swap": LabelSwapProver,
     "wrong-boundary": WrongBoundaryProver,
+    "garbage": lambda pop, cfg: GarbageProver(),
+    "silent": lambda pop, cfg: SilentProver(),
 }
 
 
 def make_interval_prover(name: str, pop: IntervalPopulation, cfg: IntervalProtocolConfig):
-    if name == "honest":
-        return HonestIntervalProver(pop, cfg)
-    if name == "wrong-boundary":
-        return WrongBoundaryProver(cfg)
-    if name in INTERVAL_ADVERSARIES:
-        return INTERVAL_ADVERSARIES[name](pop, cfg)
-    if name == "garbage":
-        return GarbageProver()
-    if name == "silent":
-        return SilentProver()
-    raise ValueError(f"unknown interval prover {name!r}")
+    if name not in INTERVAL_PROVERS:
+        raise ValueError(f"unknown interval prover {name!r}")
+    return INTERVAL_PROVERS[name](pop, cfg)
 
 
 def make_protocol1_verifier(pop: IntervalPopulation, cfg: IntervalProtocolConfig):

@@ -78,15 +78,17 @@ def distinguisher_success(d: int, t: int, trials: int, seed: int) -> dict:
 
 SUCCESS_TARGET = 7.0 / 12.0
 
+# the multiples of sqrt(d) at which crossing_point measures the success curve
+SCAN_FACTORS = (0.4, 0.55, 0.7, 0.85, 1.0, 1.2, 1.45, 1.75)
 
-def crossing_point(d: int, trials: int, seed: int,
-                   factors=(0.4, 0.55, 0.7, 0.85, 1.0, 1.2, 1.45, 1.75)) -> dict:
+
+def crossing_point(d: int, trials: int, seed: int) -> dict:
     """Sample size at which distinguisher success crosses 7/12, for one d.
 
-    Scans t over multiples of sqrt(d), monotonizes the measured curve, and
-    linearly interpolates the crossing in log t.
+    Scans t over SCAN_FACTORS multiples of sqrt(d), monotonizes the measured
+    curve, and linearly interpolates the crossing in log t.
     """
-    ts = sorted({max(2, math.ceil(f * math.sqrt(d))) for f in factors})
+    ts = sorted({max(2, math.ceil(f * math.sqrt(d))) for f in SCAN_FACTORS})
     rows = [distinguisher_success(d, t, trials, child_rng(seed, d, t).integers(2**63))
             for t in ts]
     succ = np.maximum.accumulate([r["success_rate"] for r in rows])

@@ -43,9 +43,6 @@ class Query:
             raise ValueError("query values must be a flat 0/1 table")
         object.__setattr__(self, "values", values)
 
-    def __call__(self, x):
-        return self.values[x]
-
 
 @dataclass(frozen=True)
 class QueryBatch:
@@ -203,8 +200,9 @@ class PortfolioAlgorithm(SqAlgorithm):
 
     The single batch asks the mass of each block of a fixed partition of the
     item set into ``num_blocks`` contiguous blocks (so the batch's atoms are
-    exactly the blocks). Items are then taken greedily from the blocks in
-    decreasing order of estimated per-item mass, lowest item index first.
+    exactly the blocks). ``sizes`` holds the block sizes and ``block_of`` the
+    block of each item. The output is the n items of highest estimated
+    per-item mass, the lower block and then the lower item first at ties.
     The 0-1 loss of the output S on item i is 1 when i is not in S.
     """
 
@@ -219,14 +217,10 @@ class PortfolioAlgorithm(SqAlgorithm):
         self.n = n
         self.num_blocks = num_blocks
         # contiguous blocks, sizes differing by at most one
-        edges = np.linspace(0, N, num_blocks + 1).round().astype(int)
-        self.blocks = [np.arange(edges[j], edges[j + 1]) for j in range(num_blocks)]
-        queries = []
-        for block in self.blocks:
-            values = np.zeros(N, dtype=np.int8)
-            values[block] = 1
-            queries.append(Query(values))
-        self.batch = QueryBatch(tuple(queries))
+        self.sizes = np.diff(np.linspace(0, N, num_blocks + 1).round().astype(int))
+        self.block_of = np.repeat(np.arange(num_blocks), self.sizes)
+        rows = (np.arange(num_blocks)[:, None] == self.block_of).astype(np.int8)
+        self.batch = QueryBatch(tuple(map(Query, rows)))
         self._sent = False
 
     def reset(self, rng) -> None:
@@ -236,18 +230,11 @@ class PortfolioAlgorithm(SqAlgorithm):
         if not self._sent:
             self._sent = True
             return ("batch", self.batch)
-        v = np.asarray(evaluations, dtype=float)
-        per_item = v / np.array([len(b) for b in self.blocks])
-        order = np.argsort(-per_item, kind="stable")  # ties: lower block first
-        chosen: list = []
-        for j in order:
-            for i in self.blocks[j]:
-                if len(chosen) == self.n:
-                    break
-                chosen.append(int(i))
-            if len(chosen) == self.n:
-                break
-        return ("output", sorted(chosen))
+        per_item = np.asarray(evaluations, dtype=float) / self.sizes
+        # blocks are contiguous, so a stable sort of the items breaks ties by
+        # lower block, then lower item
+        order = np.argsort(-per_item[self.block_of], kind="stable")
+        return ("output", sorted(order[:self.n].tolist()))
 
 
 def portfolio_population_loss(selection, dist: DiscreteDistribution) -> float:
@@ -396,8 +383,9 @@ def portfolio_holdout_loss(selection, element_counts: np.ndarray, total: int) ->
 
 
 class HonestSqProver:
-    """Draws one sample up front and reports its empirical atom frequencies,
-    aggregated over the atom partition each verifier message carries."""
+    """Draws one sample up front and reports its empirical atom counts,
+    aggregated over the atom partition each verifier message carries. The
+    adversaries below change only ``edit`` or ``_atom_counts``."""
 
     def __init__(self, dist: DiscreteDistribution, cfg: SqProtocolConfig):
         self.dist = dist
@@ -412,54 +400,50 @@ class HonestSqProver:
             self._element_counts = rng.multinomial(self.cfg.m_p, self.dist.probs)
         return np.bincount(payload["atoms"], weights=self._element_counts).astype(np.int64)
 
+    def edit(self, counts: np.ndarray) -> np.ndarray:
+        """The claimed atom counts, given the prover's own."""
+        return counts
+
     def respond(self, payload, params, rng):
-        counts = self._atom_counts(payload, rng)
-        return {"counts": [int(c) for c in counts], "denominator": int(self.cfg.m_p)}
+        counts = self.edit(self._atom_counts(payload, rng))
+        return {"counts": counts.tolist(), "denominator": int(self.cfg.m_p)}
 
 
 class MassShiftSqProver(HonestSqProver):
     """Moves 2*tau of claimed mass from the heaviest atom to the lightest,
     placing the claim at total variation 2*tau from the honest one."""
 
-    def respond(self, payload, params, rng):
-        counts = self._atom_counts(payload, rng)
+    def edit(self, counts):
         if len(counts) >= 2:
             shift = min(int(round(2.0 * self.cfg.tau * self.cfg.m_p)), int(counts.max()))
             counts[int(np.argmax(counts))] -= shift
             counts[int(np.argmin(counts))] += shift
-        return {"counts": [int(c) for c in counts], "denominator": int(self.cfg.m_p)}
+        return counts
 
 
 class AtomSwapSqProver(HonestSqProver):
     """Swaps the claimed masses of the two heaviest atoms."""
 
-    def respond(self, payload, params, rng):
-        counts = self._atom_counts(payload, rng)
+    def edit(self, counts):
         if len(counts) >= 2:
             top = np.argsort(-counts, kind="stable")[:2]
             counts[top[0]], counts[top[1]] = counts[top[1]], counts[top[0]]
-        return {"counts": [int(c) for c in counts], "denominator": int(self.cfg.m_p)}
+        return counts
 
 
-class StaleSqProver:
+class StaleSqProver(HonestSqProver):
     """Reports atom frequencies of the uniform distribution regardless of D."""
 
-    def __init__(self, dist: DiscreteDistribution, cfg: SqProtocolConfig):
-        self.cfg = cfg
-        self.n_elements = len(dist)
-
-    def open(self, params, rng):
-        return {"ready": True}
-
-    def respond(self, payload, params, rng):
-        uniform = np.full(self.n_elements, 1.0 / self.n_elements)
-        atom_probs = np.bincount(payload["atoms"], weights=uniform)
+    def _atom_counts(self, payload, rng):
+        n = len(self.dist)
+        atom_probs = np.bincount(payload["atoms"], weights=np.full(n, 1.0 / n))
         counts = np.floor(atom_probs * self.cfg.m_p).astype(np.int64)
         counts[0] += self.cfg.m_p - int(counts.sum())
-        return {"counts": [int(c) for c in counts], "denominator": int(self.cfg.m_p)}
+        return counts
 
 
-SQ_ADVERSARIES = {
+SQ_PROVERS = {
+    "honest": HonestSqProver,
     "mass-shift": MassShiftSqProver,
     "atom-swap": AtomSwapSqProver,
     "stale": StaleSqProver,
@@ -467,11 +451,9 @@ SQ_ADVERSARIES = {
 
 
 def make_sq_prover(name: str, dist: DiscreteDistribution, cfg: SqProtocolConfig):
-    if name == "honest":
-        return HonestSqProver(dist, cfg)
-    if name in SQ_ADVERSARIES:
-        return SQ_ADVERSARIES[name](dist, cfg)
-    raise ValueError(f"unknown sq prover {name!r}")
+    if name not in SQ_PROVERS:
+        raise ValueError(f"unknown sq prover {name!r}")
+    return SQ_PROVERS[name](dist, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +466,13 @@ def zipf_distribution(N: int, a: float = 1.0) -> DiscreteDistribution:
 
 
 def portfolio_run(dist: DiscreteDistribution, cfg: SqProtocolConfig,
-                  N: int, n: int, seed: int, prover_name: str = "honest",
-                  num_blocks: int | None = None):
-    """One full verified portfolio run; returns the transcript."""
+                  N: int, n: int, seed: int, prover=None, num_blocks: int | None = None):
+    """One full verified portfolio run against ``prover`` (a fresh honest
+    prover when None); returns the transcript."""
+    if prover is None:
+        prover = HonestSqProver(dist, cfg)
     verifier = make_sq_verifier(dist, PortfolioAlgorithm(N, n, num_blocks), cfg,
                                 portfolio_holdout_loss)
-    prover = make_sq_prover(prover_name, dist, cfg)
     params = VerificationParams(cfg.epsilon, cfg.delta)
     return run_interaction(verifier, prover, params, seed)
 
@@ -518,7 +501,7 @@ def sq_gap_sweep(ds=(4, 16, 64, 256), tau: float = 0.05, epsilon: float = 0.1,
         dist = zipf_distribution(d)
         cfg = SqProtocolConfig.default(tau=tau, epsilon=epsilon, delta=delta, s=d, b=1)
         transcript = portfolio_run(dist, cfg, N=d, n=n, seed=child_rng(seed, d).integers(2**63),
-                                   prover_name="honest", num_blocks=d)
+                                   num_blocks=d)
         rows.append({
             "d": d,
             "verifier_samples_per_batch": cfg.m_v,

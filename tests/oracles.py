@@ -123,6 +123,31 @@ def true_atom_probs(ap, dist):
     return out
 
 
+def reference_portfolio_blocks(N, num_blocks):
+    """The portfolio algorithm's blocks, item lists cut at rounded multiples
+    of N / num_blocks."""
+    edges = np.linspace(0, N, num_blocks + 1).round().astype(int)
+    return [list(range(edges[j], edges[j + 1])) for j in range(num_blocks)]
+
+
+def reference_portfolio_selection(blocks, evaluations, n):
+    """The portfolio algorithm's greedy rule: visit the blocks in decreasing
+    order of estimated per-item mass (evaluation / block size), the lower
+    block first at ties, and take items from each block in increasing order
+    until n are taken. Returns the sorted selection."""
+    per_item = [evaluations[j] / len(block) for j, block in enumerate(blocks)]
+    order = sorted(range(len(blocks)), key=lambda j: -per_item[j])  # sorted() is stable
+    chosen = []
+    for j in order:
+        for i in blocks[j]:
+            if len(chosen) == n:
+                break
+            chosen.append(i)
+        if len(chosen) == n:
+            break
+    return sorted(chosen)
+
+
 def bruteforce_vc_intervals(points, d):
     """VC dimension of unions of <= d intervals on a point set: the largest
     subset on which every labeling is realized, by exhaustive search. A

@@ -135,13 +135,35 @@ class TestSpecValidation:
         ({"protocol": "sq", "params": {"experiment": "gap", "ds": [1]}}, "params.ds"),
         ({"protocol": "sq", "params": {"experiment": "gap", "ds": "abc"}}, "params.ds"),
         # sizes over cli.MAX_ENTRIES
-        ({"protocol": "lowerbound", "params": {"ds": [10**14]}}, "params.ds"),
-        ({"protocol": "lowerbound", "params": {"ds": [10**400]}}, "params.ds"),
+        ({"protocol": "lowerbound", "params": {"ds": [64, 10**14]}}, "params.ds"),
+        ({"protocol": "lowerbound", "params": {"ds": [64, 10**400]}}, "params.ds"),
         ({"protocol": "lowerbound", "params": {"trials_per_point": 10**6}}, "params.ds"),
-        ({"protocol": "lowerbound", "params": {"ds": [4096], "trials_per_point": 599_187}},
+        ({"protocol": "lowerbound", "params": {"ds": [64, 4096], "trials_per_point": 599_187}},
          "params.ds"),
         (dict(SQ_SPEC, params=dict(SQ_SPEC["params"], N=8193, num_blocks=8192)), "params.N"),
-        ({"protocol": "sq", "params": {"experiment": "gap", "ds": [8193]}}, "params.ds"),
+        ({"protocol": "sq", "params": {"experiment": "gap", "ds": [4, 8193]}}, "params.ds"),
+        # a slope fit needs two distinct d
+        ({"protocol": "sq", "params": {"experiment": "gap", "ds": [4]}}, "params.ds"),
+        ({"protocol": "sq", "params": {"experiment": "gap", "ds": [16, 16]}}, "params.ds"),
+        ({"protocol": "lowerbound", "params": {"ds": [64]}}, "params.ds"),
+        ({"protocol": "lowerbound", "params": {"ds": [64, 64, 64]}}, "params.ds"),
+        # top-level fields of the wrong type
+        (dict(INTERVALS_SPEC, trials=True), "trials"),
+        (dict(INTERVALS_SPEC, root_seed=False), "root_seed"),
+        (dict(INTERVALS_SPEC, record_transcripts="yes"), "record_transcripts"),
+        (dict(INTERVALS_SPEC, record_transcripts=1), "record_transcripts"),
+        # the honest prover's m_p: 67,109,040 here (k = 240), and 736,827,360,000 at d = 1000
+        (dict(INTERVALS_SPEC, params=dict(INTERVALS_SPEC["params"], c_p=493.7245)), "params.d"),
+        (dict(INTERVALS_SPEC, params=dict(INTERVALS_SPEC["params"], d=1000)), "params.d"),
+        (dict(INTERVALS_SPEC, params=dict(INTERVALS_SPEC["params"], d=10**400)), "params"),
+        (dict(INTERVALS_SPEC, params=dict(INTERVALS_SPEC["params"], c_p=1e308)), "params"),
+        (dict(INTERVALS_SPEC, params=dict(INTERVALS_SPEC["params"], epsilon=5e-324)),
+         "params.epsilon"),
+        # k * n_points with k = 240
+        (dict(INTERVALS_SPEC, distribution=dict(INTERVALS_SPEC["distribution"], n_points=279_621)),
+         "distribution.n_points"),
+        (dict(INTERVALS_SPEC, distribution={"kind": "coin", "n_points": 10**400}),
+         "distribution.n_points"),
     ])
     def test_malformed_or_oversized_field_is_spec_error(self, doc, field):
         with pytest.raises(cli.SpecError) as err:
@@ -149,12 +171,40 @@ class TestSpecValidation:
         assert err.value.field == field
 
     @pytest.mark.parametrize("doc", [
-        {"protocol": "lowerbound", "params": {"ds": [4096], "trials_per_point": 599_186}},
+        {"protocol": "lowerbound", "params": {"ds": [64, 4096], "trials_per_point": 599_186}},
         dict(SQ_SPEC, params=dict(SQ_SPEC["params"], N=8192, num_blocks=8192)),
-        {"protocol": "sq", "params": {"experiment": "gap", "ds": [8192]}},
+        {"protocol": "sq", "params": {"experiment": "gap", "ds": [4, 8192]}},
+        # m_p = 67,108,800, the largest multiple of k = 240 within the cap
+        dict(INTERVALS_SPEC, params=dict(INTERVALS_SPEC["params"], c_p=493.724)),
+        dict(INTERVALS_SPEC, distribution=dict(INTERVALS_SPEC["distribution"], n_points=279_620)),
     ])
     def test_size_at_cap_is_valid(self, doc):
         cli.ExperimentSpec.from_doc(doc)
+
+
+PROVER_TABLES = {"intervals": (INTERVALS_SPEC, iv.INTERVAL_PROVERS),
+                 "sq": (SQ_SPEC, sq.SQ_PROVERS)}
+
+
+class TestProverTables:
+    """Each protocol's prover table is the set of adversary names its specs take."""
+
+    @pytest.mark.parametrize("protocol,name", [(protocol, name) for protocol, (_, table)
+                                               in PROVER_TABLES.items() for name in table])
+    def test_every_listed_prover_validates_and_plays(self, protocol, name):
+        base, _ = PROVER_TABLES[protocol]
+        report = cli.run_experiment(cli.ExperimentSpec.from_doc(dict(base, adversary=name,
+                                                                     trials=1)))
+        assert report["trials"][0]["outcome"] in ("hypothesis", "reject")
+
+    @pytest.mark.parametrize("protocol", PROVER_TABLES)
+    def test_any_other_name_is_a_spec_error(self, protocol):
+        base, table = PROVER_TABLES[protocol]
+        others = {name for _, other in PROVER_TABLES.values() for name in other} - set(table)
+        for name in sorted(others) + ["mole", "", "Honest", "honest "]:
+            with pytest.raises(cli.SpecError) as err:
+                cli.ExperimentSpec.from_doc(dict(base, adversary=name))
+            assert err.value.field == "adversary"
 
 
 # Spec documents for the fuzz test: a valid document of each protocol with one
@@ -295,7 +345,7 @@ class TestUntrustedClaims:
                     payload[key] = value
                 return payload
 
-        monkeypatch.setattr(iv, "make_interval_prover", lambda name, pop, cfg: Prover(cfg))
+        monkeypatch.setattr(iv, "make_interval_prover", lambda name, pop, cfg: Prover(pop, cfg))
         report = cli.run_experiment(cli.ExperimentSpec.from_doc(dict(INTERVALS_SPEC, trials=1)))
         assert report["trials"][0]["outcome"] == "reject"
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from oracles import (
     bruteforce_atoms,
     reference_honest_atom_counts,
+    reference_portfolio_blocks,
+    reference_portfolio_selection,
     reference_sq_verifier,
     reference_stale_atom_counts,
     true_atom_probs,
@@ -207,6 +209,34 @@ class TestPortfolioAlgorithm:
     def test_requires_headroom(self):
         with pytest.raises(ValueError):
             PortfolioAlgorithm(8, 5)
+
+    def test_batch_and_selection_match_reference_rule(self):
+        # a third of the instances on the uneven layouts 10/4 and 60/12; three
+        # quarters with integer evaluations, half of them multiples of the
+        # block size, so that per-item estimates tie within and across sizes
+        for i in range(2400):
+            rng = child_rng(61, i)
+            if i % 3 == 0:
+                N, num_blocks = ((10, 4), (60, 12))[i % 2]
+            else:
+                N = int(rng.integers(2, 81))
+                num_blocks = int(rng.integers(1, N + 1))
+            n = int(rng.integers(0, N // 2 + 1))
+            blocks = reference_portfolio_blocks(N, num_blocks)
+            sizes = np.array([len(b) for b in blocks], dtype=float)
+            evaluations = [rng.random(num_blocks), rng.integers(0, 3, num_blocks) * 1.0,
+                           rng.integers(0, 3, num_blocks) * sizes,
+                           rng.integers(0, 2, num_blocks) * sizes][i % 4]
+
+            alg = PortfolioAlgorithm(N, n, num_blocks)
+            rows = np.zeros((num_blocks, N), dtype=np.int8)
+            for j, block in enumerate(blocks):
+                rows[j, block] = 1
+            alg.reset(None)
+            kind, batch = alg.step(None)
+            assert kind == "batch" and np.array_equal(batch.matrix(), rows)
+            assert alg.step(evaluations) == (
+                "output", reference_portfolio_selection(blocks, evaluations.tolist(), n))
 
 
 class _DirectChannel:
@@ -447,7 +477,7 @@ class TestProtocol2:
         cfg = SqProtocolConfig.default(tau=0.05, epsilon=0.1, delta=0.2, s=16)
         base = portfolio_baseline(dist, 64, 8)
         for name in ("mass-shift", "atom-swap", "stale"):
-            t = portfolio_run(dist, cfg, 64, 8, seed=81, prover_name=name)
+            t = portfolio_run(dist, cfg, 64, 8, seed=81, prover=make_sq_prover(name, dist, cfg))
             if t.outcome.kind == "hypothesis":
                 assert portfolio_population_loss(t.outcome.hypothesis, dist) <= base + cfg.epsilon
 
