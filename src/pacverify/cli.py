@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from . import intervals as iv
 from . import lowerbound as lb
 from . import sq
-from .core import child_rng
+from .core import DiscreteDistribution, child_rng
 from .harness import (
     COMPLETENESS_FAILURE,
     COMPLETENESS_SUCCESS,
@@ -102,10 +101,7 @@ class ExperimentSpec:
                 raise SpecError("params.epsilon", f"1/epsilon must be an integer <= {MAX_ENTRIES}")
             if self.adversary not in iv.INTERVAL_PROVERS:
                 raise SpecError("adversary", f"unknown interval prover {self.adversary!r}")
-            try:
-                cfg = _interval_config(p)
-            except OverflowError as exc:
-                raise SpecError("params", f"sample budgets out of range ({exc})") from exc
+            cfg = _budgeted(_interval_config, p)
             if cfg.m_p > MAX_ENTRIES:
                 raise SpecError("params.d", f"m_p = {cfg.m_p} prover points must be <= {MAX_ENTRIES}")
             _build_interval_population(self.distribution, cfg.k)
@@ -120,16 +116,21 @@ class ExperimentSpec:
                         raise SpecError(f"params.{name}", "required for sq verify")
                 if 2 * p["n"] > p["N"]:
                     raise SpecError("params.n", "need 2n <= N")
-                num_blocks = p.get("num_blocks", min(p["N"], 2 * p["n"]))
-                if not 1 <= num_blocks <= p["N"]:
+                cfg = _budgeted(_sq_config, p)
+                if cfg.s > p["N"]:
                     raise SpecError("params.num_blocks", "must lie in [1, N]")
-                if p["N"] * num_blocks > MAX_ENTRIES:
+                if p["N"] * cfg.s > MAX_ENTRIES:
                     raise SpecError("params.N", f"N * num_blocks must be at most {MAX_ENTRIES}")
                 if self.adversary not in sq.SQ_PROVERS:
                     raise SpecError("adversary", f"unknown sq prover {self.adversary!r}")
                 _build_sq_distribution(self.distribution, p["N"])
-            elif any(d * d > MAX_ENTRIES for d in p.get("ds", ())):
-                raise SpecError("params.ds", f"d * d must be at most {MAX_ENTRIES}")
+            else:
+                gap = _gap_args(p)
+                if any(d * d > MAX_ENTRIES for d in gap["ds"]):
+                    raise SpecError("params.ds", f"d * d must be at most {MAX_ENTRIES}")
+                for d in gap["ds"]:
+                    _budgeted(sq.SqProtocolConfig.default, gap["tau"], gap["epsilon"],
+                              gap["delta"], d)
         elif self.protocol == "identity-calibrate":
             for name in ("n", "epsilon", "delta"):
                 if name not in p:
@@ -175,9 +176,33 @@ def _check_params(p: dict, ints=(), sizes=(), size_lists=(), unit=(), positive=(
                 raise SpecError(f"{where}.{name}", f"must be a number in ({low}, {high})")
 
 
+def _budgeted(build, *args):
+    """``build(*args)``, a config constructor; sample budgets that overflow,
+    divide by zero or pass int64 are a ``SpecError`` on ``params``."""
+    try:
+        return build(*args)
+    except ArithmeticError as exc:
+        raise SpecError("params", f"sample budgets out of range ({exc})") from exc
+
+
 def _interval_config(p: dict) -> iv.IntervalProtocolConfig:
     return iv.IntervalProtocolConfig.default(p["d"], p["epsilon"], p["delta"],
                                              c_v=p.get("c_v", 2.0), c_p=p.get("c_p", 8.0))
+
+
+def _sq_config(p: dict) -> sq.SqProtocolConfig:
+    """The SQ verify config; its partition bound ``s`` is the portfolio's
+    block count."""
+    return sq.SqProtocolConfig.default(
+        tau=p["tau"], epsilon=p["epsilon"], delta=p["delta"],
+        s=p.get("num_blocks", min(p["N"], 2 * p["n"])), b=p.get("b", 1),
+        c_v=p.get("c_v", 4.0), c_p=p.get("c_p", 16.0))
+
+
+def _gap_args(p: dict) -> dict:
+    """The gap sweep's keyword arguments, defaults filled in."""
+    return {"ds": tuple(p.get("ds", (4, 16, 64, 256))), "tau": p.get("tau", 0.05),
+            "epsilon": p.get("epsilon", 0.1), "delta": p.get("delta", 0.2)}
 
 
 def _build_interval_population(doc: dict, k: int) -> iv.IntervalPopulation:
@@ -215,10 +240,8 @@ def _build_sq_distribution(doc: dict, N: int):
         _check_params(doc, finite=("a",), where="distribution")
         return sq.zipf_distribution(N, a=doc.get("a", 1.0))
     if kind == "uniform":
-        from .core import DiscreteDistribution
         return DiscreteDistribution.uniform(tuple(range(N)))
     if kind == "explicit":
-        from .core import DiscreteDistribution
         probs = doc.get("probs")
         if not (isinstance(probs, (list, tuple)) and len(probs) == N
                 and all(type(x) in (int, float) and 0 <= x <= 1 for x in probs)):
@@ -240,10 +263,6 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tup
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _trial_seed(root_seed: int, index: int) -> int:
-    return int(child_rng(root_seed, 7, index).integers(2**63))
-
-
 def _build_trials(spec: ExperimentSpec) -> tuple:
     """Wire a per-trial spec: (run, baseline, loss_of).
 
@@ -260,93 +279,54 @@ def _build_trials(spec: ExperimentSpec) -> tuple:
         loss_of = lambda payload: pop.loss01(iv.UnionOfIntervals(tuple(tuple(x) for x in payload)))
     elif spec.protocol == "sq":
         dist = _build_sq_distribution(spec.distribution, p["N"])
-        num_blocks = p.get("num_blocks", min(p["N"], 2 * p["n"]))
-        cfg = sq.SqProtocolConfig.default(
-            tau=p["tau"], epsilon=p["epsilon"], delta=p["delta"],
-            s=num_blocks, b=p.get("b", 1),
-            c_v=p.get("c_v", 4.0), c_p=p.get("c_p", 16.0))
+        cfg = _sq_config(p)
         run = lambda seed: sq.portfolio_run(
-            dist, cfg, p["N"], p["n"], seed, sq.make_sq_prover(spec.adversary, dist, cfg), num_blocks)
-        baseline = sq.portfolio_baseline(dist, p["N"], p["n"], num_blocks)
+            dist, cfg, p["N"], p["n"], seed, sq.make_sq_prover(spec.adversary, dist, cfg), cfg.s)
+        baseline = sq.portfolio_baseline(dist, p["N"], p["n"], cfg.s)
         loss_of = lambda payload: sq.portfolio_population_loss(payload, dist)
     else:
         raise SpecError("protocol", f"{spec.protocol} runs no verified trials")
     return run, baseline, loss_of
 
 
-# top-level so process pools can pickle it
-def _run_trial(spec_doc: dict, index: int) -> dict:
-    spec = ExperimentSpec.from_doc(spec_doc)
-    seed = _trial_seed(spec.root_seed, index)
-    run, baseline, loss_of = _build_trials(spec)
-    transcript = run(seed)
-    classification = classify_outcome(transcript, loss_of, baseline,
-                                      spec.params["epsilon"], role=spec.role)
-    out = {
-        "trial": index,
-        "seed": seed,
-        "classification": classification,
-        "outcome": transcript.outcome.kind,
-        "baseline": baseline,
-    }
-    if transcript.outcome.kind == "hypothesis":
-        out["hypothesis"] = transcript.outcome.hypothesis
-        out["hypothesis_loss"] = loss_of(transcript.outcome.hypothesis)
-    if _record_transcripts(spec):
-        out["transcript"] = transcript.to_jsonl()
-    return out
-
-
-def _record_transcripts(spec: ExperimentSpec) -> bool:
-    if spec.record_transcripts is not None:
-        return spec.record_transcripts
-    return spec.trials <= 50
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("PACVERIFY_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute a spec and return its JSON-ready report.
 
-    Deterministic given the spec (including root_seed); trial outcomes are
-    keyed by index so worker scheduling cannot reorder them. Wall-clock time
-    lives in a single top-level field that comparisons exclude.
+    Deterministic given the spec (including root_seed): the spec is built
+    once and its trials play in order, each from its own seed. Wall-clock
+    time lives in a single top-level field that comparisons exclude.
     """
     spec.validate()
     start = time.monotonic()
     report: dict = {"spec": spec.to_doc(), "root_seed": spec.root_seed}
+    p = spec.params
     if spec.protocol == "identity-calibrate":
-        p = spec.params
         report["calibration"] = calibrate(
             n=p["n"], epsilon=p["epsilon"], delta=p["delta"],
             runs=p.get("runs", 200), seed=spec.root_seed)
     elif spec.protocol == "lowerbound":
-        p = spec.params
         report["crossing"] = lb.crossing_experiment(
             ds=tuple(p.get("ds", (64, 256, 1024, 4096))),
             trials=p.get("trials_per_point", 3000), seed=spec.root_seed)
-    elif spec.protocol == "sq" and spec.params.get("experiment") == "gap":
-        p = spec.params
-        report["gap"] = sq.sq_gap_sweep(
-            ds=tuple(p.get("ds", (4, 16, 64, 256))),
-            tau=p.get("tau", 0.05), epsilon=p.get("epsilon", 0.1),
-            delta=p.get("delta", 0.2), seed=spec.root_seed)
+    elif spec.protocol == "sq" and p.get("experiment") == "gap":
+        report["gap"] = sq.sq_gap_sweep(**_gap_args(p), seed=spec.root_seed)
     else:
-        spec_doc = spec.to_doc()
-        workers = _worker_count()
-        if workers > 1 and spec.trials > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_trial, [spec_doc] * spec.trials,
-                                        range(spec.trials), chunksize=4))
-        else:
-            results = [_run_trial(spec_doc, i) for i in range(spec.trials)]
-        results.sort(key=lambda r: r["trial"])
+        run, baseline, loss_of = _build_trials(spec)
+        record = spec.trials <= 50 if spec.record_transcripts is None else spec.record_transcripts
+        results = []
+        for index in range(spec.trials):
+            seed = int(child_rng(spec.root_seed, 7, index).integers(2**63))
+            transcript = run(seed)
+            outcome = transcript.outcome
+            row = {"trial": index, "seed": seed, "outcome": outcome.kind, "baseline": baseline,
+                   "classification": classify_outcome(transcript, loss_of, baseline,
+                                                      p["epsilon"], role=spec.role)}
+            if outcome.kind == "hypothesis":
+                row["hypothesis"] = outcome.hypothesis
+                row["hypothesis_loss"] = loss_of(outcome.hypothesis)
+            if record:
+                row["transcript"] = transcript.to_jsonl()
+            results.append(row)
         report["trials"] = results
         report["rates"] = _aggregate(results, spec)
     report["wall_clock_seconds"] = time.monotonic() - start

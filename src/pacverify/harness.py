@@ -132,27 +132,33 @@ class TranscriptParseError(ValueError):
 class ProverChannel:
     """The verifier's view of the prover, with transcript capture.
 
-    Enforces a message-count bound: a prover exceeding it, failing to answer,
-    or raising is treated as a protocol violation and the interaction ends in
-    reject. The liveness rule is one prover message per solicitation.
+    The prover sends one message per solicitation: its opening message, then
+    one answer to each verifier message. A prover that fails to answer, sends
+    a payload that is not JSON, or raises commits a protocol violation, and
+    the interaction ends in reject. The prover speaks only when asked, so the
+    verifier's own loops bound the message count.
     """
 
     def __init__(self, prover, params: VerificationParams, rng: np.random.Generator,
-                 messages: list, max_messages: int = 4096):
+                 messages: list):
         self._prover = prover
         self._params = params
         self._rng = rng
         self._messages = messages
-        self._max = max_messages
         self._round = 0
 
     def _log(self, sender: str, payload) -> None:
-        if len(self._messages) >= self._max:
-            raise ProtocolViolation("message-count bound exceeded")
         self._messages.append(Message(sender, self._round, payload))
         self._round += 1
 
-    def _checked(self, payload):
+    def _hear(self, speak, *args):
+        """The prover's checked and logged message from ``speak(*args, params, rng)``."""
+        try:
+            payload = speak(*args, self._params, self._rng)
+        except ProtocolViolation:
+            raise
+        except Exception as exc:
+            raise ProtocolViolation(f"prover crashed: {exc}") from exc
         if payload is None:
             raise ProtocolViolation("prover sent no message")
         try:
@@ -164,28 +170,15 @@ class ProverChannel:
 
     def initial(self):
         """Receive the prover's unprompted opening message."""
-        try:
-            payload = self._prover.open(self._params, self._rng)
-        except ProtocolViolation:
-            raise
-        except Exception as exc:
-            raise ProtocolViolation(f"prover crashed: {exc}") from exc
-        return self._checked(payload)
+        return self._hear(self._prover.open)
 
     def ask(self, payload):
         """Send a verifier message and receive the prover's answer."""
         self._log("verifier", payload)
-        try:
-            answer = self._prover.respond(payload, self._params, self._rng)
-        except ProtocolViolation:
-            raise
-        except Exception as exc:
-            raise ProtocolViolation(f"prover crashed: {exc}") from exc
-        return self._checked(answer)
+        return self._hear(self._prover.respond, payload)
 
 
-def run_interaction(verifier, prover, params: VerificationParams, seed: int,
-                    max_messages: int = 4096) -> Transcript:
+def run_interaction(verifier, prover, params: VerificationParams, seed: int) -> Transcript:
     """Execute one verifier-prover interaction and capture its transcript.
 
     Deterministic given (strategies, params, seed): the verifier and prover
@@ -193,7 +186,7 @@ def run_interaction(verifier, prover, params: VerificationParams, seed: int,
     violation by the prover yields a reject outcome rather than an exception.
     """
     transcript = Transcript()
-    channel = ProverChannel(prover, params, child_rng(seed, 1), transcript.messages, max_messages)
+    channel = ProverChannel(prover, params, child_rng(seed, 1), transcript.messages)
     try:
         outcome = verifier(channel, params, child_rng(seed, 0))
     except ProtocolViolation:

@@ -169,6 +169,8 @@ class IntervalProtocolConfig:
             raise ValueError("m_p must be a multiple of k")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        if max(self.m_v, self.m_p) >= 2**63:
+            raise OverflowError("sample budgets must fit in int64")
 
     @property
     def chunk(self) -> int:
@@ -362,7 +364,8 @@ def optimal_class_loss(pop: IntervalPopulation, d: int) -> float:
 
 
 class HonestIntervalProver:
-    """Follows the protocol: equal-share partition of a fresh i.i.d. sample."""
+    """Follows the protocol: equal-share partition of a fresh i.i.d. sample.
+    The count-editing adversaries below change only ``edit``."""
 
     def __init__(self, pop: IntervalPopulation, cfg: IntervalProtocolConfig):
         self.pop = pop
@@ -372,8 +375,13 @@ class HonestIntervalProver:
         s_p = self.pop.sample(self.cfg.m_p, rng)
         return honest_prover_partition(s_p.xs, s_p.ys, self.cfg.k)
 
+    def edit(self, counts: np.ndarray) -> np.ndarray:
+        """The claimed (k, 2) label counts, given the prover's own."""
+        return counts
+
     def open(self, params, rng):
-        return self.build_message(rng).to_payload()
+        msg = self.build_message(rng)
+        return DiscretizedMessage(msg.boundaries, self.edit(msg.counts), msg.denominator).to_payload()
 
     def respond(self, payload, params, rng):
         return None  # one-shot protocol
@@ -383,20 +391,17 @@ class MassShiftProver(HonestIntervalProver):
     """Starts honest, then swaps label counts in enough intervals to push the
     claimed discretization more than epsilon/6 away in total variation."""
 
-    def open(self, params, rng):
-        msg = self.build_message(rng)
+    def edit(self, counts):
         n_flip = math.ceil(self.cfg.k * self.cfg.epsilon / 2.0)
-        counts = msg.counts.copy()
         counts[:n_flip] = counts[:n_flip, ::-1]
-        return DiscretizedMessage(msg.boundaries, counts, msg.denominator).to_payload()
+        return counts
 
 
 class LabelSwapProver(HonestIntervalProver):
     """Reports every interval's label counts swapped."""
 
-    def open(self, params, rng):
-        msg = self.build_message(rng)
-        return DiscretizedMessage(msg.boundaries, msg.counts[:, ::-1], msg.denominator).to_payload()
+    def edit(self, counts):
+        return counts[:, ::-1]
 
 
 class WrongBoundaryProver(HonestIntervalProver):

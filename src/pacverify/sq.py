@@ -137,6 +137,8 @@ class SqProtocolConfig:
             raise ValueError("batch and partition bounds must be >= 1")
         if min(self.m_v, self.m_v_holdout, self.m_p) < 1:
             raise ValueError("sample budgets must be >= 1")
+        if max(self.m_v, self.m_v_holdout, self.m_p) >= 2**63:
+            raise OverflowError("sample budgets must fit in int64")
 
     @property
     def T(self) -> int:

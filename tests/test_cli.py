@@ -28,6 +28,20 @@ SQ_SPEC = {
 }
 
 
+GAP_SPEC = {"protocol": "sq", "params": {"experiment": "gap", "ds": [4, 16]}}
+
+# (base, params) whose sample budgets overflow, divide by zero or pass int64
+# once the config is built
+BAD_BUDGETS = [
+    (SQ_SPEC, {"c_p": 1e308}),
+    (SQ_SPEC, {"c_v": 1e250}),
+    (SQ_SPEC, {"tau": 1e-300}),
+    (INTERVALS_SPEC, {"c_v": 1e300}),
+    (GAP_SPEC, {"tau": 1e-300}),
+    (GAP_SPEC, {"tau": 1e-9}),
+]
+
+
 class TestSpecValidation:
     def test_unknown_protocol_names_field(self):
         with pytest.raises(cli.SpecError) as err:
@@ -78,11 +92,12 @@ class TestSpecValidation:
         (INTERVALS_SPEC, {"d": "2"}, "params.d"),
         (INTERVALS_SPEC, {"d": True}, "params.d"),
         (INTERVALS_SPEC, {"delta": 0}, "params.delta"),
+        *[(base, params, "params") for base, params in BAD_BUDGETS],
     ])
     def test_bad_param_type_or_range_exits_2(self, tmp_path, capsys, base, params, field):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(dict(base, params=dict(base["params"], **params))))
-        command = "sq-verify" if base is SQ_SPEC else "intervals-verify"
+        command = "intervals-verify" if base is INTERVALS_SPEC else "sq-verify"
         assert cli.main([command, "--spec", str(path)]) == 2
         assert f"spec error: {field}:" in capsys.readouterr().err
 
@@ -164,6 +179,8 @@ class TestSpecValidation:
          "distribution.n_points"),
         (dict(INTERVALS_SPEC, distribution={"kind": "coin", "n_points": 10**400}),
          "distribution.n_points"),
+        *[(dict(base, params=dict(base["params"], **params)), "params")
+          for base, params in BAD_BUDGETS],
     ])
     def test_malformed_or_oversized_field_is_spec_error(self, doc, field):
         with pytest.raises(cli.SpecError) as err:
@@ -224,7 +241,7 @@ FUZZ_BASES = {
     "sq-zipf": dict(SQ_SPEC, adversary="stale"),
     "sq-explicit": dict(SQ_SPEC, distribution={"kind": "explicit", "probs": [0.25] * 4},
                         params=dict(SQ_SPEC["params"], N=4, n=2)),
-    "sq-gap": {"protocol": "sq", "params": {"experiment": "gap", "ds": [4, 16]}},
+    "sq-gap": GAP_SPEC,
     "lowerbound": cli.DEFAULT_SPECS["lowerbound"],
     "calibrate": cli.DEFAULT_SPECS["calibrate"],
 }
@@ -269,9 +286,19 @@ class TestSpecFuzz:
     @settings(max_examples=100, deadline=None)
     def test_from_doc_returns_or_raises_spec_error(self, base, data):
         try:
-            cli.ExperimentSpec.from_doc(edited(base, data))
+            spec = cli.ExperimentSpec.from_doc(edited(base, data))
         except cli.SpecError:
-            pass
+            return
+        # a spec that validates also builds, with every budget within int64
+        if spec.protocol == "intervals":
+            cfg = cli._interval_config(spec.params)
+        elif spec.protocol == "sq" and spec.params.get("experiment", "verify") == "verify":
+            cfg = cli._sq_config(spec.params)
+        else:
+            return
+        cli._build_trials(spec)
+        budgets = [cfg.m_v, cfg.m_p, getattr(cfg, "m_v_holdout", 1)]
+        assert all(type(m) is int and 1 <= m < 2**63 for m in budgets)
 
 
 class TestWilson:
@@ -320,13 +347,13 @@ class TestRunExperiment:
         report = cli.run_experiment(spec)
         assert report["rates"]["completeness_success_rate"] == 1.0
 
-    def test_parallel_workers_match_serial(self, monkeypatch):
-        spec = cli.ExperimentSpec.from_doc(dict(INTERVALS_SPEC, trials=3))
-        monkeypatch.delenv("PACVERIFY_WORKERS", raising=False)
-        serial = cli.run_experiment(spec)
-        monkeypatch.setenv("PACVERIFY_WORKERS", "2")
-        parallel = cli.run_experiment(spec)
-        assert cli.report_json(serial, False) == cli.report_json(parallel, False)
+    def test_sq_run_past_4096_messages_accepts(self):
+        # T = 2397 simulations of one batch: 4,794 messages and the outcome line
+        spec = cli.ExperimentSpec.from_doc({"protocol": "sq", "params": {
+            "tau": 0.2, "epsilon": 0.01, "delta": 0.2, "N": 16, "n": 2, "num_blocks": 4}})
+        trial = cli.run_experiment(spec)["trials"][0]
+        assert trial["outcome"] == "hypothesis"
+        assert len(trial["transcript"].splitlines()) == 4795
 
 
 class TestUntrustedClaims:

@@ -72,23 +72,6 @@ class TestRunInteraction:
         t = run_interaction(echo_verifier, Weird(), PARAMS, seed=0)
         assert t.outcome.kind == "reject"
 
-    def test_message_bound_enforced(self):
-        class Chatter:
-            def open(self, params, rng):
-                return {"hello": 1}
-
-            def respond(self, payload, params, rng):
-                return {"echo": payload}
-
-        def needy_verifier(channel, params, rng):
-            channel.initial()
-            for i in range(100):
-                channel.ask({"q": 2})
-            return VerifierOutcome.of([])
-
-        t = run_interaction(needy_verifier, Chatter(), PARAMS, seed=0, max_messages=10)
-        assert t.outcome.kind == "reject"
-
     @given(st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
         lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
