@@ -169,8 +169,9 @@ class IntervalProtocolConfig:
             raise ValueError("m_p must be a multiple of k")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if max(self.m_v, self.m_p) >= 2**63:
-            raise OverflowError("sample budgets must fit in int64")
+        if max(self.m_v, self.m_p) > 2**53:
+            raise OverflowError("sample budgets must be at most 2**53, where float count sums "
+                                "are exact")
 
     @property
     def chunk(self) -> int:

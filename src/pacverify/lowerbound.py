@@ -18,9 +18,15 @@ import numpy as np
 from .core import child_rng
 
 
-def _collision_cells(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _collision_cells(xs: np.ndarray, ys: np.ndarray | None, d: int) -> np.ndarray:
     """Row-wise collision classification: 0 no collision, 1 all collisions
-    agree, 2 some collision disagrees. xs, ys are (trials, t) arrays.
+    agree, 2 some collision disagrees. xs, ys are (trials, t) arrays over a
+    d-point domain; ys=None labels every draw 0.
+
+    Each draw packs into the key 2x + y, in the smallest unsigned dtype that
+    holds 2d - 1, and each row is sorted once. Sorting puts an x's 0-labels
+    right before its 1-labels, so adjacent keys that differ only in the low
+    bit are a disagreeing collision and equal adjacent keys an agreeing one.
 
     The distinguisher's verdict per cell: a repeated x with two labels is
     impossible under a labeling function, so a disagreeing collision means
@@ -29,14 +35,16 @@ def _collision_cells(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     mixture; with no collision the two laws coincide and the verdict is a
     coin flip.
     """
-    order = np.argsort(xs, axis=1, kind="stable")
-    sx = np.take_along_axis(xs, order, axis=1)
-    sy = np.take_along_axis(ys, order, axis=1)
-    dup = sx[:, 1:] == sx[:, :-1]
-    disagree = dup & (sy[:, 1:] != sy[:, :-1])
-    cells = np.zeros(xs.shape[0], dtype=np.int8)
-    cells[dup.any(axis=1)] = 1
-    cells[disagree.any(axis=1)] = 2
+    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                 if 2 * d - 1 <= np.iinfo(t).max)
+    keys = xs.astype(dtype)
+    keys <<= 1
+    if ys is not None:
+        keys |= ys.astype(dtype)
+    keys.sort(axis=1)
+    diff = keys[:, 1:] ^ keys[:, :-1]
+    cells = (diff == 0).any(axis=1).astype(np.int8)
+    cells[(diff == 1).any(axis=1)] = 2
     return cells
 
 
@@ -53,10 +61,10 @@ def distinguisher_success(d: int, t: int, trials: int, seed: int) -> dict:
     xs_u = rng_u.integers(0, d, size=(trials, t))
     ys_u = rng_u.integers(0, 2, size=(trials, t))
     xs_m = rng_m.integers(0, d, size=(trials, t))
-    cells_u = _collision_cells(xs_u, ys_u)
+    cells_u = _collision_cells(xs_u, ys_u, d)
     # a labelling function never disagrees with itself on a repeated x, so
     # the mixture's collision cell depends on xs alone
-    cells_m = _collision_cells(xs_m, np.zeros_like(xs_m))
+    cells_m = _collision_cells(xs_m, None, d)
     p_u = np.bincount(cells_u, minlength=3) / trials
     p_m = np.bincount(cells_m, minlength=3) / trials
     # verdict scores: undecided 1/2, agreeing collision -> mixture, disagree -> uniform

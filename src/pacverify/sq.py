@@ -79,7 +79,8 @@ class AtomPartition:
 
     def atom_counts(self, element_counts: np.ndarray) -> np.ndarray:
         """Aggregate per-element occupancy counts into per-atom counts (float
-        sums of counts below 2**53 are exact; every atom holds an element)."""
+        sums of counts are exact up to 2**53, which the config's budget bound
+        keeps them within; every atom holds an element)."""
         return np.bincount(self.signature, weights=element_counts).astype(np.int64)
 
 
@@ -137,8 +138,9 @@ class SqProtocolConfig:
             raise ValueError("batch and partition bounds must be >= 1")
         if min(self.m_v, self.m_v_holdout, self.m_p) < 1:
             raise ValueError("sample budgets must be >= 1")
-        if max(self.m_v, self.m_v_holdout, self.m_p) >= 2**63:
-            raise OverflowError("sample budgets must fit in int64")
+        if max(self.m_v, self.m_v_holdout, self.m_p) > 2**53:
+            raise OverflowError("sample budgets must be at most 2**53, where float count sums "
+                                "are exact")
 
     @property
     def T(self) -> int:

@@ -65,6 +65,18 @@ def exact_no_collision(d, t):
     return p
 
 
+def reference_collision_cell(xs, ys):
+    """Collision cell of one sample, from the labels each x carries: 0 no
+    repeated x, 1 every repeated x keeps one label, 2 some x carries both."""
+    labels = {}
+    for x, y in zip(xs, ys):
+        labels.setdefault(int(x), []).append(int(y))
+    repeated = [set(ls) for ls in labels.values() if len(ls) > 1]
+    if any(len(ls) > 1 for ls in repeated):
+        return 2
+    return 1 if repeated else 0
+
+
 def exact_success_rate(d, t):
     """Exact success of the collision distinguisher at sample size t, scoring
     an undecided verdict 1/2: 1 - E[2^(D - t)] / 2, with D the number of

@@ -30,8 +30,8 @@ SQ_SPEC = {
 
 GAP_SPEC = {"protocol": "sq", "params": {"experiment": "gap", "ds": [4, 16]}}
 
-# (base, params) whose sample budgets overflow, divide by zero or pass int64
-# once the config is built
+# (base, params) whose sample budgets overflow, divide by zero or pass 2**53
+# (beyond which float count sums lose counts) once the config is built
 BAD_BUDGETS = [
     (SQ_SPEC, {"c_p": 1e308}),
     (SQ_SPEC, {"c_v": 1e250}),
@@ -39,6 +39,7 @@ BAD_BUDGETS = [
     (INTERVALS_SPEC, {"c_v": 1e300}),
     (GAP_SPEC, {"tau": 1e-300}),
     (GAP_SPEC, {"tau": 1e-9}),
+    (SQ_SPEC, {"c_p": 1e12}),
 ]
 
 
@@ -289,7 +290,7 @@ class TestSpecFuzz:
             spec = cli.ExperimentSpec.from_doc(edited(base, data))
         except cli.SpecError:
             return
-        # a spec that validates also builds, with every budget within int64
+        # a spec that validates also builds, with every budget at most 2**53
         if spec.protocol == "intervals":
             cfg = cli._interval_config(spec.params)
         elif spec.protocol == "sq" and spec.params.get("experiment", "verify") == "verify":
@@ -298,7 +299,7 @@ class TestSpecFuzz:
             return
         cli._build_trials(spec)
         budgets = [cfg.m_v, cfg.m_p, getattr(cfg, "m_v_holdout", 1)]
-        assert all(type(m) is int and 1 <= m < 2**63 for m in budgets)
+        assert all(type(m) is int and 1 <= m <= 2**53 for m in budgets)
 
 
 class TestWilson:

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from oracles import REDUCTION_TEST_SIZE, exact_no_collision, exact_success_rate, reduction_tester
+from oracles import (REDUCTION_TEST_SIZE, exact_no_collision, exact_success_rate,
+                     reference_collision_cell, reduction_tester)
 
 from pacverify.lowerbound import _collision_cells, crossing_experiment, distinguisher_success
 
@@ -55,7 +56,7 @@ class TestCollisionDistinguisher:
 
     @staticmethod
     def cell(xs, ys):
-        return int(_collision_cells(np.array([xs]), np.array([ys]))[0])
+        return int(_collision_cells(np.array([xs]), np.array([ys]), 4)[0])
 
     def test_disagreeing_collision_means_uniform(self):
         assert self.cell([3, 1, 3], [0, 1, 1]) == 2
@@ -68,6 +69,28 @@ class TestCollisionDistinguisher:
 
     def test_disagreement_dominates_agreement(self):
         assert self.cell([0, 0, 1, 1], [1, 1, 0, 1]) == 2
+
+    # domain sizes at which the packed key 2x + y just fits in, or just
+    # outgrows, uint8, uint16 and uint32, and one whose keys need uint64
+    @pytest.mark.parametrize("d", [2, 127, 128, 129, 32767, 32768, 32769,
+                                   2**31, 2**31 + 1, 2**40])
+    def test_matches_reference_on_random_rows(self, d):
+        rng = np.random.default_rng(d)
+        rows, seen = 2000, set()
+        for t in (2, 6):
+            # each row draws from a pool of 1-12 values that holds 0 and d - 1,
+            # the packed keys' extremes, so every cell occurs
+            pools = rng.integers(0, d, size=(rows, 12))
+            pools[:, 0], pools[:, 1] = d - 1, 0
+            picks = (rng.random((rows, t)) * rng.integers(1, 13, size=(rows, 1))).astype(int)
+            xs = np.take_along_axis(pools, picks, axis=1)
+            ys = rng.integers(0, 2, size=(rows, t))
+            cells = _collision_cells(xs, ys, d)
+            assert cells.tolist() == [reference_collision_cell(x, y) for x, y in zip(xs, ys)]
+            mixture = _collision_cells(xs, None, d)
+            assert mixture.tolist() == [reference_collision_cell(x, [0] * t) for x in xs]
+            seen.update(cells.tolist())
+        assert seen == {0, 1, 2}
 
 
 class TestNoCollisionProbability:
