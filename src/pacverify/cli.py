@@ -121,6 +121,11 @@ class ExperimentSpec:
                     raise SpecError("params.num_blocks", "must lie in [1, N]")
                 if p["N"] * cfg.s > MAX_ENTRIES:
                     raise SpecError("params.N", f"N * num_blocks must be at most {MAX_ENTRIES}")
+                # the work: T simulations of up to b batches over N elements each
+                work = cfg.T * cfg.b * p["N"]
+                if work > MAX_ENTRIES:
+                    raise SpecError("params.epsilon", f"T * b * N = {work} must be at most "
+                                                      f"{MAX_ENTRIES}")
                 if self.adversary not in sq.SQ_PROVERS:
                     raise SpecError("adversary", f"unknown sq prover {self.adversary!r}")
                 _build_sq_distribution(self.distribution, p["N"])
@@ -131,6 +136,11 @@ class ExperimentSpec:
                 for d in gap["ds"]:
                     _budgeted(sq.SqProtocolConfig.default, gap["tau"], gap["epsilon"],
                               gap["delta"], d)
+                # the work: T simulations of a d-atom batch for each d
+                work = sq.iteration_count(gap["epsilon"], gap["delta"]) * sum(gap["ds"])
+                if work > MAX_ENTRIES:
+                    raise SpecError("params.epsilon", f"T * sum(ds) = {work} must be at most "
+                                                      f"{MAX_ENTRIES}")
         elif self.protocol == "identity-calibrate":
             for name in ("n", "epsilon", "delta"):
                 if name not in p:

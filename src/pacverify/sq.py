@@ -8,15 +8,16 @@ sends the prover that partition (the atom index of every domain element),
 receives the prover's claimed atom distribution, identity-tests the claim
 against its own (much smaller) sample, and answers the algorithm from the
 claim. The whole simulation is repeated and the best output is selected on a
-holdout sample; within one verifier run the partition is computed once per
-distinct batch, since the T simulations of a deterministic algorithm ask the
-same batches.
+holdout sample. A query batch is an immutable value, validated and stacked
+once into a read-only int8 matrix whose shape and bytes are its key; within
+one verifier run the partition is computed once per distinct key, since the
+T simulations of a deterministic algorithm ask the same batches.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,29 +36,45 @@ from .identity_test import IdentityTestConfig, test_from_counts
 class Query:
     """An indicator function on a finite domain, given by its value table."""
 
-    values: np.ndarray  # one {0,1} entry per domain element
+    values: np.ndarray  # one {0,1} entry per domain element, a read-only int8 copy
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.int8)
-        if values.ndim != 1 or not np.isin(values, (0, 1)).all():
+        raw = np.asarray(self.values)
+        # checked before the cast, which would wrap 256 to 0 and truncate 0.5 to 0
+        if raw.ndim != 1 or not ((raw == 0) | (raw == 1)).all():
             raise ValueError("query values must be a flat 0/1 table")
+        values = raw.astype(np.int8)
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
 class QueryBatch:
+    """A nonempty batch of queries on one domain, an immutable value.
+
+    The rows are stacked once into a read-only (q, N) int8 matrix, and
+    ``key``, the matrix's shape and bytes, identifies the batch by content:
+    two equal batches built apart share a key.
+    """
+
     queries: tuple
+    key: tuple = field(init=False, repr=False, compare=False)
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.queries:
+        queries = tuple(self.queries)
+        if not queries:
             raise ValueError("batch must be nonempty")
-        sizes = {len(q.values) for q in self.queries}
-        if len(sizes) != 1:
+        if len({len(q.values) for q in queries}) != 1:
             raise ValueError("all queries must share one domain")
-        object.__setattr__(self, "queries", tuple(self.queries))
+        m = np.stack([q.values for q in queries])
+        m.setflags(write=False)
+        object.__setattr__(self, "queries", queries)
+        object.__setattr__(self, "_matrix", m)
+        object.__setattr__(self, "key", (m.shape, m.tobytes()))
 
     def matrix(self) -> np.ndarray:
-        return np.stack([q.values for q in self.queries])
+        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -66,8 +83,8 @@ class AtomPartition:
 
     Two elements share an atom iff every query in the batch agrees on them.
     ``signature`` maps element -> atom index; ``atom_query_values[i, j]`` is
-    the (constant) value of query i on atom j, so every query is a union of
-    atoms by construction.
+    the (constant) value of query i on atom j, as a float, so every query is
+    a union of atoms by construction. Both arrays are read-only.
     """
 
     signature: np.ndarray
@@ -88,7 +105,10 @@ def atoms_of(batch: QueryBatch) -> AtomPartition:
     """Atoms as equivalence classes of the per-element query-signature vectors,
     in numpy's lexicographic unique-row order."""
     uniq, inverse = np.unique(batch.matrix().T, axis=0, return_inverse=True)
-    return AtomPartition(signature=inverse.ravel(), atom_query_values=uniq.T)
+    signature, values = inverse.ravel(), uniq.T.astype(float)
+    signature.setflags(write=False)
+    values.setflags(write=False)
+    return AtomPartition(signature=signature, atom_query_values=values)
 
 
 def induced_evaluations(ap: AtomPartition, atom_probs: np.ndarray) -> np.ndarray:
@@ -101,7 +121,7 @@ def induced_evaluations(ap: AtomPartition, atom_probs: np.ndarray) -> np.ndarray
     atom_probs = np.asarray(atom_probs, dtype=float)
     if atom_probs.shape != (ap.size,):
         raise ValueError("one probability per atom required")
-    return ap.atom_query_values.astype(float) @ atom_probs
+    return ap.atom_query_values @ atom_probs
 
 
 def iteration_count(epsilon: float, delta: float) -> int:
@@ -298,9 +318,10 @@ def verifier_iteration(element_counts_v: np.ndarray, alg: SqAlgorithm, channel,
     algorithm. Returns the algorithm's output, or the module-level reject
     sentinel on any bound or test failure.
 
-    ``partitions`` memoises read-only atom partitions by batch content (the
-    query matrix's shape and bytes, never the batch object, whose value
-    arrays are mutable); pass one dict to every simulation of a run.
+    ``partitions`` memoises atom partitions by ``batch.key``, the content
+    key each batch computes once from its read-only matrix, so a fresh but
+    equal batch hits the memo and a repeat lookup hashes no matrix; pass one
+    dict to every simulation of a run.
     """
     alg.reset(rng)
     kind, value = alg.step(None)
@@ -310,14 +331,9 @@ def verifier_iteration(element_counts_v: np.ndarray, alg: SqAlgorithm, channel,
         if t > cfg.b:
             return _REJECT
         batch = value
-        m = batch.matrix()
-        key = (m.shape, m.tobytes())
-        ap = partitions.get(key)
+        ap = partitions.get(batch.key)
         if ap is None:
-            ap = atoms_of(batch)
-            ap.signature.setflags(write=False)
-            ap.atom_query_values.setflags(write=False)
-            partitions[key] = ap
+            ap = partitions[batch.key] = atoms_of(batch)
         if ap.size > cfg.s:
             return _REJECT
         reply = channel.ask({

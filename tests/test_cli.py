@@ -182,6 +182,14 @@ class TestSpecValidation:
          "distribution.n_points"),
         *[(dict(base, params=dict(base["params"], **params)), "params")
           for base, params in BAD_BUDGETS],
+        # work over the cap: T * b * N for sq verify (T = 239,658,582 at epsilon 1e-7;
+        # 240 * 35 * 8192 = 68,812,800), T * sum(ds) for the gap sweep
+        (dict(SQ_SPEC, params=dict(SQ_SPEC["params"], epsilon=1e-7)), "params.epsilon"),
+        (dict(SQ_SPEC, params=dict(SQ_SPEC["params"], N=8192, num_blocks=8192, b=35)),
+         "params.epsilon"),
+        ({"protocol": "sq", "params": {"experiment": "gap", "epsilon": 1e-5}}, "params.epsilon"),
+        ({"protocol": "sq", "params": {"experiment": "gap", "ds": [4, 8192], "epsilon": 0.002}},
+         "params.epsilon"),
     ])
     def test_malformed_or_oversized_field_is_spec_error(self, doc, field):
         with pytest.raises(cli.SpecError) as err:
@@ -195,6 +203,8 @@ class TestSpecValidation:
         # m_p = 67,108,800, the largest multiple of k = 240 within the cap
         dict(INTERVALS_SPEC, params=dict(INTERVALS_SPEC["params"], c_p=493.724)),
         dict(INTERVALS_SPEC, distribution=dict(INTERVALS_SPEC["distribution"], n_points=279_620)),
+        # T * b * N = 240 * 34 * 8192 = 66,846,720
+        dict(SQ_SPEC, params=dict(SQ_SPEC["params"], N=8192, num_blocks=8192, b=34)),
     ])
     def test_size_at_cap_is_valid(self, doc):
         cli.ExperimentSpec.from_doc(doc)

@@ -78,6 +78,44 @@ class TestAtoms:
         assert atoms_of(batch_from_rows(mat)).size >= atoms_of(batch_from_rows(mat[:-1])).size
 
 
+class TestQueryBatch:
+    """A batch is an immutable value: validated, copied and stacked once."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: Query([0.5, 1.0]),                   # truncates to [0 1] under an int8 cast
+        lambda: Query(np.array([256, 1])),           # wraps to [0 1]
+        lambda: Query(np.array([257, 0])),           # wraps to [1 0]
+        lambda: Query([[0, 1], [1]]),                # ragged
+        lambda: Query(np.array([[0, 1], [1, 0]])),   # 2-D
+        lambda: QueryBatch(()),                      # empty batch
+    ], ids=["half", "256", "257", "ragged", "2d", "empty-batch"])
+    def test_malformed_table_or_batch_raises(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_batch_copies_its_input(self):
+        rows = np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=np.int8)
+        sources = [row.copy() for row in rows]
+        batch = QueryBatch(tuple(Query(row) for row in sources))
+        signature = atoms_of(batch).signature.copy()
+        for row in sources:
+            row[:] = 1 - row
+        assert np.array_equal(batch.matrix(), rows)
+        assert np.array_equal([q.values for q in batch.queries], rows)
+        assert np.array_equal(atoms_of(batch).signature, signature)
+        assert batch.key == batch_from_rows(rows).key
+
+    def test_matrix_is_read_only_and_built_once(self):
+        batch = batch_from_rows([[1, 0, 1], [0, 1, 1]])
+        m = batch.matrix()
+        assert m is batch.matrix()
+        assert m.dtype == np.int8 and m.shape == (2, 3)
+        with pytest.raises(ValueError):
+            m[0, 0] = 0
+        with pytest.raises(ValueError):
+            batch.queries[0].values[0] = 0
+
+
 class TestInducedEvaluations:
     def test_union_of_atoms_adds_masses(self):
         # three singleton atoms with masses .5/.3/.2; query 0 covers two of them
@@ -326,14 +364,12 @@ class _RefiningAlgorithm(SqAlgorithm):
     """Two adaptive batches on a 16-item domain: the masses of four blocks of
     four items, then the masses of the four items of one block, the
     heaviest-looking block shifted by an offset drawn at reset. The second
-    batch is one object rewritten in place, so only its content tells its
-    versions apart. Outputs the two heaviest-looking items."""
+    batch is a new object in every simulation, so only its content tells
+    equal versions apart. Outputs the two heaviest-looking items."""
 
     def __init__(self):
         self.blocks = np.arange(16).reshape(4, 4)
-        self.first = QueryBatch(tuple(Query((np.arange(16) // 4 == j).astype(np.int8))
-                                      for j in range(4)))
-        self.second = QueryBatch(tuple(Query(np.zeros(16, dtype=np.int8)) for _ in range(4)))
+        self.first = batch_from_rows(np.arange(16) // 4 == np.arange(4)[:, None])
         self.refined = []  # the block refined in each simulation
 
     def reset(self, rng):
@@ -348,10 +384,7 @@ class _RefiningAlgorithm(SqAlgorithm):
             self.block_masses = np.asarray(evaluations)
             j = (int(np.argmax(evaluations)) + self.offset) % 4
             self.refined.append(j)
-            for query, item in zip(self.second.queries, self.blocks[j]):
-                query.values[:] = 0
-                query.values[item] = 1
-            return ("batch", self.second)
+            return ("batch", batch_from_rows(np.arange(16) == self.blocks[j][:, None]))
         item_masses = np.repeat(self.block_masses / 4, 4)
         item_masses[self.blocks[self.refined[-1]]] = evaluations
         return ("output", sorted(np.argsort(-item_masses, kind="stable")[:2].tolist()))
@@ -413,6 +446,19 @@ class TestPartitionMemo:
         reference = self.run(reference_sq_verifier(self.dist, _RefiningAlgorithm(), self.cfg,
                                                    portfolio_holdout_loss))
         assert t.to_jsonl() == reference.to_jsonl()
+
+    @pytest.mark.parametrize("name", sorted(sq.SQ_PROVERS))
+    def test_wide_batch_transcripts_match_reference(self, name):
+        # N = num_blocks = 256: 256 singleton atoms, as in the wide benchmark spec
+        dist = zipf_distribution(256)
+        cfg = SqProtocolConfig.default(tau=0.05, epsilon=0.1, delta=0.2, s=256)
+        params = VerificationParams(cfg.epsilon, cfg.delta)
+        transcripts = [
+            run_interaction(build(dist, PortfolioAlgorithm(256, 64, 256), cfg,
+                                  portfolio_holdout_loss),
+                            make_sq_prover(name, dist, cfg), params, seed=9).to_jsonl()
+            for build in (make_sq_verifier, reference_sq_verifier)]
+        assert transcripts[0] == transcripts[1]
 
 
 class TestProtocol2:
