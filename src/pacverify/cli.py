@@ -15,24 +15,24 @@ import math
 import os
 import sys
 import time
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import identity_test as it
 from . import intervals as iv
 from . import lowerbound as lb
 from . import sq
 from .core import DiscreteDistribution, child_rng
 from .harness import (
-    COMPLETENESS_FAILURE,
     COMPLETENESS_SUCCESS,
-    SOUNDNESS_SAFE,
     SOUNDNESS_VIOLATION,
     Transcript,
     TranscriptParseError,
     classify_outcome,
 )
-from .identity_test import calibrate
 
 
 class SpecError(ValueError):
@@ -43,10 +43,10 @@ class SpecError(ValueError):
         self.field = spec_field
 
 
-PROTOCOLS = ("intervals", "sq", "lowerbound", "identity-calibrate")
-
 # the most entries a spec may make the program hold in one array
 MAX_ENTRIES = 2**26
+# the default of a param that every spec of its kind must set
+REQUIRED = object()
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,7 @@ class ExperimentSpec:
         return asdict(self)
 
     def validate(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise SpecError("protocol", f"must be one of {PROTOCOLS}")
-        if type(self.trials) is not int or self.trials < 1:
-            raise SpecError("trials", "must be an integer >= 1")
+        _check("trials", self.trials, "int")
         if type(self.root_seed) is not int or self.root_seed < 0:
             raise SpecError("root_seed", "must be a nonnegative integer")
         if type(self.record_transcripts) not in (bool, type(None)):
@@ -89,136 +86,84 @@ class ExperimentSpec:
                 raise SpecError(name, "must be a JSON object")
         if not isinstance(self.adversary, str):
             raise SpecError("adversary", "must be a string")
-        p = self.params
-        if self.protocol == "intervals":
-            for name in ("d", "epsilon", "delta"):
-                if name not in p:
-                    raise SpecError(f"params.{name}", "required for intervals")
-            _check_params(p, ints=("d",), unit=("epsilon", "delta"), positive=("c_v", "c_p"))
-            inv_eps = 1.0 / p["epsilon"]
-            # m_p is a multiple of k = 12d/epsilon, so 1/epsilon over the cap puts m_p over it
-            if inv_eps > MAX_ENTRIES or abs(inv_eps - round(inv_eps)) > 1e-9:
-                raise SpecError("params.epsilon", f"1/epsilon must be an integer <= {MAX_ENTRIES}")
-            if self.adversary not in iv.INTERVAL_PROVERS:
-                raise SpecError("adversary", f"unknown interval prover {self.adversary!r}")
-            cfg = _budgeted(_interval_config, p)
-            if cfg.m_p > MAX_ENTRIES:
-                raise SpecError("params.d", f"m_p = {cfg.m_p} prover points must be <= {MAX_ENTRIES}")
-            _build_interval_population(self.distribution, cfg.k)
-        elif self.protocol == "sq":
-            _check_params(p, ints=("N", "n", "num_blocks", "b"), size_lists=("ds",),
-                          unit=("tau", "epsilon", "delta"), positive=("c_v", "c_p"))
-            if p.get("experiment", "verify") not in ("verify", "gap"):
-                raise SpecError("params.experiment", "must be 'verify' or 'gap'")
-            if p.get("experiment", "verify") == "verify":
-                for name in ("tau", "epsilon", "delta", "N", "n"):
-                    if name not in p:
-                        raise SpecError(f"params.{name}", "required for sq verify")
-                if 2 * p["n"] > p["N"]:
-                    raise SpecError("params.n", "need 2n <= N")
-                cfg = _budgeted(_sq_config, p)
-                if cfg.s > p["N"]:
-                    raise SpecError("params.num_blocks", "must lie in [1, N]")
-                if p["N"] * cfg.s > MAX_ENTRIES:
-                    raise SpecError("params.N", f"N * num_blocks must be at most {MAX_ENTRIES}")
-                # the work: T simulations of up to b batches over N elements each
-                work = cfg.T * cfg.b * p["N"]
-                if work > MAX_ENTRIES:
-                    raise SpecError("params.epsilon", f"T * b * N = {work} must be at most "
-                                                      f"{MAX_ENTRIES}")
-                if self.adversary not in sq.SQ_PROVERS:
-                    raise SpecError("adversary", f"unknown sq prover {self.adversary!r}")
-                _build_sq_distribution(self.distribution, p["N"])
-            else:
-                gap = _gap_args(p)
-                if any(d * d > MAX_ENTRIES for d in gap["ds"]):
-                    raise SpecError("params.ds", f"d * d must be at most {MAX_ENTRIES}")
-                for d in gap["ds"]:
-                    _budgeted(sq.SqProtocolConfig.default, gap["tau"], gap["epsilon"],
-                              gap["delta"], d)
-                # the work: T simulations of a d-atom batch for each d
-                work = sq.iteration_count(gap["epsilon"], gap["delta"]) * sum(gap["ds"])
-                if work > MAX_ENTRIES:
-                    raise SpecError("params.epsilon", f"T * sum(ds) = {work} must be at most "
-                                                      f"{MAX_ENTRIES}")
-        elif self.protocol == "identity-calibrate":
-            for name in ("n", "epsilon", "delta"):
-                if name not in p:
-                    raise SpecError(f"params.{name}", "required for calibration")
-            _check_params(p, ints=("runs",), sizes=("n",), unit=("epsilon", "delta"))
-        elif self.protocol == "lowerbound":
-            _check_params(p, ints=("trials_per_point",), size_lists=("ds",))
-            # crossing_point draws (trials, ceil(f sqrt(d))) arrays at its largest
-            # factor f; past MAX_ENTRIES**2, sqrt(d) alone is over the cap
-            trials, f = p.get("trials_per_point", 3000), max(lb.SCAN_FACTORS)
-            if any(trials * math.ceil(f * math.sqrt(min(d, MAX_ENTRIES**2))) > MAX_ENTRIES
-                   for d in p.get("ds", (64, 256, 1024, 4096))):
-                raise SpecError("params.ds", f"trials_per_point * ceil({f} sqrt(d)) must be "
-                                             f"at most {MAX_ENTRIES}")
+        experiment, p = self.resolve()
+        try:
+            experiment.build(self, p)
+        except ArithmeticError as exc:  # a budget overflows, divides by zero or passes int64
+            raise SpecError("params", f"sample budgets out of range ({exc})") from exc
+
+    def resolve(self) -> tuple["Experiment", dict]:
+        """The entry this spec runs, and its checked params with defaults in a new dict."""
+        kinds = PROTOCOLS.get(self.protocol) if isinstance(self.protocol, str) else None
+        if kinds is None:
+            raise SpecError("protocol", f"must be one of {tuple(PROTOCOLS)}")
+        which = self.params.get("experiment", next(iter(kinds)))
+        # a protocol with one experiment (key None) takes no params.experiment
+        named = isinstance(which, str) or "experiment" not in self.params
+        experiment = kinds.get(which) if named else None
+        if experiment is None:
+            raise SpecError("params.experiment", f"no experiment {which!r} in {self.protocol}")
+        for name in self.params:
+            if name not in experiment.params and name != "experiment":
+                raise SpecError(f"params.{name}", f"unknown field for {experiment.name}")
+        p = {}
+        for name, (kind, default) in experiment.params.items():
+            if name in self.params:
+                _check(f"params.{name}", self.params[name], kind)
+                p[name] = self.params[name]
+            elif default is REQUIRED:
+                raise SpecError(f"params.{name}", f"required for {experiment.name}")
+            elif default is not None:
+                p[name] = default
+        return experiment, p
 
     @property
     def role(self) -> str:
         return "honest" if self.adversary == "honest" else "adversarial"
 
 
-def _check_params(p: dict, ints=(), sizes=(), size_lists=(), unit=(), positive=(),
-                  finite=(), where: str = "params") -> None:
-    """Types and ranges of the named fields present in ``p``: ``ints`` are
-    integers >= 1 and ``sizes`` integers >= 2 (bools refused), ``size_lists``
-    lists of two or more distinct sizes (a slope fit needs them), ``unit``
-    numbers in (0, 1), ``positive`` finite numbers > 0, ``finite`` any finite
-    numbers. ``where`` prefixes the field name in the ``SpecError``."""
-    def is_int(value, low):
-        return type(value) is int and value >= low
-
-    for names, low in ((ints, 1), (sizes, 2)):
-        for name in names:
-            if name in p and not is_int(p[name], low):
-                raise SpecError(f"{where}.{name}", f"must be an integer >= {low}")
-    for name in size_lists:
-        if name in p and not (isinstance(p[name], (list, tuple))
-                              and all(is_int(d, 2) for d in p[name]) and len(set(p[name])) >= 2):
-            raise SpecError(f"{where}.{name}", "must list two or more distinct integers >= 2")
-    for names, low, high in ((unit, 0, 1.0), (positive, 0, math.inf),
-                             (finite, -math.inf, math.inf)):
-        for name in names:
-            if name in p and (type(p[name]) not in (int, float) or not low < p[name] < high):
-                raise SpecError(f"{where}.{name}", f"must be a number in ({low}, {high})")
+# check kind -> (test, message); integers refuse bools, and numbers refuse nan
+CHECKS = {
+    "int": (lambda v: type(v) is int and v >= 1, "must be an integer >= 1"),
+    "size": (lambda v: type(v) is int and v >= 2, "must be an integer >= 2"),
+    # a slope fit needs two distinct sizes
+    "size-list": (lambda v: isinstance(v, (list, tuple)) and all(CHECKS["size"][0](d) for d in v)
+                  and len(set(v)) >= 2, "must list two or more distinct integers >= 2"),
+    "unit": (lambda v: type(v) in (int, float) and 0 < v < 1, "must be a number in (0, 1)"),
+    "positive": (lambda v: type(v) in (int, float) and 0 < v < math.inf, "must be a number > 0"),
+    "finite": (lambda v: type(v) in (int, float) and abs(v) < math.inf, "must be a finite number"),
+}
 
 
-def _budgeted(build, *args):
-    """``build(*args)``, a config constructor; sample budgets that overflow,
-    divide by zero or pass int64 are a ``SpecError`` on ``params``."""
-    try:
-        return build(*args)
-    except ArithmeticError as exc:
-        raise SpecError("params", f"sample budgets out of range ({exc})") from exc
+def _check(spec_field: str, value, kind: str) -> None:
+    if not CHECKS[kind][0](value):
+        raise SpecError(spec_field, CHECKS[kind][1])
 
 
-def _interval_config(p: dict) -> iv.IntervalProtocolConfig:
-    return iv.IntervalProtocolConfig.default(p["d"], p["epsilon"], p["delta"],
-                                             c_v=p.get("c_v", 2.0), c_p=p.get("c_p", 8.0))
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment kind. ``params``: name -> (check kind, default), the default
+    ``REQUIRED``, a value, or None where the library or ``build`` picks it.
+    ``build(spec, p)`` checks the filled params and builds what the run builds.
+    ``run(p, seed)`` returns the report sections; without it the kind plays verified
+    trials that ``build`` wires as (config, run, baseline, loss_of), baseline a thunk."""
+
+    name: str
+    params: dict
+    csv: Callable
+    build: Callable = lambda spec, p: None
+    run: Callable | None = None
 
 
-def _sq_config(p: dict) -> sq.SqProtocolConfig:
-    """The SQ verify config; its partition bound ``s`` is the portfolio's
-    block count."""
-    return sq.SqProtocolConfig.default(
-        tau=p["tau"], epsilon=p["epsilon"], delta=p["delta"],
-        s=p.get("num_blocks", min(p["N"], 2 * p["n"])), b=p.get("b", 1),
-        c_v=p.get("c_v", 4.0), c_p=p.get("c_p", 16.0))
-
-
-def _gap_args(p: dict) -> dict:
-    """The gap sweep's keyword arguments, defaults filled in."""
-    return {"ds": tuple(p.get("ds", (4, 16, 64, 256))), "tau": p.get("tau", 0.05),
-            "epsilon": p.get("epsilon", 0.1), "delta": p.get("delta", 0.2)}
+def _given(doc: dict, *names) -> dict:
+    """The named fields that ``doc`` sets; the library defaults the rest."""
+    return {name: doc[name] for name in names if name in doc}
 
 
 def _build_interval_population(doc: dict, k: int) -> iv.IntervalPopulation:
     kind = doc.get("kind", "grid")
-    _check_params(doc, ints=("n_points",), where="distribution")
     n_points = doc.get("n_points", 64)
+    _check("distribution.n_points", n_points, "int")
     # the verifier holds a (k, n_points) pushforward matrix; k >= 1 caps n_points too
     if k * n_points > MAX_ENTRIES:
         raise SpecError("distribution.n_points", f"k * n_points must be at most {MAX_ENTRIES}")
@@ -247,8 +192,9 @@ def _build_interval_population(doc: dict, k: int) -> iv.IntervalPopulation:
 def _build_sq_distribution(doc: dict, N: int):
     kind = doc.get("kind", "zipf")
     if kind == "zipf":
-        _check_params(doc, finite=("a",), where="distribution")
-        return sq.zipf_distribution(N, a=doc.get("a", 1.0))
+        if "a" in doc:
+            _check("distribution.a", doc["a"], "finite")
+        return sq.zipf_distribution(N, **_given(doc, "a"))
     if kind == "uniform":
         return DiscreteDistribution.uniform(tuple(range(N)))
     if kind == "explicit":
@@ -262,6 +208,116 @@ def _build_sq_distribution(doc: dict, N: int):
     raise SpecError("distribution.kind", f"unknown sq distribution kind {kind!r}")
 
 
+def _intervals(spec: ExperimentSpec, p: dict) -> tuple:
+    inv_eps = 1.0 / p["epsilon"]
+    # m_p is a multiple of k = 12d/epsilon, so 1/epsilon over the cap puts m_p over it
+    if inv_eps > MAX_ENTRIES or abs(inv_eps - round(inv_eps)) > 1e-9:
+        raise SpecError("params.epsilon", f"1/epsilon must be an integer <= {MAX_ENTRIES}")
+    if spec.adversary not in iv.INTERVAL_PROVERS:
+        raise SpecError("adversary", f"unknown interval prover {spec.adversary!r}")
+    cfg = iv.IntervalProtocolConfig.default(**p)
+    if cfg.m_p > MAX_ENTRIES:
+        raise SpecError("params.d", f"m_p = {cfg.m_p} prover points must be <= {MAX_ENTRIES}")
+    pop = _build_interval_population(spec.distribution, cfg.k)
+    run = lambda seed: iv.protocol1_end_to_end(
+        pop, cfg, seed, iv.make_interval_prover(spec.adversary, pop, cfg))
+    loss_of = lambda payload: pop.loss01(iv.UnionOfIntervals(tuple(tuple(x) for x in payload)))
+    return cfg, run, lambda: iv.optimal_class_loss(pop, cfg.d), loss_of
+
+
+def _sq_verify(spec: ExperimentSpec, p: dict) -> tuple:
+    """The config's partition bound ``s`` is the portfolio's block count."""
+    if 2 * p["n"] > p["N"]:
+        raise SpecError("params.n", "need 2n <= N")
+    s = p["num_blocks"] if "num_blocks" in p else sq.default_blocks(p["N"], p["n"])
+    cfg = sq.SqProtocolConfig.default(p["tau"], p["epsilon"], p["delta"], s,
+                                      **_given(p, "b", "c_v", "c_p"))
+    if cfg.s > p["N"]:
+        raise SpecError("params.num_blocks", "must lie in [1, N]")
+    if p["N"] * cfg.s > MAX_ENTRIES:
+        raise SpecError("params.N", f"N * num_blocks must be at most {MAX_ENTRIES}")
+    # the work: T simulations of up to b batches over N elements each
+    work = cfg.T * cfg.b * p["N"]
+    if work > MAX_ENTRIES:
+        raise SpecError("params.epsilon", f"T * b * N = {work} must be at most {MAX_ENTRIES}")
+    if spec.adversary not in sq.SQ_PROVERS:
+        raise SpecError("adversary", f"unknown sq prover {spec.adversary!r}")
+    dist, N, n = _build_sq_distribution(spec.distribution, p["N"]), p["N"], p["n"]
+    run = lambda seed: sq.portfolio_run(
+        dist, cfg, N, n, seed, sq.make_sq_prover(spec.adversary, dist, cfg), cfg.s)
+    loss_of = lambda payload: sq.portfolio_population_loss(payload, dist)
+    return cfg, run, lambda: sq.portfolio_baseline(dist, N, n, cfg.s), loss_of
+
+
+def _sq_gap(spec: ExperimentSpec, p: dict) -> None:
+    if any(d * d > MAX_ENTRIES for d in p["ds"]):
+        raise SpecError("params.ds", f"d * d must be at most {MAX_ENTRIES}")
+    for d in p["ds"]:  # the sweep's configs, whose budgets must be in range
+        sq.SqProtocolConfig.default(p["tau"], p["epsilon"], p["delta"], d)
+    # the work: T simulations of a d-atom batch for each d
+    work = sq.iteration_count(p["epsilon"], p["delta"]) * sum(p["ds"])
+    if work > MAX_ENTRIES:
+        raise SpecError("params.epsilon", f"T * sum(ds) = {work} must be at most {MAX_ENTRIES}")
+
+
+def _lowerbound(spec: ExperimentSpec, p: dict) -> None:
+    # crossing_point draws (trials, ceil(f sqrt(d))) arrays at its largest
+    # factor f; past MAX_ENTRIES**2, sqrt(d) alone is over the cap
+    trials, f = p["trials_per_point"], max(lb.SCAN_FACTORS)
+    if any(trials * math.ceil(f * math.sqrt(min(d, MAX_ENTRIES**2))) > MAX_ENTRIES
+           for d in p["ds"]):
+        raise SpecError("params.ds", f"trials_per_point * ceil({f} sqrt(d)) > {MAX_ENTRIES}")
+
+
+def _table(rows, columns, section: dict | None = None, scalars=()) -> list:
+    """CSV rows: header, rows, then a blank line and the named scalars of ``section``."""
+    table = [list(columns), *([row[c] for c in columns] for row in rows)]
+    if scalars:
+        table += [[], *([name, section[name]] for name in scalars)]
+    return table
+
+
+def _rates_csv(report: dict) -> list:
+    spec, rates = report["spec"], report["rates"]
+    rate_key = next(k for k in rates if k.endswith("_rate"))
+    return _table([dict(rates, protocol=spec["protocol"], adversary=spec["adversary"])],
+                  ("protocol", "adversary", "trials", rate_key, "ci_low", "ci_high"))
+
+
+# spec protocol -> params.experiment -> entry; the first is the default. Params
+# passed on whole (**p) carry the names of the library's arguments.
+PROTOCOLS = {
+    "intervals": {None: Experiment("intervals", {
+        "d": ("int", REQUIRED), "epsilon": ("unit", REQUIRED), "delta": ("unit", REQUIRED),
+        "c_v": ("positive", None), "c_p": ("positive", None)}, _rates_csv, build=_intervals)},
+    "sq": {"verify": Experiment("sq-verify", {
+        "N": ("int", REQUIRED), "n": ("int", REQUIRED), "num_blocks": ("int", None),
+        "b": ("int", None), "tau": ("unit", REQUIRED), "epsilon": ("unit", REQUIRED),
+        "delta": ("unit", REQUIRED), "c_v": ("positive", None), "c_p": ("positive", None)},
+        _rates_csv, build=_sq_verify), "gap": Experiment("sq-gap", {
+        "ds": ("size-list", (4, 16, 64, 256)), "tau": ("unit", 0.05),
+        "epsilon": ("unit", 0.1), "delta": ("unit", 0.2)},
+        lambda r: _table(r["gap"]["rows"], ("d", "verifier_samples_per_batch",
+                                            "simulation_samples", "accepted"),
+                         r["gap"], ("verifier_cost_slope", "simulation_cost_slope")),
+        build=_sq_gap,
+        run=lambda p, seed: {"gap": sq.sq_gap_sweep(**p, seed=seed)})},
+    "lowerbound": {None: Experiment("lowerbound", {
+        "ds": ("size-list", (64, 256, 1024, 4096)), "trials_per_point": ("int", 3000)},
+        lambda r: _table([row for point in r["crossing"]["points"] for row in point["rows"]],
+                         ("d", "t", "trials", "success_rate", "collision_rate", "tv_estimate"),
+                         r["crossing"], ("crossing_slope",)),
+        build=_lowerbound,
+        run=lambda p, seed: {"crossing": lb.crossing_experiment(p["ds"], p["trials_per_point"],
+                                                                seed)})},
+    "identity-calibrate": {None: Experiment("calibrate", {
+        "n": ("size", REQUIRED), "epsilon": ("unit", REQUIRED), "delta": ("unit", REQUIRED),
+        "runs": ("int", 200)},
+        lambda r: _table(r["calibration"]["grid"], ("constant_C", "samples", "passes")),
+        run=lambda p, seed: {"calibration": it.calibrate(**p, seed=seed)})},
+}
+
+
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
     """Wilson score 95% confidence interval for a binomial rate."""
     if n == 0:
@@ -273,32 +329,6 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tup
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _build_trials(spec: ExperimentSpec) -> tuple:
-    """Wire a per-trial spec: (run, baseline, loss_of).
-
-    ``run(seed)`` plays one interaction and returns its transcript;
-    ``loss_of`` maps a hypothesis payload to its exact population loss.
-    """
-    p = spec.params
-    if spec.protocol == "intervals":
-        cfg = _interval_config(p)
-        pop = _build_interval_population(spec.distribution, cfg.k)
-        run = lambda seed: iv.protocol1_end_to_end(
-            pop, cfg, seed, iv.make_interval_prover(spec.adversary, pop, cfg))
-        baseline = iv.optimal_class_loss(pop, cfg.d)
-        loss_of = lambda payload: pop.loss01(iv.UnionOfIntervals(tuple(tuple(x) for x in payload)))
-    elif spec.protocol == "sq":
-        dist = _build_sq_distribution(spec.distribution, p["N"])
-        cfg = _sq_config(p)
-        run = lambda seed: sq.portfolio_run(
-            dist, cfg, p["N"], p["n"], seed, sq.make_sq_prover(spec.adversary, dist, cfg), cfg.s)
-        baseline = sq.portfolio_baseline(dist, p["N"], p["n"], cfg.s)
-        loss_of = lambda payload: sq.portfolio_population_loss(payload, dist)
-    else:
-        raise SpecError("protocol", f"{spec.protocol} runs no verified trials")
-    return run, baseline, loss_of
-
-
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute a spec and return its JSON-ready report.
 
@@ -308,20 +338,13 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     """
     spec.validate()
     start = time.monotonic()
+    experiment, p = spec.resolve()
     report: dict = {"spec": spec.to_doc(), "root_seed": spec.root_seed}
-    p = spec.params
-    if spec.protocol == "identity-calibrate":
-        report["calibration"] = calibrate(
-            n=p["n"], epsilon=p["epsilon"], delta=p["delta"],
-            runs=p.get("runs", 200), seed=spec.root_seed)
-    elif spec.protocol == "lowerbound":
-        report["crossing"] = lb.crossing_experiment(
-            ds=tuple(p.get("ds", (64, 256, 1024, 4096))),
-            trials=p.get("trials_per_point", 3000), seed=spec.root_seed)
-    elif spec.protocol == "sq" and p.get("experiment") == "gap":
-        report["gap"] = sq.sq_gap_sweep(**_gap_args(p), seed=spec.root_seed)
+    if experiment.run:
+        report.update(experiment.run(p, spec.root_seed))
     else:
-        run, baseline, loss_of = _build_trials(spec)
+        _, run, baseline, loss_of = experiment.build(spec, p)
+        baseline = baseline()
         record = spec.trials <= 50 if spec.record_transcripts is None else spec.record_transcripts
         results = []
         for index in range(spec.trials):
@@ -337,17 +360,14 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             if record:
                 row["transcript"] = transcript.to_jsonl()
             results.append(row)
-        report["trials"] = results
-        report["rates"] = _aggregate(results, spec)
+        report.update(trials=results, rates=_aggregate(results, spec))
     report["wall_clock_seconds"] = time.monotonic() - start
     return report
 
 
 def _aggregate(results: list, spec: ExperimentSpec) -> dict:
     n = len(results)
-    counts: dict = {}
-    for r in results:
-        counts[r["classification"]] = counts.get(r["classification"], 0) + 1
+    counts = dict(Counter(r["classification"] for r in results))
     if spec.role == "honest":
         hits = counts.get(COMPLETENESS_SUCCESS, 0)
         key = "completeness_success_rate"
@@ -373,35 +393,10 @@ def report_json(report: dict, include_wall_clock: bool = True) -> str:
 
 
 def rate_table_csv(report: dict) -> str:
-    """Flat CSV view of whichever rates or curves the report contains."""
+    """Flat CSV view of the report's rates or curves, as its experiment kind lays them out."""
+    experiment, _ = ExperimentSpec(**report["spec"]).resolve()
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    if "rates" in report:
-        rates = report["rates"]
-        rate_key = next(k for k in rates if k.endswith("_rate"))
-        writer.writerow(["protocol", "adversary", "trials", rate_key, "ci_low", "ci_high"])
-        writer.writerow([report["spec"]["protocol"], report["spec"]["adversary"],
-                         rates["trials"], rates[rate_key], rates["ci_low"], rates["ci_high"]])
-    elif "crossing" in report:
-        writer.writerow(["d", "t", "trials", "success_rate", "collision_rate", "tv_estimate"])
-        for point in report["crossing"]["points"]:
-            for row in point["rows"]:
-                writer.writerow([row["d"], row["t"], row["trials"], row["success_rate"],
-                                 row["collision_rate"], row["tv_estimate"]])
-        writer.writerow([])
-        writer.writerow(["crossing_slope", report["crossing"]["crossing_slope"]])
-    elif "gap" in report:
-        writer.writerow(["d", "verifier_samples_per_batch", "simulation_samples", "accepted"])
-        for row in report["gap"]["rows"]:
-            writer.writerow([row["d"], row["verifier_samples_per_batch"],
-                             row["simulation_samples"], row["accepted"]])
-        writer.writerow([])
-        writer.writerow(["verifier_cost_slope", report["gap"]["verifier_cost_slope"]])
-        writer.writerow(["simulation_cost_slope", report["gap"]["simulation_cost_slope"]])
-    elif "calibration" in report:
-        writer.writerow(["constant_C", "samples", "passes"])
-        for row in report["calibration"]["grid"]:
-            writer.writerow([row["constant_C"], row["samples"], row["passes"]])
+    csv.writer(buf).writerows(experiment.csv(report))
     return buf.getvalue()
 
 
@@ -416,15 +411,20 @@ def write_report(report: dict, out_dir: str) -> None:
 def replay(report_path: str) -> dict:
     """Re-derive every recorded trial's classification from its transcript.
 
-    Takes the path of a report.json containing embedded transcripts; each
-    transcript's recorded outcome is reparsed and reclassified under the
-    report's own spec, and must match the stored classification.
+    Takes the path of a report.json of a kind that plays verified trials
+    (intervals or sq-verify) with embedded transcripts; each transcript's
+    recorded outcome is reparsed and reclassified under the report's own
+    spec, and must match the stored classification.
     """
     report = _read_json(report_path, "report")
     if not isinstance(report, dict) or not isinstance(report.get("trials", []), list):
         raise SpecError("report", "must be a JSON object with a list of trials")
     spec = ExperimentSpec.from_doc(report.get("spec"))
-    _, baseline, loss_of = _build_trials(spec)
+    experiment, p = spec.resolve()
+    if experiment.run:
+        raise SpecError("protocol", f"{experiment.name} runs no verified trials")
+    _, _, baseline, loss_of = experiment.build(spec, p)
+    baseline = baseline()
     rows = []
     mismatches = 0
     for i, trial in enumerate(report.get("trials", [])):
@@ -434,7 +434,7 @@ def replay(report_path: str) -> dict:
             continue
         transcript = Transcript.from_jsonl(trial["transcript"])
         classification = classify_outcome(transcript, loss_of, baseline,
-                                          spec.params["epsilon"], role=spec.role)
+                                          p["epsilon"], role=spec.role)
         match = classification == trial.get("classification")
         mismatches += 0 if match else 1
         rows.append({"trial": trial.get("trial"), "classification": classification,
@@ -480,14 +480,10 @@ def _read_json(path: str, what: str):
 
 
 def _load_spec(args, subcommand: str) -> ExperimentSpec:
-    if args.spec:
-        doc = _read_json(args.spec, "spec")
-    else:
-        doc = json.loads(json.dumps(DEFAULT_SPECS[subcommand]))
-    if args.seed is not None:
-        doc["root_seed"] = args.seed
-    if args.trials is not None:
-        doc["trials"] = args.trials
+    doc = _read_json(args.spec, "spec") if args.spec else dict(DEFAULT_SPECS[subcommand])
+    overrides = {"root_seed": args.seed, "trials": args.trials}
+    if isinstance(doc, dict):  # from_doc refuses any other document
+        doc.update((name, value) for name, value in overrides.items() if value is not None)
     return ExperimentSpec.from_doc(doc)
 
 
@@ -496,7 +492,7 @@ def main(argv=None) -> int:
         prog="pacverify",
         description="Simulate and measure sample-efficient verification protocols.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("intervals-verify", "sq-verify", "lowerbound", "calibrate"):
+    for name in DEFAULT_SPECS:
         p = sub.add_parser(name)
         p.add_argument("--spec", help="experiment spec JSON file")
         p.add_argument("--seed", type=int, default=None, help="root seed override")

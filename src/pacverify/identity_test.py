@@ -142,7 +142,7 @@ def accept_rate(cfg: IdentityTestConfig, ref: DiscreteDistribution, source_probs
     return accepted / runs
 
 
-def calibrate(n: int, epsilon: float, delta: float, runs: int = 200, seed: int = 0,
+def calibrate(n: int, epsilon: float, delta: float, runs: int, seed: int,
               c_grid: tuple = (0.5, 1.0, 2.0, 4.0, 8.0)) -> dict:
     """Search the smallest sample-size constant meeting the tester contract.
 

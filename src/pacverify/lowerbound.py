@@ -115,7 +115,7 @@ def crossing_point(d: int, trials: int, seed: int) -> dict:
     return {"d": d, "rows": rows, "crossing_t": crossing, "censored": censored}
 
 
-def crossing_experiment(ds=(64, 256, 1024, 4096), trials: int = 3000, seed: int = 0) -> dict:
+def crossing_experiment(ds, trials: int, seed: int) -> dict:
     """Crossing points across d and the fitted log-log slope (target 1/2)."""
     points = [crossing_point(d, trials, seed) for d in ds]
     slope, intercept = np.polyfit(np.log([p["d"] for p in points]),

@@ -32,7 +32,7 @@ from .harness import (
 from .identity_test import IdentityTestConfig, test_from_counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Query:
     """An indicator function on a finite domain, given by its value table."""
 
@@ -48,18 +48,18 @@ class Query:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueryBatch:
     """A nonempty batch of queries on one domain, an immutable value.
 
     The rows are stacked once into a read-only (q, N) int8 matrix, and
     ``key``, the matrix's shape and bytes, identifies the batch by content:
-    two equal batches built apart share a key.
+    two equal batches built apart share a key (``==`` and ``hash`` go by identity).
     """
 
     queries: tuple
-    key: tuple = field(init=False, repr=False, compare=False)
-    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    key: tuple = field(init=False, repr=False)
+    _matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         queries = tuple(self.queries)
@@ -219,6 +219,10 @@ class SqAlgorithm:
         raise NotImplementedError
 
 
+def default_blocks(N: int, n: int) -> int:
+    return min(N, 2 * n)
+
+
 class PortfolioAlgorithm(SqAlgorithm):
     """Select the n heaviest-looking items out of N using one query batch.
 
@@ -234,7 +238,7 @@ class PortfolioAlgorithm(SqAlgorithm):
         if 2 * n > N:
             raise ValueError("need 2n <= N")
         if num_blocks is None:
-            num_blocks = min(N, 2 * n)
+            num_blocks = default_blocks(N, n)
         if not 1 <= num_blocks <= N:
             raise ValueError("num_blocks must lie in [1, N]")
         self.N = N
@@ -506,8 +510,7 @@ def portfolio_baseline(dist: DiscreteDistribution, N: int, n: int,
     return portfolio_population_loss(selection, dist)
 
 
-def sq_gap_sweep(ds=(4, 16, 64, 256), tau: float = 0.05, epsilon: float = 0.1,
-                 delta: float = 0.2, seed: int = 0) -> dict:
+def sq_gap_sweep(ds, tau: float, epsilon: float, delta: float, seed: int) -> dict:
     """Measured verifier per-batch cost vs direct-simulation cost across atom counts.
 
     For each d, runs one honest verified portfolio instance whose single

@@ -190,6 +190,20 @@ class TestSpecValidation:
         ({"protocol": "sq", "params": {"experiment": "gap", "epsilon": 1e-5}}, "params.epsilon"),
         ({"protocol": "sq", "params": {"experiment": "gap", "ds": [4, 8192], "epsilon": 0.002}},
          "params.epsilon"),
+        # params the kind does not take
+        ({"protocol": "lowerbound", "params": {"ds": [64, 256], "trials": 10}}, "params.trials"),
+        (dict(INTERVALS_SPEC, params=dict(INTERVALS_SPEC["params"], c_P=100)), "params.c_P"),
+        (dict(SQ_SPEC, params=dict(SQ_SPEC["params"], ds=[4, 16])), "params.ds"),
+        ({"protocol": "sq", "params": {"experiment": "gap", "N": 64}}, "params.N"),
+        ({"protocol": "identity-calibrate", "params": {"n": 100, "epsilon": 0.1, "delta": 0.1,
+                                                        "trials_per_point": 5}},
+         "params.trials_per_point"),
+        # only sq picks an experiment, and only by name
+        (dict(INTERVALS_SPEC, params=dict(INTERVALS_SPEC["params"], experiment="verify")),
+         "params.experiment"),
+        ({"protocol": "lowerbound", "params": {"experiment": None}}, "params.experiment"),
+        ({"protocol": "sq", "params": {"experiment": "crossing"}}, "params.experiment"),
+        ({"protocol": "sq", "params": {"experiment": ["gap"]}}, "params.experiment"),
     ])
     def test_malformed_or_oversized_field_is_spec_error(self, doc, field):
         with pytest.raises(cli.SpecError) as err:
@@ -301,13 +315,11 @@ class TestSpecFuzz:
         except cli.SpecError:
             return
         # a spec that validates also builds, with every budget at most 2**53
-        if spec.protocol == "intervals":
-            cfg = cli._interval_config(spec.params)
-        elif spec.protocol == "sq" and spec.params.get("experiment", "verify") == "verify":
-            cfg = cli._sq_config(spec.params)
-        else:
+        experiment, p = spec.resolve()
+        if experiment.run:
             return
-        cli._build_trials(spec)
+        cfg, _, baseline, _ = experiment.build(spec, p)
+        baseline()
         budgets = [cfg.m_v, cfg.m_p, getattr(cfg, "m_v_holdout", 1)]
         assert all(type(m) is int and 1 <= m <= 2**53 for m in budgets)
 
@@ -347,7 +359,8 @@ class TestRunExperiment:
     def test_accepted_output_recorded_without_transcripts(self, base):
         spec = cli.ExperimentSpec.from_doc(dict(base, record_transcripts=False))
         report = cli.run_experiment(spec)
-        _, _, loss_of = cli._build_trials(spec)
+        experiment, p = spec.resolve()
+        loss_of = experiment.build(spec, p)[3]
         for trial in report["trials"]:
             assert "transcript" not in trial
             assert trial["outcome"] == "hypothesis"
@@ -448,6 +461,16 @@ class TestReplay:
         assert cli.main(["replay", str(path)]) == 2
         assert f"spec error: {field}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["sq-gap", "lowerbound", "calibrate"])
+    def test_report_without_verified_trials_exits_2(self, tmp_path, capsys, kind):
+        command, doc, _ = KIND_SPECS[kind]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([command, "--spec", str(path), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["replay", str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr().err.startswith("spec error: protocol:")
+
 
 class TestNotJson:
     def test_report_file_exits_2(self, tmp_path, capsys):
@@ -465,6 +488,14 @@ class TestNotJson:
         err = capsys.readouterr().err
         assert err.startswith("spec error: spec: not a JSON file")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--seed", "3"], ["--trials", "2"]])
+    def test_spec_not_an_object_exits_2(self, tmp_path, capsys, flags):
+        path = tmp_path / "spec.json"
+        path.write_text("[1]")
+        assert cli.main(["sq-verify", "--spec", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == "spec error: spec: must be a JSON object\n"
 
 
 class TestMissingFile:
@@ -525,7 +556,37 @@ class TestCommandLine:
         assert report["root_seed"] == 7
 
 
+RATES_HEADER = "protocol,adversary,trials,completeness_success_rate,ci_low,ci_high"
+# table kind -> (subcommand, small spec, rates.csv header)
+KIND_SPECS = {
+    "intervals": ("intervals-verify", dict(INTERVALS_SPEC, trials=1), RATES_HEADER),
+    "sq-verify": ("sq-verify", dict(SQ_SPEC, trials=1), RATES_HEADER),
+    "sq-gap": ("sq-verify", {"protocol": "sq", "params": {
+        "experiment": "gap", "ds": [4, 16], "tau": 0.1, "epsilon": 0.2, "delta": 0.2}},
+        "d,verifier_samples_per_batch,simulation_samples,accepted"),
+    "lowerbound": ("lowerbound", {"protocol": "lowerbound", "params": {
+        "ds": [64, 256], "trials_per_point": 500}},
+        "d,t,trials,success_rate,collision_rate,tv_estimate"),
+    "calibrate": ("calibrate", {"protocol": "identity-calibrate", "params": {
+        "n": 20, "epsilon": 0.2, "delta": 0.2}}, "constant_C,samples,passes"),
+}
+TABLE_KINDS = sorted({experiment.name for kinds in cli.PROTOCOLS.values()
+                      for experiment in kinds.values()})
+
+
 class TestCsv:
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_every_kind_writes_its_csv(self, tmp_path, kind):
+        command, doc, header = KIND_SPECS[kind]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([command, "--spec", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "rates.csv").read_text().splitlines()[0] == header
+        # defaults fill a working dict; the report keeps the spec as written
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["spec"]["params"] == doc["params"]
+        assert cli.ExperimentSpec.from_doc(doc).resolve()[0].name == kind
+
     def test_gap_report_csv_has_slopes(self):
         spec = cli.ExperimentSpec.from_doc({
             "protocol": "sq",

@@ -105,6 +105,12 @@ class TestQueryBatch:
         assert np.array_equal(atoms_of(batch).signature, signature)
         assert batch.key == batch_from_rows(rows).key
 
+    def test_equality_and_hash_go_by_identity(self):
+        a, b = batch_from_rows([[1, 0, 1]]), batch_from_rows([[1, 0, 1]])
+        assert a == a and a != b and a.key == b.key
+        assert a.queries[0] == a.queries[0] and a.queries[0] != b.queries[0]
+        assert len({a, b, a, *a.queries, *b.queries}) == 4
+
     def test_matrix_is_read_only_and_built_once(self):
         batch = batch_from_rows([[1, 0, 1], [0, 1, 1]])
         m = batch.matrix()
