@@ -10,7 +10,6 @@ from .core import DiscreteDistribution, LabeledSample, child_rng
 from .harness import (
     ProtocolViolation,
     Transcript,
-    VerificationParams,
     VerifierOutcome,
     classify_outcome,
     run_interaction,
@@ -23,7 +22,6 @@ __all__ = [
     "LabeledSample",
     "ProtocolViolation",
     "Transcript",
-    "VerificationParams",
     "VerifierOutcome",
     "child_rng",
     "classify_outcome",

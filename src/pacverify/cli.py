@@ -75,7 +75,9 @@ class ExperimentSpec:
     def to_doc(self) -> dict:
         return asdict(self)
 
-    def validate(self) -> None:
+    def validate(self) -> tuple["Experiment", dict, tuple | None]:
+        """Check every field; returns the entry this spec runs, its filled params
+        and what ``build`` built for them."""
         _check("trials", self.trials, "int")
         if type(self.root_seed) is not int or self.root_seed < 0:
             raise SpecError("root_seed", "must be a nonnegative integer")
@@ -87,8 +89,14 @@ class ExperimentSpec:
         if not isinstance(self.adversary, str):
             raise SpecError("adversary", "must be a string")
         experiment, p = self.resolve()
+        if experiment.run:  # a one-shot kind reads none of the trial fields
+            blank = ExperimentSpec(self.protocol)
+            for name in ("distribution", "adversary", "trials", "record_transcripts"):
+                if getattr(self, name) != getattr(blank, name):
+                    raise SpecError(name, f"{experiment.name} plays no verified trials; "
+                                          "leave it unset")
         try:
-            experiment.build(self, p)
+            return experiment, p, experiment.build(self, p)
         except ArithmeticError as exc:  # a budget overflows, divides by zero or passes int64
             raise SpecError("params", f"sample budgets out of range ({exc})") from exc
 
@@ -160,8 +168,26 @@ def _given(doc: dict, *names) -> dict:
     return {name: doc[name] for name in names if name in doc}
 
 
+# distribution kind -> the fields it reads besides "kind"; the first kind is the default
+INTERVAL_POPULATIONS = {"grid": ("n_points", "band_fraction", "target"),
+                        "coin": ("n_points", "band_fraction")}
+SQ_DISTRIBUTIONS = {"zipf": ("a",), "uniform": (), "explicit": ("probs",)}
+
+
+def _distribution_kind(doc: dict, kinds: dict, what: str) -> str:
+    """The distribution's kind, the first of ``kinds`` by default; a field that
+    kind does not read is a ``SpecError``."""
+    kind = doc.get("kind", next(iter(kinds)))
+    if not isinstance(kind, str) or kind not in kinds:
+        raise SpecError("distribution.kind", f"unknown {what} kind {kind!r}")
+    for name in doc:
+        if name != "kind" and name not in kinds[kind]:
+            raise SpecError(f"distribution.{name}", f"unknown field for a {kind} {what}")
+    return kind
+
+
 def _build_interval_population(doc: dict, k: int) -> iv.IntervalPopulation:
-    kind = doc.get("kind", "grid")
+    kind = _distribution_kind(doc, INTERVAL_POPULATIONS, "interval population")
     n_points = doc.get("n_points", 64)
     _check("distribution.n_points", n_points, "int")
     # the verifier holds a (k, n_points) pushforward matrix; k >= 1 caps n_points too
@@ -180,32 +206,28 @@ def _build_interval_population(doc: dict, k: int) -> iv.IntervalPopulation:
                             "must be a list of intervals [a, b] with 0 <= a <= b <= 1")
         return iv.IntervalPopulation.grid_realizable(
             n_points, iv.UnionOfIntervals(tuple(tuple(x) for x in target)), band_fraction)
-    if kind == "coin":
-        # every hypothesis has loss exactly 1/2
-        centers = (np.arange(n_points) + 0.5) / n_points
-        hw = band_fraction / n_points
-        return iv.IntervalPopulation(centers, np.full(n_points, 1.0 / n_points),
-                                     np.full(n_points, 0.5), halfwidth=hw)
-    raise SpecError("distribution.kind", f"unknown interval population kind {kind!r}")
+    # coin: every hypothesis has loss exactly 1/2
+    centers = (np.arange(n_points) + 0.5) / n_points
+    hw = band_fraction / n_points
+    return iv.IntervalPopulation(centers, np.full(n_points, 1.0 / n_points),
+                                 np.full(n_points, 0.5), halfwidth=hw)
 
 
 def _build_sq_distribution(doc: dict, N: int):
-    kind = doc.get("kind", "zipf")
+    kind = _distribution_kind(doc, SQ_DISTRIBUTIONS, "sq distribution")
     if kind == "zipf":
         if "a" in doc:
             _check("distribution.a", doc["a"], "finite")
         return sq.zipf_distribution(N, **_given(doc, "a"))
     if kind == "uniform":
         return DiscreteDistribution.uniform(tuple(range(N)))
-    if kind == "explicit":
-        probs = doc.get("probs")
-        if not (isinstance(probs, (list, tuple)) and len(probs) == N
-                and all(type(x) in (int, float) and 0 <= x <= 1 for x in probs)):
-            raise SpecError("distribution.probs", f"must list exactly {N} probabilities")
-        if abs(float(np.sum(probs)) - 1.0) > 1e-9:
-            raise SpecError("distribution.probs", "must sum to 1")
-        return DiscreteDistribution.from_probs(tuple(range(N)), probs)
-    raise SpecError("distribution.kind", f"unknown sq distribution kind {kind!r}")
+    probs = doc.get("probs")  # explicit
+    if not (isinstance(probs, (list, tuple)) and len(probs) == N
+            and all(type(x) in (int, float) and 0 <= x <= 1 for x in probs)):
+        raise SpecError("distribution.probs", f"must list exactly {N} probabilities")
+    if abs(float(np.sum(probs)) - 1.0) > 1e-9:
+        raise SpecError("distribution.probs", "must sum to 1")
+    return DiscreteDistribution.from_probs(tuple(range(N)), probs)
 
 
 def _intervals(spec: ExperimentSpec, p: dict) -> tuple:
@@ -336,14 +358,13 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     once and its trials play in order, each from its own seed. Wall-clock
     time lives in a single top-level field that comparisons exclude.
     """
-    spec.validate()
     start = time.monotonic()
-    experiment, p = spec.resolve()
+    experiment, p, built = spec.validate()
     report: dict = {"spec": spec.to_doc(), "root_seed": spec.root_seed}
     if experiment.run:
         report.update(experiment.run(p, spec.root_seed))
     else:
-        _, run, baseline, loss_of = experiment.build(spec, p)
+        _, run, baseline, loss_of = built
         baseline = baseline()
         record = spec.trials <= 50 if spec.record_transcripts is None else spec.record_transcripts
         results = []
@@ -420,10 +441,10 @@ def replay(report_path: str) -> dict:
     if not isinstance(report, dict) or not isinstance(report.get("trials", []), list):
         raise SpecError("report", "must be a JSON object with a list of trials")
     spec = ExperimentSpec.from_doc(report.get("spec"))
-    experiment, p = spec.resolve()
+    experiment, p, built = spec.validate()
     if experiment.run:
         raise SpecError("protocol", f"{experiment.name} runs no verified trials")
-    _, _, baseline, loss_of = experiment.build(spec, p)
+    _, _, baseline, loss_of = built
     baseline = baseline()
     rows = []
     mismatches = 0

@@ -1,9 +1,11 @@
 """Interactive-proof execution: message passing, transcripts, outcome scoring.
 
-A verifier strategy is a callable ``verifier(channel, params, rng)`` that
-returns a :class:`VerifierOutcome`. A prover strategy is any object with
-``open(params, rng)`` (its unprompted first message, or None if it waits) and
-``respond(payload, params, rng)``. All payloads must be JSON-serializable so
+A verifier strategy is a callable ``verifier(channel, rng)`` that returns a
+:class:`VerifierOutcome`. A prover strategy implements the messages its
+verifier asks for: ``open(rng)`` answers ``channel.initial()`` and
+``respond(payload, rng)`` answers ``channel.ask(payload)``. Epsilon, delta
+and the budgets are common input, held by the protocol config that both
+strategies are built with. All payloads must be JSON-serializable so
 transcripts can be written to and replayed from JSON-lines logs.
 """
 
@@ -46,16 +48,6 @@ def parse_counts(value, shape: tuple, denominator) -> np.ndarray:
     if np.any(counts < 0) or counts.sum(dtype=object) != denominator:
         raise ProtocolViolation("counts must be nonnegative and sum to the denominator")
     return counts
-
-
-@dataclass(frozen=True)
-class VerificationParams:
-    epsilon: float
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0 or not 0.0 < self.delta < 1.0:
-            raise ValueError("epsilon and delta must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -132,17 +124,15 @@ class TranscriptParseError(ValueError):
 class ProverChannel:
     """The verifier's view of the prover, with transcript capture.
 
-    The prover sends one message per solicitation: its opening message, then
-    one answer to each verifier message. A prover that fails to answer, sends
-    a payload that is not JSON, or raises commits a protocol violation, and
-    the interaction ends in reject. The prover speaks only when asked, so the
-    verifier's own loops bound the message count.
+    The prover sends one message per solicitation, ``initial`` or ``ask``.
+    A prover that fails to answer, sends a payload that is not JSON, or raises
+    commits a protocol violation, and the interaction ends in reject. The
+    prover speaks only when asked, so the verifier's own loops bound the
+    message count.
     """
 
-    def __init__(self, prover, params: VerificationParams, rng: np.random.Generator,
-                 messages: list):
+    def __init__(self, prover, rng: np.random.Generator, messages: list):
         self._prover = prover
-        self._params = params
         self._rng = rng
         self._messages = messages
         self._round = 0
@@ -152,9 +142,9 @@ class ProverChannel:
         self._round += 1
 
     def _hear(self, speak, *args):
-        """The prover's checked and logged message from ``speak(*args, params, rng)``."""
+        """The prover's checked and logged message from ``speak(*args, rng)``."""
         try:
-            payload = speak(*args, self._params, self._rng)
+            payload = speak(*args, self._rng)
         except ProtocolViolation:
             raise
         except Exception as exc:
@@ -178,17 +168,17 @@ class ProverChannel:
         return self._hear(self._prover.respond, payload)
 
 
-def run_interaction(verifier, prover, params: VerificationParams, seed: int) -> Transcript:
+def run_interaction(verifier, prover, seed: int) -> Transcript:
     """Execute one verifier-prover interaction and capture its transcript.
 
-    Deterministic given (strategies, params, seed): the verifier and prover
+    Deterministic given (strategies, seed): the verifier and prover
     receive independent child generators derived from the seed. Any protocol
     violation by the prover yields a reject outcome rather than an exception.
     """
     transcript = Transcript()
-    channel = ProverChannel(prover, params, child_rng(seed, 1), transcript.messages)
+    channel = ProverChannel(prover, child_rng(seed, 1), transcript.messages)
     try:
-        outcome = verifier(channel, params, child_rng(seed, 0))
+        outcome = verifier(channel, child_rng(seed, 0))
     except ProtocolViolation:
         outcome = VerifierOutcome.reject()
     transcript.outcome = outcome
@@ -227,18 +217,18 @@ def classify_outcome(transcript: Transcript, loss_of_hypothesis, baseline: float
 class GarbageProver:
     """Sends syntactically valid JSON that no protocol can make sense of."""
 
-    def open(self, params, rng):
+    def open(self, rng):
         return {"boundaries": "zzzz", "noise": 42}
 
-    def respond(self, payload, params, rng):
+    def respond(self, payload, rng):
         return {"noise": 43}
 
 
 class SilentProver:
     """Never answers; every solicitation is a protocol violation."""
 
-    def open(self, params, rng):
+    def open(self, rng):
         return None
 
-    def respond(self, payload, params, rng):
+    def respond(self, payload, rng):
         return None

@@ -19,7 +19,6 @@ from .harness import (
     GarbageProver,
     ProtocolViolation,
     SilentProver,
-    VerificationParams,
     VerifierOutcome,
     parse_counts,
     run_interaction,
@@ -151,10 +150,12 @@ class IntervalPopulation:
 
 @dataclass(frozen=True)
 class IntervalProtocolConfig:
+    """Budgets for one verified run over k = 12d/epsilon intervals. m_v must
+    cover the tester's budget, so the verifier never tests on fewer samples."""
+
     d: int
     epsilon: float
     delta: float
-    k: int
     m_v: int
     m_p: int
     tester_C: float = 2.0
@@ -163,8 +164,6 @@ class IntervalProtocolConfig:
         inv_eps = 1.0 / self.epsilon
         if abs(inv_eps - round(inv_eps)) > 1e-9:
             raise ValueError("1/epsilon must be an integer")
-        if self.k != round(12 * self.d * inv_eps):
-            raise ValueError("k must equal 12d/epsilon")
         if self.m_p % self.k != 0:
             raise ValueError("m_p must be a multiple of k")
         if not 0.0 < self.delta < 1.0:
@@ -172,6 +171,13 @@ class IntervalProtocolConfig:
         if max(self.m_v, self.m_p) > 2**53:
             raise OverflowError("sample budgets must be at most 2**53, where float count sums "
                                 "are exact")
+        need = required_samples(self.tester_config())
+        if self.m_v < need:
+            raise ValueError(f"verifier budget m_v={self.m_v} is below the tester's {need}")
+
+    @property
+    def k(self) -> int:
+        return round(12 * self.d / self.epsilon)
 
     @property
     def chunk(self) -> int:
@@ -201,7 +207,7 @@ class IntervalProtocolConfig:
         m_v = required_samples(tcfg)
         base = c_p * (d * d * math.log(max(d / epsilon, math.e)) + math.log(1.0 / delta)) / epsilon**4
         m_p = int(math.ceil(base / k) * k)
-        return cls(d=d, epsilon=epsilon, delta=delta, k=k, m_v=m_v, m_p=m_p, tester_C=c_v)
+        return cls(d=d, epsilon=epsilon, delta=delta, m_v=m_v, m_p=m_p, tester_C=c_v)
 
 
 @dataclass(frozen=True)
@@ -336,13 +342,8 @@ def verifier_protocol1(pop: IntervalPopulation, msg: DiscretizedMessage,
     if np.any(msg.counts.sum(axis=1) != cfg.chunk):
         return VerifierOutcome.reject()
 
-    tcfg = cfg.tester_config()
-    if cfg.m_v < required_samples(tcfg):
-        raise ValueError(f"verifier budget m_v={cfg.m_v} is below the tester's "
-                         f"{required_samples(tcfg)}")
-
     counts = rng.multinomial(cfg.m_v, pop.interval_label_masses(msg.boundaries).ravel())
-    verdict = test_from_counts(msg.reference_probs(), counts, tcfg)
+    verdict = test_from_counts(msg.reference_probs(), counts, cfg.tester_config())
     if not verdict.accept:
         return VerifierOutcome.reject()
 
@@ -380,12 +381,9 @@ class HonestIntervalProver:
         """The claimed (k, 2) label counts, given the prover's own."""
         return counts
 
-    def open(self, params, rng):
+    def open(self, rng):
         msg = self.build_message(rng)
         return DiscretizedMessage(msg.boundaries, self.edit(msg.counts), msg.denominator).to_payload()
-
-    def respond(self, payload, params, rng):
-        return None  # one-shot protocol
 
 
 class MassShiftProver(HonestIntervalProver):
@@ -409,7 +407,7 @@ class WrongBoundaryProver(HonestIntervalProver):
     """Fabricates an equal-width partition with counts claiming all label-1
     mass inside [0, 0.5), making that region look optimal."""
 
-    def open(self, params, rng):
+    def open(self, rng):
         k, chunk = self.cfg.k, self.cfg.chunk
         boundaries = np.linspace(0.0, 1.0, k + 1)
         inside = 0.5 * (boundaries[:-1] + boundaries[1:]) < 0.5
@@ -436,7 +434,7 @@ def make_interval_prover(name: str, pop: IntervalPopulation, cfg: IntervalProtoc
 def make_protocol1_verifier(pop: IntervalPopulation, cfg: IntervalProtocolConfig):
     """Verifier strategy bound to the population it draws its counts from."""
 
-    def verifier(channel, params, rng):
+    def verifier(channel, rng):
         msg = DiscretizedMessage.from_payload(channel.initial())
         return verifier_protocol1(pop, msg, cfg, rng)
 
@@ -448,6 +446,4 @@ def protocol1_end_to_end(pop: IntervalPopulation, cfg: IntervalProtocolConfig,
     """Run one full interaction; returns the transcript."""
     if prover is None:
         prover = HonestIntervalProver(pop, cfg)
-    params = VerificationParams(cfg.epsilon, cfg.delta)
-    verifier = make_protocol1_verifier(pop, cfg)
-    return run_interaction(verifier, prover, params, seed)
+    return run_interaction(make_protocol1_verifier(pop, cfg), prover, seed)

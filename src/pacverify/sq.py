@@ -24,7 +24,6 @@ import numpy as np
 from .core import DiscreteDistribution, child_rng
 from .harness import (
     ProtocolViolation,
-    VerificationParams,
     VerifierOutcome,
     parse_counts,
     run_interaction,
@@ -148,7 +147,6 @@ class SqProtocolConfig:
     m_v: int
     m_v_holdout: int
     m_p: int
-    tester_C: float = 4.0
     fresh_samples: bool = False
 
     def __post_init__(self):
@@ -175,7 +173,6 @@ class SqProtocolConfig:
             n=atom_count,
             epsilon=self.tau,
             delta=self.per_test_delta,
-            constant_C=self.tester_C,
             inner_radius=self.tau / (2.0 * math.sqrt(atom_count)),
         )
 
@@ -195,7 +192,7 @@ class SqProtocolConfig:
         T = iteration_count(epsilon, delta)
         m_hold = math.ceil(2.0 * math.log(16.0 * T / delta) / epsilon**2)
         return cls(tau=tau, b=b, s=s, epsilon=epsilon, delta=delta,
-                   m_v=m_v, m_v_holdout=m_hold, m_p=m_p, tester_C=c_v)
+                   m_v=m_v, m_v_holdout=m_hold, m_p=m_p)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +376,7 @@ def make_sq_verifier(dist: DiscreteDistribution, alg: SqAlgorithm, cfg: SqProtoc
     partition of each distinct batch is computed once per run.
     """
 
-    def verifier(channel, params, rng):
+    def verifier(channel, rng):
         element_counts_v = rng.multinomial(cfg.m_v, dist.probs)
         holdout_counts = rng.multinomial(cfg.m_v_holdout, dist.probs)
         partitions: dict = {}
@@ -416,9 +413,6 @@ class HonestSqProver:
         self.cfg = cfg
         self._element_counts = None
 
-    def open(self, params, rng):
-        return {"ready": True}
-
     def _atom_counts(self, payload, rng) -> np.ndarray:
         if self._element_counts is None:
             self._element_counts = rng.multinomial(self.cfg.m_p, self.dist.probs)
@@ -428,7 +422,7 @@ class HonestSqProver:
         """The claimed atom counts, given the prover's own."""
         return counts
 
-    def respond(self, payload, params, rng):
+    def respond(self, payload, rng):
         counts = self.edit(self._atom_counts(payload, rng))
         return {"counts": counts.tolist(), "denominator": int(self.cfg.m_p)}
 
@@ -497,8 +491,7 @@ def portfolio_run(dist: DiscreteDistribution, cfg: SqProtocolConfig,
         prover = HonestSqProver(dist, cfg)
     verifier = make_sq_verifier(dist, PortfolioAlgorithm(N, n, num_blocks), cfg,
                                 portfolio_holdout_loss)
-    params = VerificationParams(cfg.epsilon, cfg.delta)
-    return run_interaction(verifier, prover, params, seed)
+    return run_interaction(verifier, prover, seed)
 
 
 def portfolio_baseline(dist: DiscreteDistribution, N: int, n: int,

@@ -283,7 +283,7 @@ def reference_sq_verifier(dist, alg, cfg, holdout_loss):
             kind, value = alg.step(sq.induced_evaluations(ap, claimed.probs))
         return value
 
-    def verifier(channel, params, rng):
+    def verifier(channel, rng):
         counts_v = rng.multinomial(cfg.m_v, dist.probs)
         holdout = rng.multinomial(cfg.m_v_holdout, dist.probs)
         candidates = []

@@ -159,7 +159,7 @@ class TestCriterion5OracleChannelInvariant:
 
             class Channel:
                 def ask(self, payload):
-                    return prover.respond(payload, None, rng_p)
+                    return prover.respond(payload, rng_p)
 
             local = []
 

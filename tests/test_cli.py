@@ -125,6 +125,11 @@ class TestSpecValidation:
         assert cli.main([command, "--spec", str(path)]) == 2
         assert f"spec error: {field}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["lowerbound", "calibrate"])
+    def test_trials_flag_on_one_shot_kind_exits_2(self, capsys, command):
+        assert cli.main([command, "--trials", "5"]) == 2
+        assert capsys.readouterr().err.startswith("spec error: trials:")
+
     def test_bad_distribution_kind(self):
         doc = dict(INTERVALS_SPEC, distribution={"kind": "cauchy"})
         with pytest.raises(cli.SpecError) as err:
@@ -204,6 +209,28 @@ class TestSpecValidation:
         ({"protocol": "lowerbound", "params": {"experiment": None}}, "params.experiment"),
         ({"protocol": "sq", "params": {"experiment": "crossing"}}, "params.experiment"),
         ({"protocol": "sq", "params": {"experiment": ["gap"]}}, "params.experiment"),
+        # a one-shot kind plays no verified trials, so it takes no trial field
+        ({"protocol": "sq", "adversary": "mole", "distribution": {"kind": "cauchy"}, "trials": 9,
+          "params": {"experiment": "gap", "ds": [4, 16]}}, "distribution"),
+        (dict(GAP_SPEC, adversary="mole"), "adversary"),
+        (dict(GAP_SPEC, trials=9), "trials"),
+        (dict(GAP_SPEC, record_transcripts=False), "record_transcripts"),
+        (dict(cli.DEFAULT_SPECS["lowerbound"], trials=7), "trials"),
+        (dict(cli.DEFAULT_SPECS["lowerbound"], distribution={"kind": "zipf"}), "distribution"),
+        (dict(cli.DEFAULT_SPECS["calibrate"], adversary="honest "), "adversary"),
+        (dict(cli.DEFAULT_SPECS["calibrate"], record_transcripts=True), "record_transcripts"),
+        # a distribution kind takes only the fields it reads
+        (dict(SQ_SPEC, distribution={"kind": "zipf", "aa": 3}), "distribution.aa"),
+        (dict(SQ_SPEC, distribution={"kind": "zipf", "probs": [1 / 64] * 64}),
+         "distribution.probs"),
+        (dict(SQ_SPEC, distribution={"kind": "uniform", "a": 1.0}), "distribution.a"),
+        (dict(SQ_SPEC, distribution={"kind": "explicit", "probs": [1 / 64] * 64, "a": 1.0}),
+         "distribution.a"),
+        (dict(INTERVALS_SPEC, distribution={"kind": "coin", "target": [[0.1, 0.3]]}),
+         "distribution.target"),
+        (dict(INTERVALS_SPEC, distribution=dict(INTERVALS_SPEC["distribution"], a=1.0)),
+         "distribution.a"),
+        (dict(INTERVALS_SPEC, distribution={"kind": ["grid"]}), "distribution.kind"),
     ])
     def test_malformed_or_oversized_field_is_spec_error(self, doc, field):
         with pytest.raises(cli.SpecError) as err:
@@ -222,6 +249,13 @@ class TestSpecValidation:
     ])
     def test_size_at_cap_is_valid(self, doc):
         cli.ExperimentSpec.from_doc(doc)
+
+    @pytest.mark.parametrize("doc", [GAP_SPEC, cli.DEFAULT_SPECS["lowerbound"],
+                                     cli.DEFAULT_SPECS["calibrate"]],
+                             ids=["sq-gap", "lowerbound", "calibrate"])
+    def test_one_shot_kind_takes_trial_fields_at_their_defaults(self, doc):
+        cli.ExperimentSpec.from_doc(dict(doc, trials=1, adversary="honest", distribution={},
+                                         record_transcripts=None))
 
 
 PROVER_TABLES = {"intervals": (INTERVALS_SPEC, iv.INTERVAL_PROVERS),
@@ -315,10 +349,10 @@ class TestSpecFuzz:
         except cli.SpecError:
             return
         # a spec that validates also builds, with every budget at most 2**53
-        experiment, p = spec.resolve()
+        experiment, _, built = spec.validate()
         if experiment.run:
             return
-        cfg, _, baseline, _ = experiment.build(spec, p)
+        cfg, _, baseline, _ = built
         baseline()
         budgets = [cfg.m_v, cfg.m_p, getattr(cfg, "m_v_holdout", 1)]
         assert all(type(m) is int and 1 <= m <= 2**53 for m in budgets)
@@ -359,8 +393,7 @@ class TestRunExperiment:
     def test_accepted_output_recorded_without_transcripts(self, base):
         spec = cli.ExperimentSpec.from_doc(dict(base, record_transcripts=False))
         report = cli.run_experiment(spec)
-        experiment, p = spec.resolve()
-        loss_of = experiment.build(spec, p)[3]
+        loss_of = spec.validate()[2][3]
         for trial in report["trials"]:
             assert "transcript" not in trial
             assert trial["outcome"] == "hypothesis"
@@ -388,8 +421,8 @@ class TestUntrustedClaims:
     @pytest.mark.parametrize("key,value", BAD, ids=["huge-count", "inf-denominator"])
     def test_intervals_claim(self, monkeypatch, key, value):
         class Prover(iv.WrongBoundaryProver):
-            def open(self, params, rng):
-                payload = super().open(params, rng)
+            def open(self, rng):
+                payload = super().open(rng)
                 if key == "counts":
                     payload["counts"][0][0] = value
                 else:
@@ -403,8 +436,8 @@ class TestUntrustedClaims:
     @pytest.mark.parametrize("key,value", BAD, ids=["huge-count", "inf-denominator"])
     def test_sq_claim(self, monkeypatch, key, value):
         class Prover(sq.HonestSqProver):
-            def respond(self, payload, params, rng):
-                reply = super().respond(payload, params, rng)
+            def respond(self, payload, rng):
+                reply = super().respond(payload, rng)
                 if key == "counts":
                     reply["counts"][0] = value
                 else:

@@ -15,25 +15,21 @@ from pacverify.harness import (
     SilentProver,
     Transcript,
     TranscriptParseError,
-    VerificationParams,
     VerifierOutcome,
     classify_outcome,
     parse_counts,
     run_interaction,
 )
 
-PARAMS = VerificationParams(0.1, 0.2)
-
-
 class EchoProver:
-    def open(self, params, rng):
+    def open(self, rng):
         return {"hello": 1}
 
-    def respond(self, payload, params, rng):
+    def respond(self, payload, rng):
         return {"echo": payload}
 
 
-def echo_verifier(channel, params, rng):
+def echo_verifier(channel, rng):
     first = channel.initial()
     answer = channel.ask({"q": first["hello"] + 1})
     if answer["echo"]["q"] != 2:
@@ -43,33 +39,33 @@ def echo_verifier(channel, params, rng):
 
 class TestRunInteraction:
     def test_transcript_captures_both_sides(self):
-        t = run_interaction(echo_verifier, EchoProver(), PARAMS, seed=0)
+        t = run_interaction(echo_verifier, EchoProver(), seed=0)
         assert [m.sender for m in t.messages] == ["prover", "verifier", "prover"]
         assert t.outcome == VerifierOutcome.of([1, 2])
 
     def test_deterministic_given_seed(self):
-        a = run_interaction(echo_verifier, EchoProver(), PARAMS, seed=5)
-        b = run_interaction(echo_verifier, EchoProver(), PARAMS, seed=5)
+        a = run_interaction(echo_verifier, EchoProver(), seed=5)
+        b = run_interaction(echo_verifier, EchoProver(), seed=5)
         assert a.to_jsonl() == b.to_jsonl()
 
     def test_silent_prover_rejected(self):
-        t = run_interaction(echo_verifier, SilentProver(), PARAMS, seed=0)
+        t = run_interaction(echo_verifier, SilentProver(), seed=0)
         assert t.outcome.kind == "reject"
 
     def test_crashing_prover_rejected(self):
         class Crasher:
-            def open(self, params, rng):
+            def open(self, rng):
                 raise RuntimeError("boom")
 
-        t = run_interaction(echo_verifier, Crasher(), PARAMS, seed=0)
+        t = run_interaction(echo_verifier, Crasher(), seed=0)
         assert t.outcome.kind == "reject"
 
     def test_unserializable_payload_rejected(self):
         class Weird:
-            def open(self, params, rng):
+            def open(self, rng):
                 return {"arr": object()}
 
-        t = run_interaction(echo_verifier, Weird(), PARAMS, seed=0)
+        t = run_interaction(echo_verifier, Weird(), seed=0)
         assert t.outcome.kind == "reject"
 
     @given(st.recursive(
@@ -79,46 +75,46 @@ class TestRunInteraction:
     @settings(max_examples=60, deadline=None)
     def test_arbitrary_json_payloads_never_crash_the_run(self, payload):
         class Fuzzer:
-            def open(self, params, rng):
+            def open(self, rng):
                 return payload
 
-            def respond(self, p, params, rng):
+            def respond(self, p, rng):
                 return payload
 
-        def verifier(channel, params, rng):
+        def verifier(channel, rng):
             msg = channel.initial()
             if not isinstance(msg, dict) or "hello" not in msg:
                 return VerifierOutcome.reject()
             return VerifierOutcome.of([0])
 
-        t = run_interaction(verifier, Fuzzer(), PARAMS, seed=0)
+        t = run_interaction(verifier, Fuzzer(), seed=0)
         assert t.outcome.kind in ("reject", "hypothesis")
 
     def test_garbage_prover_rejected_by_strict_verifier(self):
-        def verifier(channel, params, rng):
+        def verifier(channel, rng):
             msg = channel.initial()
             if not isinstance(msg.get("boundaries"), list):
                 raise ProtocolViolation("bad boundaries")
             return VerifierOutcome.of([0])
 
-        t = run_interaction(verifier, GarbageProver(), PARAMS, seed=0)
+        t = run_interaction(verifier, GarbageProver(), seed=0)
         assert t.outcome.kind == "reject"
 
 
 class TestTranscriptSerialization:
     def test_round_trip_byte_identical(self):
-        t = run_interaction(echo_verifier, EchoProver(), PARAMS, seed=1)
+        t = run_interaction(echo_verifier, EchoProver(), seed=1)
         text = t.to_jsonl()
         back = Transcript.from_jsonl(text)
         assert back.to_jsonl() == text
 
     def test_outcome_line_is_last(self):
-        t = run_interaction(echo_verifier, EchoProver(), PARAMS, seed=1)
+        t = run_interaction(echo_verifier, EchoProver(), seed=1)
         last = json.loads(t.to_jsonl().splitlines()[-1])
         assert last["outcome"] == "hypothesis"
 
     def test_corrupt_line_reports_position(self):
-        t = run_interaction(echo_verifier, EchoProver(), PARAMS, seed=1)
+        t = run_interaction(echo_verifier, EchoProver(), seed=1)
         lines = t.to_jsonl().splitlines()
         lines[1] = "{not json"
         with pytest.raises(TranscriptParseError) as err:
@@ -132,7 +128,7 @@ class TestTranscriptSerialization:
         '{"outcome": "bogus", "hypothesis": [1]}',
     ], ids=["list", "number", "hypothesis-missing", "unknown-outcome"])
     def test_malformed_line_reports_position(self, line):
-        t = run_interaction(echo_verifier, EchoProver(), PARAMS, seed=1)
+        t = run_interaction(echo_verifier, EchoProver(), seed=1)
         lines = t.to_jsonl().splitlines()
         lines[1] = line
         with pytest.raises(TranscriptParseError) as err:

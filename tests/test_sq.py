@@ -16,7 +16,7 @@ from oracles import (
 
 from pacverify import sq
 from pacverify.core import DiscreteDistribution, child_rng
-from pacverify.harness import VerificationParams, run_interaction
+from pacverify.harness import run_interaction
 from pacverify.sq import (
     AtomSwapSqProver,
     ExactOracle,
@@ -178,7 +178,7 @@ class TestHonestProverEstimates:
         worst = 0.0
         for i in range(30):
             prover = HonestSqProver(dist, cfg)
-            reply = prover.respond({"atoms": ap.signature.tolist()}, None, child_rng(13, i))
+            reply = prover.respond({"atoms": ap.signature.tolist()}, child_rng(13, i))
             claimed = np.array(reply["counts"]) / cfg.m_p
             worst = max(worst, float(np.abs(claimed - true_p).sum()))
         # comfortably inside the inner test radius tau/(2 sqrt s)
@@ -199,12 +199,12 @@ class TestWireFormat:
         cfg = SqProtocolConfig.default(tau=tau, epsilon=0.1, delta=0.2, s=64)
         payload = {"atoms": atoms_of(batch_from_rows(mat)).signature.tolist()}
 
-        honest = HonestSqProver(dist, cfg).respond(payload, None, child_rng(seed, 1))
+        honest = HonestSqProver(dist, cfg).respond(payload, child_rng(seed, 1))
         element_counts = child_rng(seed, 1).multinomial(cfg.m_p, dist.probs)
         assert honest == {"counts": reference_honest_atom_counts(mat, element_counts).tolist(),
                           "denominator": cfg.m_p}
 
-        stale = StaleSqProver(dist, cfg).respond(payload, None, child_rng(seed, 2))
+        stale = StaleSqProver(dist, cfg).respond(payload, child_rng(seed, 2))
         assert stale == {"counts": reference_stale_atom_counts(mat, cfg.m_p).tolist(),
                          "denominator": cfg.m_p}
 
@@ -291,7 +291,7 @@ class _DirectChannel:
         self.rng = rng
 
     def ask(self, payload):
-        return self.prover.respond(payload, None, self.rng)
+        return self.prover.respond(payload, self.rng)
 
 
 class TestVerifierIteration:
@@ -314,8 +314,8 @@ class TestVerifierIteration:
 
     def test_far_claim_rejected(self):
         class FarProver(HonestSqProver):
-            def respond(self, payload, params, rng):
-                reply = super().respond(payload, params, rng)
+            def respond(self, payload, rng):
+                reply = super().respond(payload, rng)
                 counts = np.array(reply["counts"])
                 shift = int(round(4 * self.cfg.tau * self.cfg.m_p))  # TV = 2 tau
                 counts[np.argmax(counts)] -= shift
@@ -402,10 +402,9 @@ class TestPartitionMemo:
     def setup_method(self):
         self.dist = zipf_distribution(16)
         self.cfg = SqProtocolConfig.default(tau=0.1, epsilon=0.2, delta=0.2, s=8, b=2)
-        self.params = VerificationParams(self.cfg.epsilon, self.cfg.delta)
 
     def run(self, verifier, seed=5):
-        return run_interaction(verifier, HonestSqProver(self.dist, self.cfg), self.params, seed)
+        return run_interaction(verifier, HonestSqProver(self.dist, self.cfg), seed)
 
     def test_atoms_of_runs_once_per_trial(self, monkeypatch):
         counter = _CountingAtoms(monkeypatch)
@@ -458,11 +457,10 @@ class TestPartitionMemo:
         # N = num_blocks = 256: 256 singleton atoms, as in the wide benchmark spec
         dist = zipf_distribution(256)
         cfg = SqProtocolConfig.default(tau=0.05, epsilon=0.1, delta=0.2, s=256)
-        params = VerificationParams(cfg.epsilon, cfg.delta)
         transcripts = [
             run_interaction(build(dist, PortfolioAlgorithm(256, 64, 256), cfg,
                                   portfolio_holdout_loss),
-                            make_sq_prover(name, dist, cfg), params, seed=9).to_jsonl()
+                            make_sq_prover(name, dist, cfg), seed=9).to_jsonl()
             for build in (make_sq_verifier, reference_sq_verifier)]
         assert transcripts[0] == transcripts[1]
 
@@ -506,8 +504,7 @@ class TestProtocol2:
         cfg = SqProtocolConfig.default(tau=0.1, epsilon=0.2, delta=0.2, s=8)
         alg = CountingPortfolio(16, 2, num_blocks=8)
         verifier = make_sq_verifier(dist, alg, cfg, portfolio_holdout_loss)
-        t = run_interaction(verifier, HonestSqProver(dist, cfg),
-                            VerificationParams(cfg.epsilon, cfg.delta), seed=5)
+        t = run_interaction(verifier, HonestSqProver(dist, cfg), seed=5)
         assert alg.resets == cfg.T
         assert len(alg.batches) == cfg.T
         assert all(batch is alg.batch for batch in alg.batches)

@@ -9,18 +9,18 @@ from hypothesis import strategies as st
 from pacverify import intervals as iv
 from pacverify import sq
 from pacverify.core import child_rng
-from pacverify.harness import VerificationParams, run_interaction
+from pacverify.harness import run_interaction
 
 IV_CFG = iv.IntervalProtocolConfig.default(1, 0.5, 0.5)
 IV_POP = iv.IntervalPopulation.grid_realizable(8, iv.UnionOfIntervals(((0.25, 0.5),)))
-IV_PAYLOAD = iv.HonestIntervalProver(IV_POP, IV_CFG).open(None, child_rng(0))
+IV_PAYLOAD = iv.HonestIntervalProver(IV_POP, IV_CFG).open(child_rng(0))
 IV_POINT_POP = iv.IntervalPopulation(IV_POP.centers, IV_POP.masses, IV_POP.label1)
 
 SQ_DIST = sq.zipf_distribution(8)
 SQ_CFG = sq.SqProtocolConfig.default(tau=0.2, epsilon=0.5, delta=0.5, s=4)
 SQ_ATOMS = sq.atoms_of(sq.PortfolioAlgorithm(8, 2, num_blocks=4).batch).signature
 SQ_REPLY = sq.HonestSqProver(SQ_DIST, SQ_CFG).respond(
-    {"atoms": SQ_ATOMS.tolist()}, None, child_rng(0))
+    {"atoms": SQ_ATOMS.tolist()}, child_rng(0))
 
 JUNK = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
@@ -58,23 +58,22 @@ class FixedProver:
     def __init__(self, payload):
         self.payload = payload
 
-    def open(self, params, rng):
+    def open(self, rng):
         return self.payload
 
-    def respond(self, payload, params, rng):
+    def respond(self, payload, rng):
         return self.payload
 
 
-def outcome(verifier, payload, cfg):
-    params = VerificationParams(cfg.epsilon, cfg.delta)
-    return run_interaction(verifier, FixedProver(payload), params, seed=1).outcome.kind
+def outcome(verifier, payload):
+    return run_interaction(verifier, FixedProver(payload), seed=1).outcome.kind
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_intervals_verifier_never_raises(data):
     verifier = iv.make_protocol1_verifier(IV_POP, IV_CFG)
-    assert outcome(verifier, mutate(IV_PAYLOAD, data), IV_CFG) in ("reject", "hypothesis")
+    assert outcome(verifier, mutate(IV_PAYLOAD, data)) in ("reject", "hypothesis")
 
 
 @given(st.data())
@@ -82,7 +81,7 @@ def test_intervals_verifier_never_raises(data):
 def test_sq_verifier_never_raises(data):
     alg = sq.PortfolioAlgorithm(8, 2, num_blocks=4)
     verifier = sq.make_sq_verifier(SQ_DIST, alg, SQ_CFG, sq.portfolio_holdout_loss)
-    assert outcome(verifier, mutate(SQ_REPLY, data), SQ_CFG) in ("reject", "hypothesis")
+    assert outcome(verifier, mutate(SQ_REPLY, data)) in ("reject", "hypothesis")
 
 
 def adversarial_boundaries(data):
@@ -120,4 +119,4 @@ def test_intervals_verifier_adversarial_boundaries(data):
                "counts": [[c, IV_CFG.chunk - c] for c in zeros],
                "denominator": IV_CFG.m_p}
     verifier = iv.make_protocol1_verifier(pop, IV_CFG)
-    assert outcome(verifier, payload, IV_CFG) in ("reject", "hypothesis")
+    assert outcome(verifier, payload) in ("reject", "hypothesis")
