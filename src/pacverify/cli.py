@@ -193,10 +193,11 @@ def _build_interval_population(doc: dict, k: int) -> iv.IntervalPopulation:
     # the verifier holds a (k, n_points) pushforward matrix; k >= 1 caps n_points too
     if k * n_points > MAX_ENTRIES:
         raise SpecError("distribution.n_points", f"k * n_points must be at most {MAX_ENTRIES}")
-    band_fraction = doc.get("band_fraction", 0.25)
-    # wider bands would overlap their neighbours on the grid
-    if type(band_fraction) not in (int, float) or not 0 <= band_fraction < 0.5:
-        raise SpecError("distribution.band_fraction", "must be a number in [0, 0.5)")
+    band_fraction = doc.get("band_fraction", iv.BAND_FRACTION)
+    # wider bands would overlap their neighbours on the grid; zero-width bands are
+    # point masses, and the equal-share partition needs an atomless x-marginal
+    if type(band_fraction) not in (int, float) or not 0 < band_fraction < 0.5:
+        raise SpecError("distribution.band_fraction", "must be a number in (0, 0.5)")
     if kind == "grid":
         target = doc.get("target", [])
         if not (isinstance(target, (list, tuple)) and all(

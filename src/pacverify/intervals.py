@@ -56,6 +56,10 @@ class UnionOfIntervals:
         return inside
 
 
+# default band half-width as a fraction of the grid spacing
+BAND_FRACTION = 0.25
+
+
 @dataclass(frozen=True)
 class IntervalPopulation:
     """A labeled population over [0, 1] made of narrow uniform bands.
@@ -97,7 +101,7 @@ class IntervalPopulation:
 
     @classmethod
     def grid_realizable(cls, n_points: int, target: UnionOfIntervals,
-                        band_fraction: float = 0.25) -> "IntervalPopulation":
+                        band_fraction: float = BAND_FRACTION) -> "IntervalPopulation":
         """Uniform mass on an n-point grid, labeled by a target union of intervals."""
         centers = (np.arange(n_points) + 0.5) / n_points
         hw = band_fraction / n_points

@@ -7,6 +7,10 @@ the two are identically distributed, so any distinguisher needs repeated
 x-values; the birthday bound places that at about sqrt(d) samples. The
 module measures the collision distinguisher's success curve at each d and
 where it crosses 7/12, and fits how that crossing scales with d.
+
+Each sample is drawn as its key 2x + y, the form the classifier reads. This is
+exact in law: a uniform x on [0, d) with an independent fair label bit is a key
+uniform on [0, 2d), and the mixture's collision cell reads x alone (key 2x).
 """
 
 from __future__ import annotations
@@ -18,34 +22,31 @@ import numpy as np
 from .core import child_rng
 
 
-def _collision_cells(xs: np.ndarray, ys: np.ndarray | None, d: int) -> np.ndarray:
-    """Row-wise collision classification: 0 no collision, 1 all collisions
-    agree, 2 some collision disagrees. xs, ys are (trials, t) arrays over a
-    d-point domain; ys=None labels every draw 0.
+def _key_dtype(d: int) -> type:
+    """Smallest unsigned dtype that holds every key 2x + y, up to 2d - 1."""
+    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if 2 * d - 1 <= np.iinfo(t).max)
 
-    Each draw packs into the key 2x + y, in the smallest unsigned dtype that
-    holds 2d - 1, and each row is sorted once. Sorting puts an x's 0-labels
-    right before its 1-labels, so adjacent keys that differ only in the low
-    bit are a disagreeing collision and equal adjacent keys an agreeing one.
+
+def _collision_cells(keys: np.ndarray) -> np.ndarray:
+    """Row-wise collision classification: 0 no collision, 1 all collisions
+    agree, 2 some collision disagrees. keys is a (trials, t) unsigned array
+    of packed draws 2x + y; it is sorted in place along each row.
+
+    Sorting puts an x's 0-labels right before its 1-labels, so adjacent keys
+    XOR to 0 in an agreeing collision, 1 in a disagreeing one and 2 or more
+    across x's; XOR with 1 swaps 0 and 1, and the row min, capped at 2, is 2 - cell.
 
     The distinguisher's verdict per cell: a repeated x with two labels is
-    impossible under a labeling function, so a disagreeing collision means
-    the uniform law; an agreeing collision is twice as likely under the
-    mixture (a fresh label coin matches with probability 1/2), so it votes
-    mixture; with no collision the two laws coincide and the verdict is a
-    coin flip.
+    impossible under a labeling function, so a disagreeing collision means the
+    uniform law; an agreeing collision is twice as likely under the mixture (a
+    fresh label coin matches with probability 1/2), so it votes mixture; with
+    no collision the two laws coincide and the verdict is a coin flip.
     """
-    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
-                 if 2 * d - 1 <= np.iinfo(t).max)
-    keys = xs.astype(dtype)
-    keys <<= 1
-    if ys is not None:
-        keys |= ys.astype(dtype)
     keys.sort(axis=1)
-    diff = keys[:, 1:] ^ keys[:, :-1]
-    cells = (diff == 0).any(axis=1).astype(np.int8)
-    cells[(diff == 1).any(axis=1)] = 2
-    return cells
+    flips = keys[:, 1:] ^ keys[:, :-1]
+    flips ^= 1
+    return 2 - flips.min(axis=1, initial=2).astype(np.int8)
 
 
 def distinguisher_success(d: int, t: int, trials: int, seed: int) -> dict:
@@ -56,15 +57,14 @@ def distinguisher_success(d: int, t: int, trials: int, seed: int) -> dict:
     reports the empirical total variation between the two laws coarsened to
     the three collision cells, an upper bound on any cell-based advantage.
     """
-    rng_u = child_rng(seed, 0)
-    rng_m = child_rng(seed, 1)
-    xs_u = rng_u.integers(0, d, size=(trials, t))
-    ys_u = rng_u.integers(0, 2, size=(trials, t))
-    xs_m = rng_m.integers(0, d, size=(trials, t))
-    cells_u = _collision_cells(xs_u, ys_u, d)
+    dtype = _key_dtype(d)
+    # uniform law: a uniform x and a fair label bit make the key 2x + y uniform on [0, 2d)
+    keys_u = child_rng(seed, 0).integers(0, 2 * d, size=(trials, t), dtype=dtype)
     # a labelling function never disagrees with itself on a repeated x, so
-    # the mixture's collision cell depends on xs alone
-    cells_m = _collision_cells(xs_m, None, d)
+    # the mixture's collision cell depends on x alone: its key is 2x
+    keys_m = child_rng(seed, 1).integers(0, d, size=(trials, t), dtype=dtype)
+    keys_m <<= 1
+    cells_u, cells_m = _collision_cells(keys_u), _collision_cells(keys_m)
     p_u = np.bincount(cells_u, minlength=3) / trials
     p_m = np.bincount(cells_m, minlength=3) / trials
     # verdict scores: undecided 1/2, agreeing collision -> mixture, disagree -> uniform

@@ -231,6 +231,11 @@ class TestSpecValidation:
         (dict(INTERVALS_SPEC, distribution=dict(INTERVALS_SPEC["distribution"], a=1.0)),
          "distribution.a"),
         (dict(INTERVALS_SPEC, distribution={"kind": ["grid"]}), "distribution.kind"),
+        # zero-width bands are point masses, which the equal-share partition cannot split
+        (dict(INTERVALS_SPEC, distribution=dict(INTERVALS_SPEC["distribution"], band_fraction=0)),
+         "distribution.band_fraction"),
+        (dict(INTERVALS_SPEC, distribution={"kind": "coin", "band_fraction": 0.0}),
+         "distribution.band_fraction"),
     ])
     def test_malformed_or_oversized_field_is_spec_error(self, doc, field):
         with pytest.raises(cli.SpecError) as err:

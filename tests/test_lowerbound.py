@@ -5,7 +5,9 @@ import pytest
 from oracles import (REDUCTION_TEST_SIZE, exact_no_collision, exact_success_rate,
                      reference_collision_cell, reduction_tester)
 
-from pacverify.lowerbound import _collision_cells, crossing_experiment, distinguisher_success
+from pacverify import lowerbound
+from pacverify.lowerbound import (_collision_cells, _key_dtype, crossing_experiment,
+                                   distinguisher_success)
 
 
 def drawn(d, mixture, seed, *sizes):
@@ -50,13 +52,19 @@ class TestDraws:
         assert diff.max() < 0.05
 
 
+def packed(xs, ys, d):
+    """Samples as the keys 2x + y that distinguisher_success draws, in its dtype."""
+    dtype = _key_dtype(d)
+    return (np.asarray(xs).astype(dtype) << 1) | np.asarray(ys).astype(dtype)
+
+
 class TestCollisionDistinguisher:
     """The distinguisher's verdict per collision cell: 2 uniform, 1 mixture,
     0 undecided."""
 
     @staticmethod
     def cell(xs, ys):
-        return int(_collision_cells(np.array([xs]), np.array([ys]), 4)[0])
+        return int(_collision_cells(packed([xs], [ys], 4))[0])
 
     def test_disagreeing_collision_means_uniform(self):
         assert self.cell([3, 1, 3], [0, 1, 1]) == 2
@@ -75,6 +83,11 @@ class TestCollisionDistinguisher:
     @pytest.mark.parametrize("d", [2, 127, 128, 129, 32767, 32768, 32769,
                                    2**31, 2**31 + 1, 2**40])
     def test_matches_reference_on_random_rows(self, d):
+        # the smallest unsigned dtype that holds the largest key, 2d - 1
+        dtype = _key_dtype(d)
+        smaller = {np.uint16: np.uint8, np.uint32: np.uint16, np.uint64: np.uint32}.get(dtype)
+        assert 2 * d - 1 <= np.iinfo(dtype).max
+        assert smaller is None or 2 * d - 1 > np.iinfo(smaller).max
         rng = np.random.default_rng(d)
         rows, seen = 2000, set()
         for t in (2, 6):
@@ -85,12 +98,53 @@ class TestCollisionDistinguisher:
             picks = (rng.random((rows, t)) * rng.integers(1, 13, size=(rows, 1))).astype(int)
             xs = np.take_along_axis(pools, picks, axis=1)
             ys = rng.integers(0, 2, size=(rows, t))
-            cells = _collision_cells(xs, ys, d)
+            cells = _collision_cells(packed(xs, ys, d))
             assert cells.tolist() == [reference_collision_cell(x, y) for x, y in zip(xs, ys)]
-            mixture = _collision_cells(xs, None, d)
+            mixture = _collision_cells(packed(xs, np.zeros_like(ys), d))
             assert mixture.tolist() == [reference_collision_cell(x, [0] * t) for x in xs]
             seen.update(cells.tolist())
         assert seen == {0, 1, 2}
+
+
+def chi_square_z(counts) -> float:
+    """Wilson-Hilferty normal score of Pearson's chi-square statistic of
+    ``counts`` against equal cell probabilities (df = cells - 1)."""
+    counts = np.asarray(counts, dtype=float).ravel()
+    expected = counts.sum() / counts.size
+    stat, df = ((counts - expected) ** 2).sum() / expected, counts.size - 1
+    return ((stat / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+
+
+class TestDrawLaw:
+    """distinguisher_success draws each sample as its key 2x + y: under the
+    uniform law x = key >> 1 is uniform on [0, d) and y = key & 1 a fair bit
+    independent of it; under the mixture every key is 2x."""
+
+    @staticmethod
+    def drawn_keys(monkeypatch, d, t, trials, seed):
+        keys = []
+
+        def record(k):
+            keys.append(k.copy())
+            return _collision_cells(k)
+
+        monkeypatch.setattr(lowerbound, "_collision_cells", record)
+        distinguisher_success(d, t, trials, seed)
+        return keys
+
+    # z = 4.75 is the chi-square's 1 - 1e-6 quantile in the normal approximation.
+    # An even (x, y) table means x uniform, y fair and y independent of x at once.
+    @pytest.mark.parametrize("d", [2, 5, 128])
+    def test_uniform_keys_fill_the_xy_table_evenly(self, monkeypatch, d):
+        keys_u, keys_m = self.drawn_keys(monkeypatch, d, 16, 4000, seed=31)
+        assert keys_u.dtype == keys_m.dtype == _key_dtype(d)
+        assert keys_u.shape == keys_m.shape == (4000, 16)
+        assert int(keys_u.max()) < 2 * d and int(keys_m.max()) < 2 * d
+        table = np.zeros((d, 2), dtype=np.int64)
+        np.add.at(table, (keys_u >> 1, keys_u & 1), 1)
+        assert chi_square_z(table) < 4.75
+        assert not (keys_m & 1).any()
+        assert chi_square_z(np.bincount((keys_m >> 1).ravel(), minlength=d)) < 4.75
 
 
 class TestNoCollisionProbability:
