@@ -32,6 +32,7 @@ from .harness import (
     Transcript,
     TranscriptParseError,
     classify_outcome,
+    run_interaction,
 )
 
 
@@ -61,6 +62,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ExperimentSpec":
+        """The spec a JSON document writes out; only ``validate`` checks its values."""
         if not isinstance(doc, dict):
             raise SpecError("spec", "must be a JSON object")
         unknown = set(doc) - {f for f in cls.__dataclass_fields__}
@@ -68,9 +70,7 @@ class ExperimentSpec:
             raise SpecError(sorted(unknown)[0], "unknown field")
         if "protocol" not in doc:
             raise SpecError("protocol", "required")
-        spec = cls(**doc)
-        spec.validate()
-        return spec
+        return cls(**doc)
 
     def to_doc(self) -> dict:
         return asdict(self)
@@ -154,7 +154,8 @@ class Experiment:
     ``REQUIRED``, a value, or None where the library or ``build`` picks it.
     ``build(spec, p)`` checks the filled params and builds what the run builds.
     ``run(p, seed)`` returns the report sections; without it the kind plays verified
-    trials that ``build`` wires as (config, run, baseline, loss_of), baseline a thunk."""
+    trials that ``build`` wires as (config, make_verifier, make_prover, baseline,
+    loss_of), the middle three thunks: one verifier serves a run, a prover a trial."""
 
     name: str
     params: dict
@@ -242,10 +243,10 @@ def _intervals(spec: ExperimentSpec, p: dict) -> tuple:
     if cfg.m_p > MAX_ENTRIES:
         raise SpecError("params.d", f"m_p = {cfg.m_p} prover points must be <= {MAX_ENTRIES}")
     pop = _build_interval_population(spec.distribution, cfg.k)
-    run = lambda seed: iv.protocol1_end_to_end(
-        pop, cfg, seed, iv.make_interval_prover(spec.adversary, pop, cfg))
     loss_of = lambda payload: pop.loss01(iv.UnionOfIntervals(tuple(tuple(x) for x in payload)))
-    return cfg, run, lambda: iv.optimal_class_loss(pop, cfg.d), loss_of
+    return (cfg, lambda: iv.make_protocol1_verifier(pop, cfg),
+            lambda: iv.make_interval_prover(spec.adversary, pop, cfg),
+            lambda: iv.optimal_class_loss(pop, cfg.d), loss_of)
 
 
 def _sq_verify(spec: ExperimentSpec, p: dict) -> tuple:
@@ -266,10 +267,11 @@ def _sq_verify(spec: ExperimentSpec, p: dict) -> tuple:
     if spec.adversary not in sq.SQ_PROVERS:
         raise SpecError("adversary", f"unknown sq prover {spec.adversary!r}")
     dist, N, n = _build_sq_distribution(spec.distribution, p["N"]), p["N"], p["n"]
-    run = lambda seed: sq.portfolio_run(
-        dist, cfg, N, n, seed, sq.make_sq_prover(spec.adversary, dist, cfg), cfg.s)
     loss_of = lambda payload: sq.portfolio_population_loss(payload, dist)
-    return cfg, run, lambda: sq.portfolio_baseline(dist, N, n, cfg.s), loss_of
+    return (cfg, lambda: sq.make_sq_verifier(dist, sq.PortfolioAlgorithm(N, n, cfg.s), cfg,
+                                             sq.portfolio_holdout_loss),
+            lambda: sq.make_sq_prover(spec.adversary, dist, cfg),
+            lambda: sq.portfolio_baseline(dist, N, n, cfg.s), loss_of)
 
 
 def _sq_gap(spec: ExperimentSpec, p: dict) -> None:
@@ -355,9 +357,10 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tup
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute a spec and return its JSON-ready report.
 
-    Deterministic given the spec (including root_seed): the spec is built
-    once and its trials play in order, each from its own seed. Wall-clock
-    time lives in a single top-level field that comparisons exclude.
+    Deterministic given the spec (including root_seed): the spec is validated
+    and built once, and one verifier plays the trials in order, each against a
+    fresh prover from its own seed. Wall-clock time lives in a single top-level
+    field that comparisons exclude.
     """
     start = time.monotonic()
     experiment, p, built = spec.validate()
@@ -365,13 +368,13 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     if experiment.run:
         report.update(experiment.run(p, spec.root_seed))
     else:
-        _, run, baseline, loss_of = built
-        baseline = baseline()
+        _, make_verifier, make_prover, baseline, loss_of = built
+        verifier, baseline = make_verifier(), baseline()
         record = spec.trials <= 50 if spec.record_transcripts is None else spec.record_transcripts
         results = []
         for index in range(spec.trials):
             seed = int(child_rng(spec.root_seed, 7, index).integers(2**63))
-            transcript = run(seed)
+            transcript = run_interaction(verifier, make_prover(), seed)
             outcome = transcript.outcome
             row = {"trial": index, "seed": seed, "outcome": outcome.kind, "baseline": baseline,
                    "classification": classify_outcome(transcript, loss_of, baseline,
@@ -445,7 +448,7 @@ def replay(report_path: str) -> dict:
     experiment, p, built = spec.validate()
     if experiment.run:
         raise SpecError("protocol", f"{experiment.name} runs no verified trials")
-    _, _, baseline, loss_of = built
+    *_, baseline, loss_of = built
     baseline = baseline()
     rows = []
     mismatches = 0
@@ -455,8 +458,11 @@ def replay(report_path: str) -> dict:
         if "transcript" not in trial:
             continue
         transcript = Transcript.from_jsonl(trial["transcript"])
-        classification = classify_outcome(transcript, loss_of, baseline,
-                                          p["epsilon"], role=spec.role)
+        try:  # the outcome line is untrusted: it may be missing or hold any JSON hypothesis
+            classification = classify_outcome(transcript, loss_of, baseline,
+                                              p["epsilon"], role=spec.role)
+        except (ValueError, TypeError, IndexError) as exc:
+            raise SpecError(f"trials[{i}]", f"transcript outcome cannot be scored ({exc})") from exc
         match = classification == trial.get("classification")
         mismatches += 0 if match else 1
         rows.append({"trial": trial.get("trial"), "classification": classification,

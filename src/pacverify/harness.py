@@ -151,8 +151,8 @@ class ProverChannel:
             raise ProtocolViolation(f"prover crashed: {exc}") from exc
         if payload is None:
             raise ProtocolViolation("prover sent no message")
-        try:
-            json.dumps(payload)
+        try:  # strict JSON: NaN and infinity are not JSON numbers
+            json.dumps(payload, allow_nan=False)
         except (TypeError, ValueError) as exc:
             raise ProtocolViolation(f"unserializable prover payload: {exc}") from exc
         self._log("prover", payload)

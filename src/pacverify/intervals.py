@@ -21,7 +21,6 @@ from .harness import (
     SilentProver,
     VerifierOutcome,
     parse_counts,
-    run_interaction,
 )
 from .identity_test import IdentityTestConfig, required_samples, test_from_counts
 
@@ -443,11 +442,3 @@ def make_protocol1_verifier(pop: IntervalPopulation, cfg: IntervalProtocolConfig
         return verifier_protocol1(pop, msg, cfg, rng)
 
     return verifier
-
-
-def protocol1_end_to_end(pop: IntervalPopulation, cfg: IntervalProtocolConfig,
-                         seed: int, prover=None):
-    """Run one full interaction; returns the transcript."""
-    if prover is None:
-        prover = HonestIntervalProver(pop, cfg)
-    return run_interaction(make_protocol1_verifier(pop, cfg), prover, seed)

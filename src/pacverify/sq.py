@@ -483,17 +483,6 @@ def zipf_distribution(N: int, a: float = 1.0) -> DiscreteDistribution:
     return DiscreteDistribution.from_probs(tuple(range(N)), weights / weights.sum())
 
 
-def portfolio_run(dist: DiscreteDistribution, cfg: SqProtocolConfig,
-                  N: int, n: int, seed: int, prover=None, num_blocks: int | None = None):
-    """One full verified portfolio run against ``prover`` (a fresh honest
-    prover when None); returns the transcript."""
-    if prover is None:
-        prover = HonestSqProver(dist, cfg)
-    verifier = make_sq_verifier(dist, PortfolioAlgorithm(N, n, num_blocks), cfg,
-                                portfolio_holdout_loss)
-    return run_interaction(verifier, prover, seed)
-
-
 def portfolio_baseline(dist: DiscreteDistribution, N: int, n: int,
                        num_blocks: int | None = None) -> float:
     """Exact loss of the algorithm under the exact oracle: the baseline the
@@ -516,8 +505,9 @@ def sq_gap_sweep(ds, tau: float, epsilon: float, delta: float, seed: int) -> dic
         n = max(1, d // 4)
         dist = zipf_distribution(d)
         cfg = SqProtocolConfig.default(tau=tau, epsilon=epsilon, delta=delta, s=d, b=1)
-        transcript = portfolio_run(dist, cfg, N=d, n=n, seed=child_rng(seed, d).integers(2**63),
-                                   num_blocks=d)
+        verifier = make_sq_verifier(dist, PortfolioAlgorithm(d, n, d), cfg, portfolio_holdout_loss)
+        transcript = run_interaction(verifier, HonestSqProver(dist, cfg),
+                                     child_rng(seed, d).integers(2**63))
         rows.append({
             "d": d,
             "verifier_samples_per_batch": cfg.m_v,

@@ -46,29 +46,29 @@ BAD_BUDGETS = [
 class TestSpecValidation:
     def test_unknown_protocol_names_field(self):
         with pytest.raises(cli.SpecError) as err:
-            cli.ExperimentSpec.from_doc({"protocol": "nope"})
+            cli.ExperimentSpec.from_doc({"protocol": "nope"}).validate()
         assert err.value.field == "protocol"
 
     def test_missing_param_names_field(self):
         with pytest.raises(cli.SpecError) as err:
-            cli.ExperimentSpec.from_doc({"protocol": "intervals", "params": {"d": 2}})
+            cli.ExperimentSpec.from_doc({"protocol": "intervals", "params": {"d": 2}}).validate()
         assert err.value.field == "params.epsilon"
 
     def test_unknown_top_level_field(self):
         with pytest.raises(cli.SpecError) as err:
-            cli.ExperimentSpec.from_doc({"protocol": "intervals", "bogus": 1})
+            cli.ExperimentSpec.from_doc({"protocol": "intervals", "bogus": 1}).validate()
         assert err.value.field == "bogus"
 
     def test_bad_trials(self):
         doc = dict(INTERVALS_SPEC, trials=0)
         with pytest.raises(cli.SpecError) as err:
-            cli.ExperimentSpec.from_doc(doc)
+            cli.ExperimentSpec.from_doc(doc).validate()
         assert err.value.field == "trials"
 
     def test_unknown_adversary(self):
         doc = dict(INTERVALS_SPEC, adversary="mole")
         with pytest.raises(cli.SpecError) as err:
-            cli.ExperimentSpec.from_doc(doc)
+            cli.ExperimentSpec.from_doc(doc).validate()
         assert err.value.field == "adversary"
 
     @pytest.mark.parametrize("params,field", [
@@ -133,7 +133,7 @@ class TestSpecValidation:
     def test_bad_distribution_kind(self):
         doc = dict(INTERVALS_SPEC, distribution={"kind": "cauchy"})
         with pytest.raises(cli.SpecError) as err:
-            cli.ExperimentSpec.from_doc(doc)
+            cli.ExperimentSpec.from_doc(doc).validate()
         assert err.value.field == "distribution.kind"
 
     @pytest.mark.parametrize("doc,field", [
@@ -239,7 +239,7 @@ class TestSpecValidation:
     ])
     def test_malformed_or_oversized_field_is_spec_error(self, doc, field):
         with pytest.raises(cli.SpecError) as err:
-            cli.ExperimentSpec.from_doc(doc)
+            cli.ExperimentSpec.from_doc(doc).validate()
         assert err.value.field == field
 
     @pytest.mark.parametrize("doc", [
@@ -253,14 +253,14 @@ class TestSpecValidation:
         dict(SQ_SPEC, params=dict(SQ_SPEC["params"], N=8192, num_blocks=8192, b=34)),
     ])
     def test_size_at_cap_is_valid(self, doc):
-        cli.ExperimentSpec.from_doc(doc)
+        cli.ExperimentSpec.from_doc(doc).validate()
 
     @pytest.mark.parametrize("doc", [GAP_SPEC, cli.DEFAULT_SPECS["lowerbound"],
                                      cli.DEFAULT_SPECS["calibrate"]],
                              ids=["sq-gap", "lowerbound", "calibrate"])
     def test_one_shot_kind_takes_trial_fields_at_their_defaults(self, doc):
         cli.ExperimentSpec.from_doc(dict(doc, trials=1, adversary="honest", distribution={},
-                                         record_transcripts=None))
+                                         record_transcripts=None)).validate()
 
 
 PROVER_TABLES = {"intervals": (INTERVALS_SPEC, iv.INTERVAL_PROVERS),
@@ -284,7 +284,7 @@ class TestProverTables:
         others = {name for _, other in PROVER_TABLES.values() for name in other} - set(table)
         for name in sorted(others) + ["mole", "", "Honest", "honest "]:
             with pytest.raises(cli.SpecError) as err:
-                cli.ExperimentSpec.from_doc(dict(base, adversary=name))
+                cli.ExperimentSpec.from_doc(dict(base, adversary=name)).validate()
             assert err.value.field == "adversary"
 
 
@@ -349,16 +349,16 @@ class TestSpecFuzz:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_from_doc_returns_or_raises_spec_error(self, base, data):
+        # from_doc parses; validate checks and builds, or raises SpecError
         try:
-            spec = cli.ExperimentSpec.from_doc(edited(base, data))
+            experiment, _, built = cli.ExperimentSpec.from_doc(edited(base, data)).validate()
         except cli.SpecError:
             return
-        # a spec that validates also builds, with every budget at most 2**53
-        experiment, _, built = spec.validate()
         if experiment.run:
             return
-        cfg, _, baseline, _ = built
-        baseline()
+        # a spec that validates also makes its parties, with every budget at most 2**53
+        cfg, make_verifier, make_prover, baseline, _ = built
+        make_verifier(), make_prover(), baseline()
         budgets = [cfg.m_v, cfg.m_p, getattr(cfg, "m_v_holdout", 1)]
         assert all(type(m) is int and 1 <= m <= 2**53 for m in budgets)
 
@@ -398,7 +398,7 @@ class TestRunExperiment:
     def test_accepted_output_recorded_without_transcripts(self, base):
         spec = cli.ExperimentSpec.from_doc(dict(base, record_transcripts=False))
         report = cli.run_experiment(spec)
-        loss_of = spec.validate()[2][3]
+        loss_of = spec.validate()[2][4]
         for trial in report["trials"]:
             assert "transcript" not in trial
             assert trial["outcome"] == "hypothesis"
@@ -454,6 +454,17 @@ class TestUntrustedClaims:
         assert report["trials"][0]["outcome"] == "reject"
 
 
+# outcome lines no hypothesis loss can score: (spec, hypothesis), None for no outcome line
+UNSCORABLE_OUTCOMES = {
+    "no-outcome": (INTERVALS_SPEC, None),
+    "intervals-one-endpoint": (INTERVALS_SPEC, [[0.5]]),
+    "intervals-number": (INTERVALS_SPEC, 3),
+    "sq-item-out-of-range": (SQ_SPEC, [99]),
+    "sq-item-string": (SQ_SPEC, ["a"]),
+    "sq-number": (SQ_SPEC, 3),
+}
+
+
 class TestReplay:
     def test_replay_matches_recorded_classifications(self, tmp_path):
         spec = cli.ExperimentSpec.from_doc(INTERVALS_SPEC)
@@ -499,6 +510,19 @@ class TestReplay:
         assert cli.main(["replay", str(path)]) == 2
         assert f"spec error: {field}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("base,hypothesis", UNSCORABLE_OUTCOMES.values(),
+                             ids=UNSCORABLE_OUTCOMES.keys())
+    def test_unscorable_outcome_exits_2(self, tmp_path, capsys, base, hypothesis):
+        report = cli.run_experiment(cli.ExperimentSpec.from_doc(dict(base, trials=1)))
+        lines = report["trials"][0]["transcript"].splitlines()[:-1]  # drop the outcome line
+        if hypothesis is not None:
+            lines.append(json.dumps({"outcome": "hypothesis", "hypothesis": hypothesis}))
+        report["trials"][0]["transcript"] = "\n".join(lines) + "\n"
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert cli.main(["replay", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("spec error: trials[0]:")
+
     @pytest.mark.parametrize("kind", ["sq-gap", "lowerbound", "calibrate"])
     def test_report_without_verified_trials_exits_2(self, tmp_path, capsys, kind):
         command, doc, _ = KIND_SPECS[kind]
@@ -508,6 +532,25 @@ class TestReplay:
         capsys.readouterr()
         assert cli.main(["replay", str(tmp_path / "report.json")]) == 2
         assert capsys.readouterr().err.startswith("spec error: protocol:")
+
+
+class TestBuildOnce:
+    """A spec document is parsed by from_doc and validated, which builds, once per
+    run_experiment and once per replay."""
+
+    @pytest.mark.parametrize("base,config", [(INTERVALS_SPEC, iv.IntervalProtocolConfig),
+                                             (SQ_SPEC, sq.SqProtocolConfig)],
+                             ids=["intervals", "sq"])
+    def test_one_build_per_run_and_per_replay(self, monkeypatch, tmp_path, base, config):
+        builds = []
+        default = config.default
+        monkeypatch.setattr(config, "default",
+                            lambda *args, **kwargs: builds.append(1) or default(*args, **kwargs))
+        report = cli.run_experiment(cli.ExperimentSpec.from_doc(dict(base, trials=2)))
+        assert len(builds) == 1
+        cli.write_report(report, str(tmp_path))
+        assert cli.replay(str(tmp_path / "report.json"))["replayed"] == 2
+        assert len(builds) == 2
 
 
 class TestNotJson:

@@ -68,6 +68,20 @@ class TestRunInteraction:
         t = run_interaction(echo_verifier, Weird(), seed=0)
         assert t.outcome.kind == "reject"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_json_number_in_payload_rejected_unlogged(self, value):
+        class NonFinite:
+            def open(self, rng):
+                return {"boundaries": [0, value, 1]}
+
+        def verifier(channel, rng):
+            channel.initial()
+            return VerifierOutcome.of([0])
+
+        t = run_interaction(verifier, NonFinite(), seed=0)
+        assert t.outcome.kind == "reject"
+        assert t.messages == []  # so no transcript line holds a NaN or Infinity token
+
     @given(st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
         lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),

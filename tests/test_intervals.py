@@ -11,7 +11,7 @@ from oracles import (
 )
 
 from pacverify.core import child_rng
-from pacverify.harness import ProtocolViolation
+from pacverify.harness import ProtocolViolation, run_interaction
 from pacverify.identity_test import IdentityTestConfig, required_samples
 from pacverify.intervals import (
     DiscretizedMessage,
@@ -22,9 +22,9 @@ from pacverify.intervals import (
     erm_runs,
     honest_prover_partition,
     make_interval_prover,
+    make_protocol1_verifier,
     map_to_interval,
     optimal_class_loss,
-    protocol1_end_to_end,
     verifier_protocol1,
 )
 
@@ -209,13 +209,14 @@ class TestVerifier:
         cfg = small_config()
         pop = IntervalPopulation.grid_realizable(64, TARGET)
         for name in ("garbage", "silent"):
-            t = protocol1_end_to_end(pop, cfg, seed=9, prover=make_interval_prover(name, pop, cfg))
+            t = run_interaction(make_protocol1_verifier(pop, cfg),
+                                make_interval_prover(name, pop, cfg), 9)
             assert t.outcome.kind == "reject"
 
     def test_honest_end_to_end_accepts_good_hypothesis(self):
         cfg = small_config()
         pop = IntervalPopulation.grid_realizable(64, TARGET)
-        t = protocol1_end_to_end(pop, cfg, seed=11)
+        t = run_interaction(make_protocol1_verifier(pop, cfg), HonestIntervalProver(pop, cfg), 11)
         assert t.outcome.kind == "hypothesis"
         h = UnionOfIntervals(tuple(tuple(x) for x in t.outcome.hypothesis))
         assert pop.loss01(h) <= optimal_class_loss(pop, 2) + cfg.epsilon
@@ -224,7 +225,7 @@ class TestVerifier:
         cfg = small_config()
         pop = IntervalPopulation.grid_realizable(64, TARGET)
         prover = make_interval_prover("label-swap", pop, cfg)
-        t = protocol1_end_to_end(pop, cfg, seed=12, prover=prover)
+        t = run_interaction(make_protocol1_verifier(pop, cfg), prover, 12)
         assert t.outcome.kind == "reject"
 
 

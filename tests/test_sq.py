@@ -35,13 +35,16 @@ from pacverify.sq import (
     portfolio_baseline,
     portfolio_holdout_loss,
     portfolio_population_loss,
-    portfolio_run,
     simulate_algorithm,
     simulation_sample_cost,
     sq_gap_sweep,
     verifier_iteration,
     zipf_distribution,
 )
+
+
+def portfolio_verifier(dist, cfg, N, n, num_blocks=None):
+    return make_sq_verifier(dist, PortfolioAlgorithm(N, n, num_blocks), cfg, portfolio_holdout_loss)
 
 
 def batch_from_rows(rows):
@@ -212,7 +215,8 @@ class TestWireFormat:
         dist = zipf_distribution(16)
         cfg = SqProtocolConfig.default(tau=0.1, epsilon=0.2, delta=0.2, s=8)
         signature = atoms_of(PortfolioAlgorithm(16, 2, num_blocks=8).batch).signature
-        lines = portfolio_run(dist, cfg, 16, 2, seed=5, num_blocks=8).to_jsonl().splitlines()
+        t = run_interaction(portfolio_verifier(dist, cfg, 16, 2, 8), HonestSqProver(dist, cfg), 5)
+        lines = t.to_jsonl().splitlines()
         docs = [json.loads(line) for line in lines]
         payloads = [doc["payload"] for doc in docs if doc.get("sender") == "verifier"]
         assert [p["iteration"] for p in payloads] == list(range(cfg.T))
@@ -408,8 +412,9 @@ class TestPartitionMemo:
 
     def test_atoms_of_runs_once_per_trial(self, monkeypatch):
         counter = _CountingAtoms(monkeypatch)
+        verifier = portfolio_verifier(self.dist, self.cfg, 16, 2, 8)  # one verifier, many trials
         for trials, seed in enumerate((5, 6), start=1):
-            t = portfolio_run(self.dist, self.cfg, 16, 2, seed=seed, num_blocks=8)
+            t = self.run(verifier, seed)
             assert t.outcome.kind == "hypothesis"
             assert counter.calls == trials
 
@@ -426,7 +431,7 @@ class TestPartitionMemo:
                                     self.cfg, portfolio_holdout_loss)
         t = self.run(verifier)
         assert counter.calls == 1
-        expected = portfolio_run(self.dist, self.cfg, 16, 2, seed=5, num_blocks=8)
+        expected = self.run(portfolio_verifier(self.dist, self.cfg, 16, 2, 8))
         assert t.to_jsonl() == expected.to_jsonl()
 
     def test_adaptive_batches_get_their_own_partitions(self, monkeypatch):
@@ -469,7 +474,7 @@ class TestProtocol2:
     def test_honest_end_to_end(self):
         dist = zipf_distribution(64)
         cfg = SqProtocolConfig.default(tau=0.05, epsilon=0.1, delta=0.2, s=16)
-        t = portfolio_run(dist, cfg, 64, 8, seed=71)
+        t = run_interaction(portfolio_verifier(dist, cfg, 64, 8), HonestSqProver(dist, cfg), 71)
         assert t.outcome.kind == "hypothesis"
         base = portfolio_baseline(dist, 64, 8)
         assert portfolio_population_loss(t.outcome.hypothesis, dist) <= base + cfg.epsilon
@@ -477,7 +482,7 @@ class TestProtocol2:
     def test_constant_candidates_argmin_is_that_candidate(self):
         dist = zipf_distribution(16)
         cfg = SqProtocolConfig.default(tau=0.1, epsilon=0.2, delta=0.2, s=8)
-        t = portfolio_run(dist, cfg, 16, 2, seed=5, num_blocks=8)
+        t = run_interaction(portfolio_verifier(dist, cfg, 16, 2, 8), HonestSqProver(dist, cfg), 5)
         assert t.outcome.kind == "hypothesis"
         # deterministic algorithm + reused samples: every iteration agrees
         assert t.outcome.hypothesis == simulate_algorithm(
@@ -508,7 +513,8 @@ class TestProtocol2:
         assert alg.resets == cfg.T
         assert len(alg.batches) == cfg.T
         assert all(batch is alg.batch for batch in alg.batches)
-        expected = portfolio_run(dist, cfg, 16, 2, seed=5, num_blocks=8)
+        expected = run_interaction(portfolio_verifier(dist, cfg, 16, 2, 8),
+                                   HonestSqProver(dist, cfg), 5)
         assert t.outcome.hypothesis == expected.outcome.hypothesis
         assert t.to_jsonl() == expected.to_jsonl()
 
@@ -518,7 +524,7 @@ class TestProtocol2:
         dist = zipf_distribution(16)
         cfg = SqProtocolConfig.default(tau=0.1, epsilon=0.9, delta=0.9, s=8)
         assert cfg.T == math.ceil(8 * np.log(4 / 0.9) / 0.9)
-        t = portfolio_run(dist, cfg, 16, 2, seed=5, num_blocks=8)
+        t = run_interaction(portfolio_verifier(dist, cfg, 16, 2, 8), HonestSqProver(dist, cfg), 5)
         assert t.outcome.kind == "hypothesis"
 
     def test_malicious_provers_are_safe(self):
@@ -526,7 +532,8 @@ class TestProtocol2:
         cfg = SqProtocolConfig.default(tau=0.05, epsilon=0.1, delta=0.2, s=16)
         base = portfolio_baseline(dist, 64, 8)
         for name in ("mass-shift", "atom-swap", "stale"):
-            t = portfolio_run(dist, cfg, 64, 8, seed=81, prover=make_sq_prover(name, dist, cfg))
+            t = run_interaction(portfolio_verifier(dist, cfg, 64, 8),
+                                make_sq_prover(name, dist, cfg), 81)
             if t.outcome.kind == "hypothesis":
                 assert portfolio_population_loss(t.outcome.hypothesis, dist) <= base + cfg.epsilon
 
