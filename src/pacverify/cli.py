@@ -187,6 +187,13 @@ def _distribution_kind(doc: dict, kinds: dict, what: str) -> str:
     return kind
 
 
+def _is_interval_list(value) -> bool:
+    """Whether ``value`` is a list of intervals [a, b] with 0 <= a <= b <= 1."""
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(x, (list, tuple)) and len(x) == 2 and all(type(v) in (int, float) for v in x)
+        and 0 <= x[0] <= x[1] <= 1 for x in value)
+
+
 def _build_interval_population(doc: dict, k: int) -> iv.IntervalPopulation:
     kind = _distribution_kind(doc, INTERVAL_POPULATIONS, "interval population")
     n_points = doc.get("n_points", 64)
@@ -201,9 +208,7 @@ def _build_interval_population(doc: dict, k: int) -> iv.IntervalPopulation:
         raise SpecError("distribution.band_fraction", "must be a number in (0, 0.5)")
     if kind == "grid":
         target = doc.get("target", [])
-        if not (isinstance(target, (list, tuple)) and all(
-                isinstance(x, (list, tuple)) and len(x) == 2 and all(type(v) in (int, float) for v in x)
-                and 0 <= x[0] <= x[1] <= 1 for x in target)):
+        if not _is_interval_list(target):
             raise SpecError("distribution.target",
                             "must be a list of intervals [a, b] with 0 <= a <= b <= 1")
         return iv.IntervalPopulation.grid_realizable(
@@ -243,7 +248,13 @@ def _intervals(spec: ExperimentSpec, p: dict) -> tuple:
     if cfg.m_p > MAX_ENTRIES:
         raise SpecError("params.d", f"m_p = {cfg.m_p} prover points must be <= {MAX_ENTRIES}")
     pop = _build_interval_population(spec.distribution, cfg.k)
-    loss_of = lambda payload: pop.loss01(iv.UnionOfIntervals(tuple(tuple(x) for x in payload)))
+
+    def loss_of(payload):
+        """Exact loss of a union of at most d intervals; any other payload is a ValueError."""
+        if not (_is_interval_list(payload) and len(payload) <= cfg.d):
+            raise ValueError(f"hypothesis must be at most {cfg.d} intervals [a, b] in [0, 1]")
+        return pop.loss01(iv.UnionOfIntervals(tuple(tuple(x) for x in payload)))
+
     return (cfg, lambda: iv.make_protocol1_verifier(pop, cfg),
             lambda: iv.make_interval_prover(spec.adversary, pop, cfg),
             lambda: iv.optimal_class_loss(pop, cfg.d), loss_of)
@@ -267,7 +278,14 @@ def _sq_verify(spec: ExperimentSpec, p: dict) -> tuple:
     if spec.adversary not in sq.SQ_PROVERS:
         raise SpecError("adversary", f"unknown sq prover {spec.adversary!r}")
     dist, N, n = _build_sq_distribution(spec.distribution, p["N"]), p["N"], p["n"]
-    loss_of = lambda payload: sq.portfolio_population_loss(payload, dist)
+
+    def loss_of(payload):
+        """Exact loss of a selection of n distinct items; any other payload is a ValueError."""
+        if not (isinstance(payload, (list, tuple)) and len(payload) == n
+                and all(type(i) is int and 0 <= i < N for i in payload) and len(set(payload)) == n):
+            raise ValueError(f"selection must be {n} distinct items in [0, {N})")
+        return sq.portfolio_population_loss(payload, dist)
+
     return (cfg, lambda: sq.make_sq_verifier(dist, sq.PortfolioAlgorithm(N, n, cfg.s), cfg,
                                              sq.portfolio_holdout_loss),
             lambda: sq.make_sq_prover(spec.adversary, dist, cfg),

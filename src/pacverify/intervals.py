@@ -2,9 +2,14 @@
 
 The honest prover partitions [0, 1] into k = 12d/epsilon intervals holding
 equal shares of its sample and reports per-interval label frequencies as
-exact integer counts. The verifier checks the equal-share identity exactly,
-runs the tolerant identity tester against the discretized population, and
-outputs the empirical-risk minimizer over the reported discretization.
+exact integer counts. It works band by band: it draws its sample's band
+counts, jitters and label draws, and sorts only the jitter of the bands that
+hold a cut rank, which gives exactly the claim that sorting the whole sample
+(``IntervalPopulation.sample``) and partitioning it
+(``honest_prover_partition``) gives from the same draws. The verifier checks
+the equal-share identity exactly, runs the tolerant identity tester against
+the discretized population, and outputs the empirical-risk minimizer over the
+reported discretization.
 """
 
 from __future__ import annotations
@@ -91,7 +96,9 @@ class IntervalPopulation:
         if hw > 0:
             if centers[0] - hw < 0 or centers[-1] + hw > 1:
                 raise ValueError("bands must stay inside [0, 1]")
-            if np.any(np.diff(centers) < 2 * hw):
+            # on the rounded edges, so that every jittered point of a band sorts
+            # at or below every point of the next
+            if np.any(centers[:-1] + hw > centers[1:] - hw):
                 raise ValueError("bands must be disjoint")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "masses", masses)
@@ -112,7 +119,9 @@ class IntervalPopulation:
 
         Bands are disjoint and ordered and labels are independent of x, so
         sorting the jittered x's keeps each band's points in one block, and
-        each sorted position draws its label from its own band.
+        each sorted position draws its label from its own band. This is the
+        point-level reference that ``HonestIntervalProver.build_message``
+        reproduces exactly from the same draws without materialising points.
         """
         counts = rng.multinomial(m, self.masses)
         xs = np.repeat(self.centers, counts)
@@ -235,8 +244,8 @@ class DiscretizedMessage:
 
     def to_payload(self) -> dict:
         return {
-            "boundaries": [float(b) for b in self.boundaries],
-            "counts": [[int(c0), int(c1)] for c0, c1 in self.counts],
+            "boundaries": self.boundaries.tolist(),
+            "counts": self.counts.tolist(),
             "denominator": int(self.denominator),
         }
 
@@ -264,7 +273,9 @@ def honest_prover_partition(xs: np.ndarray, ys: np.ndarray, k: int) -> Discretiz
     Each interval receives exactly m/k sample points as a multiset, split by
     sorted-index rank; cut points sit midway between consecutive distinct
     values, and duplicates spanning a cut share the boundary value (resolved
-    downstream by the half-open [a, b) convention).
+    downstream by the half-open [a, b) convention). Applied to
+    ``IntervalPopulation.sample``, this is the point-level reference that
+    ``HonestIntervalProver.build_message`` reproduces exactly.
     """
     m = len(xs)
     if m % k != 0:
@@ -377,8 +388,32 @@ class HonestIntervalProver:
         self.cfg = cfg
 
     def build_message(self, rng) -> DiscretizedMessage:
-        s_p = self.pop.sample(self.cfg.m_p, rng)
-        return honest_prover_partition(s_p.xs, s_p.ys, self.cfg.k)
+        """The equal-share claim of ``honest_prover_partition(pop.sample(m_p, rng))``,
+        from the same draws in the same order, read off the bands.
+
+        Sorted position r lies in the band whose cumulative count first
+        exceeds r, and takes the label draw r. Its value is the band's center
+        plus the band's r-th smallest jitter: bands are disjoint and in order,
+        and adding a constant keeps order under rounding. So only the jitter
+        blocks of bands holding a cut rank j * chunk - 1 or j * chunk are sorted.
+        """
+        pop, m, k, chunk = self.pop, self.cfg.m_p, self.cfg.k, self.cfg.chunk
+        counts = rng.multinomial(m, pop.masses)
+        hw = pop.halfwidth
+        jitter = rng.uniform(-hw, hw, size=m) if hw > 0 else np.zeros(m)
+        ones = np.count_nonzero((rng.random(m) < np.repeat(pop.label1, counts)).reshape(k, chunk),
+                                axis=1)
+        ends = np.cumsum(counts)
+        cuts = np.arange(chunk, m, chunk)
+        ranks = np.concatenate([cuts - 1, cuts])
+        bands = np.searchsorted(ends, ranks, side="right")
+        for b in np.unique(bands):
+            jitter[ends[b] - counts[b]:ends[b]].sort()
+        values = pop.centers[bands] + jitter[ranks]
+        left, right = values[:k - 1], values[k - 1:]
+        inner = np.where(left < right, 0.5 * (left + right), left)
+        boundaries = np.concatenate(([0.0], inner, [1.0]))
+        return DiscretizedMessage(boundaries, np.stack([chunk - ones, ones], axis=1), m)
 
     def edit(self, counts: np.ndarray) -> np.ndarray:
         """The claimed (k, 2) label counts, given the prover's own."""

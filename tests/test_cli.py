@@ -459,7 +459,9 @@ UNSCORABLE_OUTCOMES = {
     "no-outcome": (INTERVALS_SPEC, None),
     "intervals-one-endpoint": (INTERVALS_SPEC, [[0.5]]),
     "intervals-number": (INTERVALS_SPEC, 3),
+    "intervals-more-than-d": (INTERVALS_SPEC, [[0.0, 0.1], [0.2, 0.3], [0.4, 0.5], [0.6, 0.7]]),
     "sq-item-out-of-range": (SQ_SPEC, [99]),
+    "sq-repeated-item": (SQ_SPEC, [0] * 8),
     "sq-item-string": (SQ_SPEC, ["a"]),
     "sq-number": (SQ_SPEC, 3),
 }

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from pacverify.core import child_rng
 from pacverify.harness import ProtocolViolation, run_interaction
 from pacverify.identity_test import IdentityTestConfig, required_samples
 from pacverify.intervals import (
+    BAND_FRACTION,
     DiscretizedMessage,
     HonestIntervalProver,
     IntervalPopulation,
@@ -89,6 +91,62 @@ class TestHonestPartition:
             s = pop.sample(240, rng)
             msg = honest_prover_partition(s.xs, s.ys, k=12)
             assert (msg.counts.sum(axis=1) == 20).all()
+
+
+def banded(n_points, masses, label1):
+    centers = (np.arange(n_points) + 0.5) / n_points
+    return IntervalPopulation(centers, masses, label1, halfwidth=BAND_FRACTION / n_points)
+
+
+def random_bands(n_points, seed, zero_every=None):
+    rng = child_rng(seed)
+    masses = rng.random(n_points)
+    if zero_every:
+        masses[::zero_every] = 0.0
+    return banded(n_points, masses / masses.sum(), rng.random(n_points))
+
+
+# populations the band-level prover must reproduce the point-level reference on
+PROVER_POPULATIONS = {
+    "grid": lambda: IntervalPopulation.grid_realizable(64, TARGET),
+    "grid-few-bands": lambda: IntervalPopulation.grid_realizable(5, TARGET),
+    "grid-many-bands": lambda: IntervalPopulation.grid_realizable(600, TARGET),
+    "coin": lambda: banded(64, np.full(64, 1 / 64), np.full(64, 0.5)),
+    "random": lambda: random_bands(40, 61),
+    "zero-mass-bands": lambda: random_bands(30, 62, zero_every=3),
+    "touching-bands": lambda: IntervalPopulation(np.array([0.125, 0.375, 0.625, 0.875]),
+                                                 np.array([0.1, 0.4, 0.3, 0.2]),
+                                                 np.array([0.0, 0.3, 1.0, 0.6]), halfwidth=0.125),
+    "halfwidth-0": lambda: IntervalPopulation(np.array([0.1, 0.3, 0.5, 0.7, 0.9]),
+                                              np.array([0.1, 0.3, 0.2, 0.25, 0.15]),
+                                              np.array([0.2, 0.9, 0.5, 0.0, 1.0])),
+}
+
+
+class TestBandLevelProver:
+    """``build_message`` against the point-level reference: sort the whole
+    sample, then partition it."""
+
+    @pytest.mark.parametrize("d,epsilon,chunk", [(1, 0.5, 1), (2, 0.25, 37), (2, 0.1, 200)])
+    @pytest.mark.parametrize("population", PROVER_POPULATIONS.values(),
+                             ids=PROVER_POPULATIONS.keys())
+    def test_claim_equals_sort_and_partition(self, population, d, epsilon, chunk):
+        pop = population()
+        cfg = IntervalProtocolConfig.default(d, epsilon, 0.2)
+        cfg = dataclasses.replace(cfg, m_p=cfg.k * chunk)
+        for seed in range(4):
+            s = pop.sample(cfg.m_p, child_rng(seed))
+            expected = honest_prover_partition(s.xs, s.ys, cfg.k).to_payload()
+            claim = HonestIntervalProver(pop, cfg).build_message(child_rng(seed))
+            assert claim.to_payload() == expected, seed
+
+    def test_bands_whose_rounded_edges_cross_are_refused(self):
+        # b - a rounds to exactly 2 * hw, but a + hw rounds above b - hw, so a
+        # jittered point of the first band could sort above one of the second
+        a, b, hw = 0.11757078903470726, 0.2886075410881408, 0.08551837602671677
+        assert b - a == 2 * hw and a + hw > b - hw
+        with pytest.raises(ValueError, match="disjoint"):
+            IntervalPopulation(np.array([a, b]), np.array([0.5, 0.5]), np.zeros(2), halfwidth=hw)
 
 
 class TestWireFormat:
