@@ -1,4 +1,4 @@
-"""Experiment runner: rate tables, scaling sweeps, calibration, replay.
+"""Experiment runner: rate tables, the SQ gap sweep, the lower-bound crossing, replay.
 
 Reports are deterministic given the root seed: rerunning the same spec
 produces byte-identical JSON except for the wall-clock field, which is kept
@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import identity_test as it
 from . import intervals as iv
 from . import lowerbound as lb
 from . import sq
@@ -353,11 +352,6 @@ PROTOCOLS = {
         build=_lowerbound,
         run=lambda p, seed: {"crossing": lb.crossing_experiment(p["ds"], p["trials_per_point"],
                                                                 seed)})},
-    "identity-calibrate": {None: Experiment("calibrate", {
-        "n": ("size", REQUIRED), "epsilon": ("unit", REQUIRED), "delta": ("unit", REQUIRED),
-        "runs": ("int", 200)},
-        lambda r: _table(r["calibration"]["grid"], ("constant_C", "samples", "passes")),
-        run=lambda p, seed: {"calibration": it.calibrate(**p, seed=seed)})},
 }
 
 
@@ -505,10 +499,6 @@ DEFAULT_SPECS = {
     "lowerbound": {
         "protocol": "lowerbound",
         "params": {"ds": [64, 256, 1024, 4096], "trials_per_point": 3000},
-    },
-    "calibrate": {
-        "protocol": "identity-calibrate",
-        "params": {"n": 100, "epsilon": 0.1, "delta": 0.1, "runs": 200},
     },
 }
 

@@ -64,11 +64,6 @@ class DiscreteDistribution:
         return len(self.support)
 
 
-def tv_from_probs(p: np.ndarray, q: np.ndarray) -> float:
-    """TV between two aligned probability vectors."""
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
-
-
 @dataclass(frozen=True)
 class LabeledSample:
     """An i.i.d. sample of (x, y) pairs, in the order its sampler returns them."""

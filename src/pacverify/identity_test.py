@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteDistribution, child_rng, tv_from_probs
-
 
 @dataclass(frozen=True)
 class IdentityTestConfig:
@@ -92,96 +90,3 @@ def test_from_counts(ref: np.ndarray, counts: np.ndarray, cfg: IdentityTestConfi
         return TestVerdict(accept=False, statistic=math.inf, samples_used=m)
     stat = _statistic(counts, ref, m, cfg.n)
     return TestVerdict(accept=stat < _threshold(ref, m, cfg), statistic=stat, samples_used=m)
-
-
-def planted_shift(probs: np.ndarray, tv: float) -> np.ndarray:
-    """A distribution at exactly `tv` total variation from `probs`.
-
-    Moves mass from odd-indexed to even-indexed atoms, spread as evenly as
-    the available mass allows. Used by calibration and by tests that plant
-    known distances.
-    """
-    probs = np.asarray(probs, dtype=float)
-    if tv == 0.0:
-        return probs.copy()
-    shifted = probs.copy()
-    donors = list(range(1, len(probs), 2))
-    receivers = list(range(0, len(probs), 2))
-    per = tv / len(donors)
-    remaining = tv
-    for i in donors:
-        take = min(per, shifted[i], remaining)
-        shifted[i] -= take
-        remaining -= take
-    if remaining > 1e-15:
-        for i in donors:  # second pass for atoms lighter than the even share
-            take = min(shifted[i], remaining)
-            shifted[i] -= take
-            remaining -= take
-            if remaining <= 1e-15:
-                break
-    if remaining > 1e-12:
-        raise ValueError(f"cannot plant TV {tv}: donors too light")
-    moved = tv - remaining
-    shifted[receivers] += moved / len(receivers)
-    achieved = tv_from_probs(probs, shifted)
-    if abs(achieved - tv) > 1e-9:
-        raise AssertionError(f"planted {achieved}, wanted {tv}")
-    return shifted
-
-
-def accept_rate(cfg: IdentityTestConfig, ref: DiscreteDistribution, source_probs: np.ndarray,
-                runs: int, seed: int) -> float:
-    """Empirical acceptance rate of the tester over independent runs."""
-    m_total = required_samples(cfg)
-    accepted = 0
-    for run in range(runs):
-        counts = child_rng(seed, run).multinomial(m_total, source_probs)
-        if test_from_counts(ref.probs, counts, cfg).accept:
-            accepted += 1
-    return accepted / runs
-
-
-def calibrate(n: int, epsilon: float, delta: float, runs: int, seed: int,
-              c_grid: tuple = (0.5, 1.0, 2.0, 4.0, 8.0)) -> dict:
-    """Search the smallest sample-size constant meeting the tester contract.
-
-    For each candidate C, plants TV in {0, inner, eps/2, eps, 2*eps} against
-    a uniform reference and measures acceptance rates. A constant passes when
-    acceptance is >= 1-delta inside the inner radius, rejection is >= 1-delta
-    at and beyond epsilon, and the measured curve is monotone decreasing.
-    Returns a JSON-ready report.
-    """
-    ref = DiscreteDistribution.uniform(tuple(range(n)))
-    results = []
-    chosen = None
-    for c in c_grid:
-        cfg = IdentityTestConfig(n=n, epsilon=epsilon, delta=delta, constant_C=c)
-        grid = [0.0, cfg.inner, epsilon / 2.0, epsilon, 2.0 * epsilon]
-        rates = [accept_rate(cfg, ref, planted_shift(ref.probs, tv), runs, seed) for tv in grid]
-        ok = (
-            rates[0] >= 1.0 - delta
-            and rates[1] >= 1.0 - delta
-            and rates[3] <= delta
-            and rates[4] <= delta
-            and all(rates[i] >= rates[i + 1] - 1e-12 for i in range(len(rates) - 1))
-        )
-        results.append({
-            "constant_C": c,
-            "samples": required_samples(cfg),
-            "planted_tv": grid,
-            "accept_rates": rates,
-            "passes": ok,
-        })
-        if ok and chosen is None:
-            chosen = c
-    return {
-        "n": n,
-        "epsilon": epsilon,
-        "delta": delta,
-        "runs_per_point": runs,
-        "seed": seed,
-        "repetitions": 1,  # one sample per test; the key keeps the report format
-        "grid": results,
-        "smallest_passing_C": chosen,
-    }

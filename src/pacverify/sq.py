@@ -179,7 +179,8 @@ class SqProtocolConfig:
     @classmethod
     def default(cls, tau: float, epsilon: float, delta: float, s: int, b: int = 1,
                 c_v: float = 4.0, c_p: float = 16.0) -> "SqProtocolConfig":
-        """Budgets at the protocol's asymptotic shapes with calibrated constants.
+        """Budgets at the protocol's asymptotic shapes, with the fixed constants
+        c_v = 4 and c_p = 16 at which acceptance criterion 6 holds.
 
         m_v ~ sqrt(s) log(1/delta') / tau^2 (the tolerant tester at the worst
         admissible atom count), m_p ~ s^2 / tau^2 (prover accuracy well inside

@@ -1,13 +1,17 @@
-"""Independent reference implementations used to cross-check the package.
+"""Independent reference implementations used to cross-check the package,
+and the test-only helpers that plant known distances and measure the tester.
 
-Everything here is deliberately brute-force and written against the problem
-statements, not against the library code paths it checks.
+The references are deliberately brute-force and written against the problem
+statements, not against the library code paths they check.
 """
 
 import math
 from itertools import combinations, product
 
 import numpy as np
+
+from pacverify.core import DiscreteDistribution, child_rng
+from pacverify.identity_test import IdentityTestConfig, required_samples, test_from_counts
 
 
 def bruteforce_interval_erm(mass0, mass1, d):
@@ -180,9 +184,7 @@ def reference_interval_sample(pop, m, rng):
     """m i.i.d. labeled points of an IntervalPopulation, band by band, then
     shuffled into i.i.d. order. Returns (xs, ys)."""
     counts = rng.multinomial(m, pop.masses)
-    xs = np.repeat(pop.centers, counts)
-    if pop.halfwidth > 0:
-        xs = xs + rng.uniform(-pop.halfwidth, pop.halfwidth, size=m)
+    xs = np.repeat(pop.centers, counts) + rng.uniform(-pop.halfwidth, pop.halfwidth, size=m)
     ys = np.zeros(m, dtype=np.int64)
     start = 0
     for c, p1 in zip(counts, pop.label1):
@@ -194,16 +196,11 @@ def reference_interval_sample(pop, m, rng):
 
 def reference_interval_label_masses(pop, boundaries):
     """Pushforward masses (k, 2) of an IntervalPopulation onto the
-    (interval, label) cells of [b_{j-1}, b_j): point masses placed by
-    ``searchsorted``, bands cut one interval at a time."""
+    (interval, label) cells of [b_{j-1}, b_j), its bands cut one interval at
+    a time."""
     boundaries = np.asarray(boundaries, dtype=float)
     k = len(boundaries) - 1
     out = np.zeros((k, 2))
-    if pop.halfwidth == 0.0:
-        j = np.searchsorted(boundaries[1:-1], pop.centers, side="right")
-        np.add.at(out[:, 1], j, pop.masses * pop.label1)
-        np.add.at(out[:, 0], j, pop.masses * (1.0 - pop.label1))
-        return out
     lo = pop.centers - pop.halfwidth
     hi = pop.centers + pop.halfwidth
     for j in range(k):
@@ -259,7 +256,6 @@ def reference_sq_verifier(dist, alg, cfg, holdout_loss):
     order as ``make_sq_verifier``."""
     from pacverify import sq
     from pacverify.harness import VerifierOutcome
-    from pacverify.identity_test import test_from_counts
 
     def simulate(counts_v, channel, iteration, rng):
         alg.reset(rng)
@@ -296,3 +292,55 @@ def reference_sq_verifier(dist, alg, cfg, holdout_loss):
         return VerifierOutcome.of(candidates[int(np.argmin(losses))])
 
     return verifier
+
+
+def tv_from_probs(p: np.ndarray, q: np.ndarray) -> float:
+    """TV between two aligned probability vectors."""
+    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+
+
+def planted_shift(probs: np.ndarray, tv: float) -> np.ndarray:
+    """A distribution at exactly `tv` total variation from `probs`.
+
+    Moves mass from odd-indexed to even-indexed atoms, spread as evenly as
+    the available mass allows. Used by tests that plant known distances.
+    """
+    probs = np.asarray(probs, dtype=float)
+    if tv == 0.0:
+        return probs.copy()
+    shifted = probs.copy()
+    donors = list(range(1, len(probs), 2))
+    receivers = list(range(0, len(probs), 2))
+    per = tv / len(donors)
+    remaining = tv
+    for i in donors:
+        take = min(per, shifted[i], remaining)
+        shifted[i] -= take
+        remaining -= take
+    if remaining > 1e-15:
+        for i in donors:  # second pass for atoms lighter than the even share
+            take = min(shifted[i], remaining)
+            shifted[i] -= take
+            remaining -= take
+            if remaining <= 1e-15:
+                break
+    if remaining > 1e-12:
+        raise ValueError(f"cannot plant TV {tv}: donors too light")
+    moved = tv - remaining
+    shifted[receivers] += moved / len(receivers)
+    achieved = tv_from_probs(probs, shifted)
+    if abs(achieved - tv) > 1e-9:
+        raise AssertionError(f"planted {achieved}, wanted {tv}")
+    return shifted
+
+
+def accept_rate(cfg: IdentityTestConfig, ref: DiscreteDistribution, source_probs: np.ndarray,
+                runs: int, seed: int) -> float:
+    """Empirical acceptance rate of the tester over independent runs."""
+    m_total = required_samples(cfg)
+    accepted = 0
+    for run in range(runs):
+        counts = child_rng(seed, run).multinomial(m_total, source_probs)
+        if test_from_counts(ref.probs, counts, cfg).accept:
+            accepted += 1
+    return accepted / runs

@@ -10,18 +10,20 @@ import time
 
 import numpy as np
 import pytest
-from oracles import bruteforce_interval_erm, exact_no_collision, true_atom_probs
+from oracles import (
+    accept_rate,
+    bruteforce_interval_erm,
+    exact_no_collision,
+    planted_shift,
+    true_atom_probs,
+)
 
 from pacverify import cli
 from pacverify import intervals as iv
 from pacverify import lowerbound as lb
 from pacverify import sq
 from pacverify.core import DiscreteDistribution, child_rng
-from pacverify.identity_test import (
-    IdentityTestConfig,
-    accept_rate,
-    planted_shift,
-)
+from pacverify.identity_test import IdentityTestConfig
 
 
 _EMIT = None

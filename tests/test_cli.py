@@ -103,11 +103,12 @@ class TestSpecValidation:
         assert f"spec error: {field}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,doc,field", [
-        ("calibrate", {"params": {"n": 1}}, "params.n"),
-        ("calibrate", {"params": {"n": 2.0}}, "params.n"),
-        ("calibrate", {"params": {"epsilon": 1.5}}, "params.epsilon"),
-        ("calibrate", {"params": {"delta": 0}}, "params.delta"),
-        ("calibrate", {"params": {"runs": 0}}, "params.runs"),
+        # one bad value for each check kind: "size", "int" and "unit"
+        ("lowerbound", {"params": {"ds": [64, 2.0]}}, "params.ds"),
+        ("lowerbound", {"params": {"trials_per_point": 2.0}}, "params.trials_per_point"),
+        ("sq-verify", {"params": {"N": 0}}, "params.N"),
+        ("sq-verify", {"params": {"epsilon": 1.5}}, "params.epsilon"),
+        ("sq-verify", {"params": {"delta": 0}}, "params.delta"),
         ("lowerbound", {"params": {"ds": []}}, "params.ds"),
         ("lowerbound", {"params": {"ds": [64, 1]}}, "params.ds"),
         ("lowerbound", {"params": {"ds": "64"}}, "params.ds"),
@@ -125,10 +126,19 @@ class TestSpecValidation:
         assert cli.main([command, "--spec", str(path)]) == 2
         assert f"spec error: {field}:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["lowerbound", "calibrate"])
-    def test_trials_flag_on_one_shot_kind_exits_2(self, capsys, command):
-        assert cli.main([command, "--trials", "5"]) == 2
+    @pytest.mark.parametrize("kind", ["lowerbound", "sq-gap"])
+    def test_trials_flag_on_one_shot_kind_exits_2(self, tmp_path, capsys, kind):
+        command, doc, _ = KIND_SPECS[kind]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([command, "--spec", str(path), "--trials", "5"]) == 2
         assert capsys.readouterr().err.startswith("spec error: trials:")
+
+    def test_calibrate_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["calibrate"])
+        assert exit_.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_bad_distribution_kind(self):
         doc = dict(INTERVALS_SPEC, distribution={"kind": "cauchy"})
@@ -200,8 +210,7 @@ class TestSpecValidation:
         (dict(INTERVALS_SPEC, params=dict(INTERVALS_SPEC["params"], c_P=100)), "params.c_P"),
         (dict(SQ_SPEC, params=dict(SQ_SPEC["params"], ds=[4, 16])), "params.ds"),
         ({"protocol": "sq", "params": {"experiment": "gap", "N": 64}}, "params.N"),
-        ({"protocol": "identity-calibrate", "params": {"n": 100, "epsilon": 0.1, "delta": 0.1,
-                                                        "trials_per_point": 5}},
+        ({"protocol": "sq", "params": {"experiment": "gap", "trials_per_point": 5}},
          "params.trials_per_point"),
         # only sq picks an experiment, and only by name
         (dict(INTERVALS_SPEC, params=dict(INTERVALS_SPEC["params"], experiment="verify")),
@@ -217,8 +226,8 @@ class TestSpecValidation:
         (dict(GAP_SPEC, record_transcripts=False), "record_transcripts"),
         (dict(cli.DEFAULT_SPECS["lowerbound"], trials=7), "trials"),
         (dict(cli.DEFAULT_SPECS["lowerbound"], distribution={"kind": "zipf"}), "distribution"),
-        (dict(cli.DEFAULT_SPECS["calibrate"], adversary="honest "), "adversary"),
-        (dict(cli.DEFAULT_SPECS["calibrate"], record_transcripts=True), "record_transcripts"),
+        (dict(cli.DEFAULT_SPECS["lowerbound"], adversary="honest "), "adversary"),
+        (dict(cli.DEFAULT_SPECS["lowerbound"], record_transcripts=True), "record_transcripts"),
         # a distribution kind takes only the fields it reads
         (dict(SQ_SPEC, distribution={"kind": "zipf", "aa": 3}), "distribution.aa"),
         (dict(SQ_SPEC, distribution={"kind": "zipf", "probs": [1 / 64] * 64}),
@@ -236,6 +245,9 @@ class TestSpecValidation:
          "distribution.band_fraction"),
         (dict(INTERVALS_SPEC, distribution={"kind": "coin", "band_fraction": 0.0}),
          "distribution.band_fraction"),
+        # the retired tester calibration is no kind
+        ({"protocol": "identity-calibrate", "params": {"n": 100, "epsilon": 0.1, "delta": 0.1}},
+         "protocol"),
     ])
     def test_malformed_or_oversized_field_is_spec_error(self, doc, field):
         with pytest.raises(cli.SpecError) as err:
@@ -255,9 +267,8 @@ class TestSpecValidation:
     def test_size_at_cap_is_valid(self, doc):
         cli.ExperimentSpec.from_doc(doc).validate()
 
-    @pytest.mark.parametrize("doc", [GAP_SPEC, cli.DEFAULT_SPECS["lowerbound"],
-                                     cli.DEFAULT_SPECS["calibrate"]],
-                             ids=["sq-gap", "lowerbound", "calibrate"])
+    @pytest.mark.parametrize("doc", [GAP_SPEC, cli.DEFAULT_SPECS["lowerbound"]],
+                             ids=["sq-gap", "lowerbound"])
     def test_one_shot_kind_takes_trial_fields_at_their_defaults(self, doc):
         cli.ExperimentSpec.from_doc(dict(doc, trials=1, adversary="honest", distribution={},
                                          record_transcripts=None)).validate()
@@ -307,13 +318,12 @@ FUZZ_BASES = {
                         params=dict(SQ_SPEC["params"], N=4, n=2)),
     "sq-gap": GAP_SPEC,
     "lowerbound": cli.DEFAULT_SPECS["lowerbound"],
-    "calibrate": cli.DEFAULT_SPECS["calibrate"],
 }
 FUZZ_FIELDS = {
     None: ["protocol", "distribution", "adversary", "params", "trials", "root_seed",
            "record_transcripts"],
     "params": ["d", "epsilon", "delta", "c_v", "c_p", "N", "n", "num_blocks", "b", "tau",
-               "experiment", "ds", "runs", "trials_per_point"],
+               "experiment", "ds", "trials_per_point"],
     "distribution": ["kind", "n_points", "target", "band_fraction", "a", "probs"],
 }
 
@@ -525,7 +535,7 @@ class TestReplay:
         assert cli.main(["replay", str(path)]) == 2
         assert capsys.readouterr().err.startswith("spec error: trials[0]:")
 
-    @pytest.mark.parametrize("kind", ["sq-gap", "lowerbound", "calibrate"])
+    @pytest.mark.parametrize("kind", ["sq-gap", "lowerbound"])
     def test_report_without_verified_trials_exits_2(self, tmp_path, capsys, kind):
         command, doc, _ = KIND_SPECS[kind]
         path = tmp_path / "spec.json"
@@ -650,8 +660,6 @@ KIND_SPECS = {
     "lowerbound": ("lowerbound", {"protocol": "lowerbound", "params": {
         "ds": [64, 256], "trials_per_point": 500}},
         "d,t,trials,success_rate,collision_rate,tv_estimate"),
-    "calibrate": ("calibrate", {"protocol": "identity-calibrate", "params": {
-        "n": 20, "epsilon": 0.2, "delta": 0.2}}, "constant_C,samples,passes"),
 }
 TABLE_KINDS = sorted({experiment.name for kinds in cli.PROTOCOLS.values()
                       for experiment in kinds.values()})

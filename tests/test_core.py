@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bruteforce_vc_intervals
+from oracles import bruteforce_vc_intervals, tv_from_probs
 
-from pacverify.core import DiscreteDistribution, child_rng, tv_from_probs
+from pacverify.core import DiscreteDistribution, child_rng
 from pacverify.harness import ProtocolViolation, parse_counts
 from pacverify.intervals import IntervalPopulation, UnionOfIntervals
 
@@ -67,9 +67,9 @@ class TestTotalVariation:
 
 class TestLosses:
     def test_population_loss_exact(self):
-        # point masses (0.1, 1), (0.5, 0), (0.9, 1) with weights 1/2, 1/4, 1/4
+        # narrow bands at (0.1, 1), (0.5, 0), (0.9, 1) with weights 1/2, 1/4, 1/4
         pop = IntervalPopulation(np.array([0.1, 0.5, 0.9]), np.array([0.5, 0.25, 0.25]),
-                                 np.array([1.0, 0.0, 1.0]))
+                                 np.array([1.0, 0.0, 1.0]), halfwidth=0.01)
         # h = 1 on (0.4, 1] mislabels (0.1, 1) and (0.5, 0)
         assert pop.loss01(UnionOfIntervals(((0.4, 1.0),))) == pytest.approx(0.75)
 

@@ -2,17 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracles import accept_rate, planted_shift, tv_from_probs
 
 from pacverify import identity_test as it
 from pacverify import intervals as iv
-from pacverify.core import DiscreteDistribution, child_rng, tv_from_probs
-from pacverify.identity_test import (
-    IdentityTestConfig,
-    accept_rate,
-    calibrate,
-    planted_shift,
-    required_samples,
-)
+from pacverify.core import DiscreteDistribution, child_rng
+from pacverify.identity_test import IdentityTestConfig, required_samples
 
 CFG = IdentityTestConfig(n=100, epsilon=0.1, delta=0.1)
 
@@ -98,13 +93,3 @@ class TestVerdicts:
         for earlier, later in zip(rates, rates[1:]):
             assert earlier >= later - 0.05
 
-
-class TestCalibration:
-    def test_reports_smallest_passing_constant(self):
-        report = calibrate(n=20, epsilon=0.2, delta=0.2, runs=60, seed=0,
-                           c_grid=(1.0, 4.0))
-        assert report["smallest_passing_C"] in (1.0, 4.0)
-        assert len(report["grid"]) == 2
-        # budget grows with C
-        samples = [row["samples"] for row in report["grid"]]
-        assert samples == sorted(samples)

@@ -117,9 +117,6 @@ PROVER_POPULATIONS = {
     "touching-bands": lambda: IntervalPopulation(np.array([0.125, 0.375, 0.625, 0.875]),
                                                  np.array([0.1, 0.4, 0.3, 0.2]),
                                                  np.array([0.0, 0.3, 1.0, 0.6]), halfwidth=0.125),
-    "halfwidth-0": lambda: IntervalPopulation(np.array([0.1, 0.3, 0.5, 0.7, 0.9]),
-                                              np.array([0.1, 0.3, 0.2, 0.25, 0.15]),
-                                              np.array([0.2, 0.9, 0.5, 0.0, 1.0])),
 }
 
 
@@ -147,6 +144,13 @@ class TestBandLevelProver:
         assert b - a == 2 * hw and a + hw > b - hw
         with pytest.raises(ValueError, match="disjoint"):
             IntervalPopulation(np.array([a, b]), np.array([0.5, 0.5]), np.zeros(2), halfwidth=hw)
+
+    @pytest.mark.parametrize("halfwidth", [0.0, -0.01, float("nan")])
+    def test_bands_without_positive_width_are_refused(self, halfwidth):
+        # point masses would put the equal-share cut points on atoms
+        with pytest.raises(ValueError, match="halfwidth"):
+            IntervalPopulation(np.array([0.25, 0.75]), np.array([0.5, 0.5]), np.zeros(2),
+                               halfwidth=halfwidth)
 
 
 class TestWireFormat:
@@ -180,7 +184,7 @@ class TestDiscretize:
 
     def test_identity_when_supported_on_representatives(self):
         pop = IntervalPopulation(np.array([0.125, 0.625]), np.array([0.4, 0.6]),
-                                 np.array([0.0, 1.0]))
+                                 np.array([0.0, 1.0]), halfwidth=0.01)
         table = pop.interval_label_masses(np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
         assert table[0, 0] == pytest.approx(0.4)
         assert table[2, 1] == pytest.approx(0.6)
@@ -194,7 +198,8 @@ class TestDiscretize:
         assert np.allclose(table[:, 0], 0.0)
 
     def test_same_interval_masses_merge(self):
-        pop = IntervalPopulation(np.array([0.30, 0.40]), np.array([0.7, 0.3]), np.ones(2))
+        pop = IntervalPopulation(np.array([0.30, 0.40]), np.array([0.7, 0.3]), np.ones(2),
+                                 halfwidth=0.01)
         table = pop.interval_label_masses(np.array([0.0, 0.25, 0.5, 1.0]))
         assert table[1, 1] == pytest.approx(1.0)
 
@@ -354,14 +359,14 @@ class TestSamplingLaw:
         inners = [
             np.sort(rng.random(6)),
             np.repeat(np.sort(rng.random(3)), [1, 3, 2]),
-            np.sort(np.concatenate([pop.centers, edges])),  # on the point masses and band edges
+            np.sort(np.concatenate([pop.centers, edges])),  # on the band centers and edges
             np.array([0.3, 0.3, 0.5, 0.5]),
             np.zeros(5),
             np.ones(5),
         ]
         return [np.concatenate(([0.0], np.clip(inner, 0.0, 1.0), [1.0])) for inner in inners]
 
-    @pytest.mark.parametrize("halfwidth", [0.0, 0.05])
+    @pytest.mark.parametrize("halfwidth", [0.05])
     def test_label_masses_match_reference(self, halfwidth):
         pop = self.pop(halfwidth)
         for boundaries in self.boundary_sets(pop):
@@ -385,7 +390,7 @@ class TestSamplingLaw:
         shifted = self.pop(0.05, label1=self.BANDS["label1"] + [0, 0, 0.1, 0, 0])
         assert same_law_columns(self.chunk_ones(reference_interval_sample, shifted, 3000, 3), ref)
 
-    @pytest.mark.parametrize("halfwidth", [0.0, 0.05])
+    @pytest.mark.parametrize("halfwidth", [0.05])
     def test_verifier_counts_match_reference(self, halfwidth):
         pop = self.pop(halfwidth)
         m, reps = 50, 2000

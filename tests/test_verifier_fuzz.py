@@ -14,7 +14,9 @@ from pacverify.harness import run_interaction
 IV_CFG = iv.IntervalProtocolConfig.default(1, 0.5, 0.5)
 IV_POP = iv.IntervalPopulation.grid_realizable(8, iv.UnionOfIntervals(((0.25, 0.5),)))
 IV_PAYLOAD = iv.HonestIntervalProver(IV_POP, IV_CFG).open(child_rng(0))
-IV_POINT_POP = iv.IntervalPopulation(IV_POP.centers, IV_POP.masses, IV_POP.label1)
+# the same bands at half-width 1e-3, close to point masses
+IV_NARROW_POP = iv.IntervalPopulation(IV_POP.centers, IV_POP.masses, IV_POP.label1,
+                                      halfwidth=1e-3)
 
 SQ_DIST = sq.zipf_distribution(8)
 SQ_CFG = sq.SqProtocolConfig.default(tau=0.2, epsilon=0.5, delta=0.5, s=4)
@@ -87,7 +89,7 @@ def test_sq_verifier_never_raises(data):
 def adversarial_boundaries(data):
     """k + 1 sorted boundaries from 0 to 1 chosen to stress the pushforward:
     any floats, runs of duplicates, consecutive floats (subnormal spacing
-    near 0, one ulp apart elsewhere, also on a point mass), or every
+    near 0, one ulp apart elsewhere, also on a band center), or every
     population point inside one interval."""
     n = IV_CFG.k - 1
     kind = data.draw(st.sampled_from(["floats", "duplicates", "consecutive", "one-interval"]))
@@ -113,7 +115,7 @@ def adversarial_boundaries(data):
 def test_intervals_verifier_adversarial_boundaries(data):
     """Claims of valid shape that pass the equal-share gate, so untrusted
     boundaries reach the verifier's multinomial draw."""
-    pop = data.draw(st.sampled_from([IV_POP, IV_POINT_POP]))
+    pop = data.draw(st.sampled_from([IV_POP, IV_NARROW_POP]))
     zeros = data.draw(st.lists(st.integers(0, IV_CFG.chunk), min_size=IV_CFG.k, max_size=IV_CFG.k))
     payload = {"boundaries": adversarial_boundaries(data),
                "counts": [[c, IV_CFG.chunk - c] for c in zeros],
