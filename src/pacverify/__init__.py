@@ -6,7 +6,7 @@ protocol (intervals), the statistical-query protocol (sq), the square-root
 lower-bound experiments (lowerbound), and the experiment CLI (cli).
 """
 
-from .core import DiscreteDistribution, LabeledSample, child_rng
+from .core import DiscreteDistribution, child_rng
 from .harness import (
     ProtocolViolation,
     Transcript,
@@ -19,7 +19,6 @@ from .identity_test import IdentityTestConfig, required_samples
 __all__ = [
     "DiscreteDistribution",
     "IdentityTestConfig",
-    "LabeledSample",
     "ProtocolViolation",
     "Transcript",
     "VerifierOutcome",

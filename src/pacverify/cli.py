@@ -224,16 +224,19 @@ def _build_sq_distribution(doc: dict, N: int):
     if kind == "zipf":
         if "a" in doc:
             _check("distribution.a", doc["a"], "finite")
-        return sq.zipf_distribution(N, **_given(doc, "a"))
+        try:
+            return sq.zipf_distribution(N, **_given(doc, "a"))
+        except ValueError as exc:  # 1 / N**a overflows for a far below 0
+            raise SpecError("distribution.a", f"gives no distribution on {N} items ({exc})") from exc
     if kind == "uniform":
-        return DiscreteDistribution.uniform(tuple(range(N)))
+        return DiscreteDistribution.uniform(N)
     probs = doc.get("probs")  # explicit
     if not (isinstance(probs, (list, tuple)) and len(probs) == N
             and all(type(x) in (int, float) and 0 <= x <= 1 for x in probs)):
         raise SpecError("distribution.probs", f"must list exactly {N} probabilities")
     if abs(float(np.sum(probs)) - 1.0) > 1e-9:
         raise SpecError("distribution.probs", "must sum to 1")
-    return DiscreteDistribution.from_probs(tuple(range(N)), probs)
+    return DiscreteDistribution(probs)
 
 
 def _intervals(spec: ExperimentSpec, p: dict) -> tuple:
@@ -511,7 +514,7 @@ def _read_json(path: str, what: str):
             return json.load(f)
     except OSError as exc:
         raise SpecError(what, f"cannot read {path} ({exc.strerror})") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SpecError(what, f"not a JSON file ({exc})") from exc
 
 

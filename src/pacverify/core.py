@@ -1,9 +1,8 @@
-"""Shared primitives: discrete distributions, labeled samples, seeded RNG splitting."""
+"""Shared primitives: distributions over 0..N-1 and seeded RNG splitting."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -22,60 +21,27 @@ def child_rng(root_seed: int, *path: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """A finitely supported probability distribution over opaque identifiers.
+    """A probability distribution over 0..N-1, given by its probability vector.
 
-    ``support`` is an ordered tuple of distinct identifiers. ``probs`` holds
-    one weight per identifier, nonnegative, summing to one within 1e-9.
+    ``probs`` is a nonempty 1-D vector of nonnegative masses summing to one
+    within 1e-9 (so none is NaN or infinite); entry i is the mass of element i.
     """
 
-    support: tuple
     probs: np.ndarray
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "probs", probs)
-        if len(self.support) != len(probs):
-            raise ValueError("support and probs must have equal length")
-        if len(set(self.support)) != len(self.support):
-            raise ValueError("support identifiers must be distinct")
+        if probs.ndim != 1 or probs.size == 0:
+            raise ValueError("probs must be a nonempty 1-D vector")
         if np.any(probs < -MASS_TOL):
             raise ValueError("negative mass")
-        if abs(float(probs.sum()) - 1.0) > 1e-9:
+        if not abs(float(probs.sum()) - 1.0) <= 1e-9:
             raise ValueError(f"masses sum to {probs.sum()}, expected 1")
 
     @classmethod
-    def from_counts(cls, support: Sequence, counts: Sequence[int]) -> "DiscreteDistribution":
-        counts = np.asarray(counts, dtype=np.int64)
-        denom = int(counts.sum())
-        if denom <= 0:
-            raise ValueError("counts must have positive total")
-        return cls(tuple(support), counts / denom)
-
-    @classmethod
-    def from_probs(cls, support: Sequence, probs: Sequence[float]) -> "DiscreteDistribution":
-        return cls(tuple(support), np.asarray(probs, dtype=float))
-
-    @classmethod
-    def uniform(cls, support: Sequence) -> "DiscreteDistribution":
-        n = len(support)
-        return cls(tuple(support), np.full(n, 1.0 / n))
+    def uniform(cls, n: int) -> "DiscreteDistribution":
+        return cls(np.full(n, 1.0 / n))
 
     def __len__(self) -> int:
-        return len(self.support)
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """An i.i.d. sample of (x, y) pairs, in the order its sampler returns them."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "xs", np.asarray(self.xs))
-        object.__setattr__(self, "ys", np.asarray(self.ys))
-        if len(self.xs) != len(self.ys):
-            raise ValueError("xs and ys must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.xs)
+        return len(self.probs)

@@ -110,7 +110,7 @@ class Transcript:
                     transcript.messages.append(Message(doc["sender"], doc["round"], doc["payload"]))
             except KeyError as exc:
                 raise TranscriptParseError(lineno, f"missing field {exc}") from exc
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise TranscriptParseError(lineno, str(exc)) from exc
         return transcript
 
@@ -153,7 +153,7 @@ class ProverChannel:
             raise ProtocolViolation("prover sent no message")
         try:  # strict JSON: NaN and infinity are not JSON numbers
             json.dumps(payload, allow_nan=False)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:
             raise ProtocolViolation(f"unserializable prover payload: {exc}") from exc
         self._log("prover", payload)
         return payload

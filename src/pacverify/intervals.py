@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledSample, child_rng
+from .core import child_rng
 from .harness import (
     GarbageProver,
     ProtocolViolation,
@@ -113,8 +113,8 @@ class IntervalPopulation:
         labels = target.contains(centers).astype(float)
         return cls(centers, np.full(n_points, 1.0 / n_points), labels, halfwidth=hw)
 
-    def sample(self, m: int, rng: np.random.Generator) -> LabeledSample:
-        """Draw m i.i.d. labeled points, returned sorted by x.
+    def sample(self, m: int, rng: np.random.Generator) -> tuple:
+        """Draw m i.i.d. labeled points, returned sorted by x as (xs, ys).
 
         Bands are disjoint and ordered and labels are independent of x, so
         sorting the jittered x's keeps each band's points in one block, and
@@ -126,7 +126,7 @@ class IntervalPopulation:
         xs = np.sort(np.repeat(self.centers, counts)
                      + rng.uniform(-self.halfwidth, self.halfwidth, size=m))
         ys = (rng.random(m) < np.repeat(self.label1, counts)).astype(np.int64)
-        return LabeledSample(xs, ys)
+        return xs, ys
 
     def _coverage(self, h: UnionOfIntervals) -> np.ndarray:
         """Fraction of each band covered by h."""
@@ -387,7 +387,7 @@ class HonestIntervalProver:
         self.cfg = cfg
 
     def build_message(self, rng) -> DiscretizedMessage:
-        """The equal-share claim of ``honest_prover_partition(pop.sample(m_p, rng))``,
+        """The equal-share claim of ``honest_prover_partition(*pop.sample(m_p, rng), k)``,
         from the same draws in the same order, read off the bands.
 
         Sorted position r lies in the band whose cumulative count first

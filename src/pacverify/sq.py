@@ -270,21 +270,13 @@ def portfolio_population_loss(selection, dist: DiscreteDistribution) -> float:
 
 
 # ---------------------------------------------------------------------------
-# SQ oracles for direct (unverified) simulation
+# direct (unverified) simulation
 
 
-class ExactOracle:
-    """Answers every query with its exact expectation."""
-
-    def __init__(self, dist: DiscreteDistribution):
-        self.probs = dist.probs
-
-    def evaluate_batch(self, batch: QueryBatch) -> np.ndarray:
-        return batch.matrix().astype(float) @ self.probs
-
-
-def simulate_algorithm(alg: SqAlgorithm, oracle, rng, max_batches: int = 10_000):
-    """Run an SQ algorithm to completion against an oracle; returns its output."""
+def simulate_algorithm(alg: SqAlgorithm, dist: DiscreteDistribution, rng,
+                       max_batches: int = 10_000):
+    """Run an SQ algorithm to completion, answering every query with its
+    exact expectation under ``dist``; returns its output."""
     alg.reset(rng)
     kind, value = alg.step(None)
     batches = 0
@@ -292,7 +284,7 @@ def simulate_algorithm(alg: SqAlgorithm, oracle, rng, max_batches: int = 10_000)
         batches += 1
         if batches > max_batches:
             raise RuntimeError("algorithm exceeded the batch cap")
-        kind, value = alg.step(oracle.evaluate_batch(value))
+        kind, value = alg.step(value.matrix().astype(float) @ dist.probs)
     return value
 
 
@@ -310,8 +302,7 @@ _REJECT = object()
 
 
 def verifier_iteration(element_counts_v: np.ndarray, alg: SqAlgorithm, channel,
-                       cfg: SqProtocolConfig, iteration: int, rng, partitions: dict,
-                       instrument=None):
+                       cfg: SqProtocolConfig, iteration: int, rng, partitions: dict):
     """Simulate one full run of the algorithm through the prover channel.
 
     Per batch: look up or compute the atoms, send the prover their partition,
@@ -349,10 +340,7 @@ def verifier_iteration(element_counts_v: np.ndarray, alg: SqAlgorithm, channel,
             verdict = test_from_counts(claimed.probs, atom_counts, cfg.tester_config(ap.size))
             if not verdict.accept:
                 return _REJECT
-        evaluations = induced_evaluations(ap, claimed.probs)
-        if instrument is not None:
-            instrument(batch, ap, claimed, evaluations)
-        kind, value = alg.step(evaluations)
+        kind, value = alg.step(induced_evaluations(ap, claimed.probs))
     return value
 
 
@@ -363,7 +351,7 @@ def _parse_atom_claim(reply, atom_count: int, m_p: int) -> DiscreteDistribution:
     counts = parse_counts(reply.get("counts"), (atom_count,), denominator)
     if denominator != m_p:
         raise ProtocolViolation("atom counts must sum to the agreed denominator")
-    return DiscreteDistribution.from_counts(tuple(range(atom_count)), counts)
+    return DiscreteDistribution(counts / m_p)
 
 
 def make_sq_verifier(dist: DiscreteDistribution, alg: SqAlgorithm, cfg: SqProtocolConfig,
@@ -481,15 +469,15 @@ def make_sq_prover(name: str, dist: DiscreteDistribution, cfg: SqProtocolConfig)
 
 def zipf_distribution(N: int, a: float = 1.0) -> DiscreteDistribution:
     weights = 1.0 / np.arange(1, N + 1, dtype=float) ** a
-    return DiscreteDistribution.from_probs(tuple(range(N)), weights / weights.sum())
+    return DiscreteDistribution(weights / weights.sum())
 
 
 def portfolio_baseline(dist: DiscreteDistribution, N: int, n: int,
                        num_blocks: int | None = None) -> float:
-    """Exact loss of the algorithm under the exact oracle: the baseline the
-    verification guarantee compares against."""
+    """Exact loss of the algorithm answered with exact query expectations:
+    the baseline the verification guarantee compares against."""
     alg = PortfolioAlgorithm(N, n, num_blocks)
-    selection = simulate_algorithm(alg, ExactOracle(dist), child_rng(0))
+    selection = simulate_algorithm(alg, dist, child_rng(0))
     return portfolio_population_loss(selection, dist)
 
 

@@ -1,5 +1,6 @@
 """Independent reference implementations used to cross-check the package,
-and the test-only helpers that plant known distances and measure the tester.
+and the test-only helpers that plant known distances, measure the tester and
+record what the SQ verifier accepted.
 
 The references are deliberately brute-force and written against the problem
 statements, not against the library code paths they check.
@@ -137,6 +138,40 @@ def true_atom_probs(ap, dist):
     out = np.zeros(ap.size)
     np.add.at(out, ap.signature, dist.probs)
     return out
+
+
+def accepted_batches(counts_v, alg, channel, cfg, iteration, rng, partitions):
+    """Run ``sq.verifier_iteration`` with its channel and algorithm wrapped,
+    and return one (atom partition, claimed atom probabilities, evaluations
+    fed to the algorithm) per batch the verifier accepted, in order. The
+    partition is the verifier's own, read from ``partitions`` by batch key;
+    the claim is the prover's reply counts over its denominator."""
+    from pacverify import sq
+
+    accepted, last = [], {}
+
+    class Channel:
+        def ask(self, payload):
+            last["reply"] = channel.ask(payload)
+            return last["reply"]
+
+    class Algorithm(sq.SqAlgorithm):
+        def reset(self, rng):
+            alg.reset(rng)
+
+        def step(self, evaluations):
+            if evaluations is not None:  # the verifier accepted the last batch
+                reply = last["reply"]
+                accepted.append((partitions[last["batch"].key],
+                                 np.asarray(reply["counts"]) / reply["denominator"],
+                                 evaluations))
+            kind, value = alg.step(evaluations)
+            if kind == "batch":
+                last["batch"] = value
+            return kind, value
+
+    sq.verifier_iteration(counts_v, Algorithm(), Channel(), cfg, iteration, rng, partitions)
+    return accepted
 
 
 def reference_portfolio_blocks(N, num_blocks):

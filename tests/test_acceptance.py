@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from oracles import (
     accept_rate,
+    accepted_batches,
     bruteforce_interval_erm,
     exact_no_collision,
     planted_shift,
@@ -126,7 +127,7 @@ class TestCriterion3ErmExactness:
 class TestCriterion4IdentityTesterContract:
     def test_planted_distances(self):
         cfg = IdentityTestConfig(n=100, epsilon=0.1, delta=0.1)
-        ref = DiscreteDistribution.uniform(tuple(range(100)))
+        ref = DiscreteDistribution.uniform(100)
         runs = 500
         floor = (1 - cfg.delta) - slack(1 - cfg.delta, runs)
         results = []
@@ -163,19 +164,13 @@ class TestCriterion5OracleChannelInvariant:
                 def ask(self, payload):
                     return prover.respond(payload, rng_p)
 
-            local = []
-
-            def instrument(batch, ap, claimed, evaluations):
-                p = true_atom_probs(ap, dist)
-                l1 = float(np.abs(claimed.probs - p).sum())
-                exact = sq.induced_evaluations(ap, p)
-                err = float(np.abs(evaluations - exact).max())
-                local.append((l1, err))
-
-            sq.verifier_iteration(counts_v, alg, Channel(), cfg, i, child_rng(55, i, 2),
-                                  partitions, instrument=instrument)
+            accepted = accepted_batches(counts_v, alg, Channel(), cfg, i, child_rng(55, i, 2),
+                                        partitions)
             iterations += 1
-            for l1, err in local:
+            for ap, claimed, evaluations in accepted:
+                p = true_atom_probs(ap, dist)
+                l1 = float(np.abs(claimed - p).sum())
+                err = float(np.abs(evaluations - sq.induced_evaluations(ap, p)).max())
                 if l1 <= cfg.tau:
                     checked += 1
                     if err > cfg.tau:

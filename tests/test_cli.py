@@ -116,6 +116,7 @@ class TestSpecValidation:
         ("lowerbound", {"params": {"trials_per_point": 0}}, "params.trials_per_point"),
         ("sq-verify", {"distribution": {"kind": "zipf", "a": "x"}}, "distribution.a"),
         ("sq-verify", {"distribution": {"kind": "zipf", "a": float("inf")}}, "distribution.a"),
+        ("sq-verify", {"distribution": {"kind": "zipf", "a": -1000}}, "distribution.a"),
     ])
     def test_bad_calibrate_lowerbound_or_zipf_exits_2(self, tmp_path, capsys, command, doc, field):
         spec = json.loads(json.dumps(cli.DEFAULT_SPECS[command]))
@@ -509,6 +510,16 @@ class TestReplay:
         assert cli.main(["replay", str(path)]) == 2
         assert f"line {len(lines)}" in capsys.readouterr().err
 
+    def test_transcript_line_nested_past_the_recursion_limit_exits_2(self, tmp_path, capsys):
+        report = cli.run_experiment(cli.ExperimentSpec.from_doc(dict(INTERVALS_SPEC, trials=1)))
+        lines = report["trials"][0]["transcript"].splitlines()
+        lines[1] = "[" * 100_000 + "]" * 100_000
+        report["trials"][0]["transcript"] = "\n".join(lines)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert cli.main(["replay", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("transcript parse error: line 2: ")
+
     @pytest.mark.parametrize("edit,field", [
         (lambda r: r["trials"][0].update(transcript=5), "trials[0]"),
         (lambda r: r.pop("spec"), "spec"),
@@ -580,6 +591,16 @@ class TestNotJson:
         assert cli.main(["sq-verify", "--spec", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("spec error: spec: not a JSON file")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,what", [(["replay"], "report"), (["sq-verify", "--spec"], "spec")],
+                             ids=["report", "spec"])
+    def test_nesting_past_the_recursion_limit_exits_2(self, tmp_path, capsys, argv, what):
+        path = tmp_path / "doc.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert cli.main([*argv, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"spec error: {what}: not a JSON file")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("flags", [[], ["--seed", "3"], ["--trials", "2"]])

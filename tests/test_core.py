@@ -17,26 +17,32 @@ def probs_strategy(n):
 
 
 class TestDiscreteDistribution:
-    def test_from_counts_keeps_exact_counts(self):
-        # probabilities are the exact count ratios
-        d = DiscreteDistribution.from_counts(("a", "b"), [3, 1])
-        assert list(d.probs) == [0.75, 0.25]
-        assert len(d) == 2
-
-    def test_rejects_duplicate_support(self):
-        with pytest.raises(ValueError):
-            DiscreteDistribution.from_probs(("a", "a"), [0.5, 0.5])
-
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
-            DiscreteDistribution.from_probs(("a", "b"), [0.9, 0.2])
+            DiscreteDistribution([0.9, 0.2])
+
+    @pytest.mark.parametrize("probs", [[np.nan, 1.0], [np.inf, 0.0]], ids=["nan", "inf"])
+    def test_rejects_non_finite_mass(self, probs):
+        with pytest.raises(ValueError):
+            DiscreteDistribution(probs)
+
+    @pytest.mark.parametrize("probs", [[[0.5], [0.5]], [], 0.5],
+                             ids=["2-d", "empty", "scalar"])
+    def test_rejects_anything_but_a_nonempty_vector(self, probs):
+        with pytest.raises(ValueError, match="1-D"):
+            DiscreteDistribution(probs)
+
+    def test_uniform_takes_a_size(self):
+        d = DiscreteDistribution.uniform(4)
+        assert list(d.probs) == [0.25] * 4
+        assert len(d) == 4
 
     def test_json_round_trip_exact(self):
         # a claimed count vector survives the JSON wire format exactly
         doc = json.loads(json.dumps({"counts": [5, 3, 2], "denominator": 10}))
         counts = parse_counts(doc["counts"], (3,), doc["denominator"])
         assert list(counts) == [5, 3, 2]
-        d = DiscreteDistribution.from_counts((0, 1, 2), counts)
+        d = DiscreteDistribution(counts / doc["denominator"])
         assert list(d.probs) == [0.5, 0.3, 0.2]
 
     def test_json_rejects_inconsistent_denominator(self):

@@ -53,7 +53,7 @@ class TestPlantedShift:
 
 class TestVerdicts:
     def test_deterministic_given_sample(self):
-        ref = DiscreteDistribution.uniform(tuple(range(100)))
+        ref = DiscreteDistribution.uniform(100)
         counts = child_rng(1).multinomial(required_samples(CFG), ref.probs)
         v1 = it.test_from_counts(ref.probs, counts, CFG)
         v2 = it.test_from_counts(ref.probs, counts, CFG)
@@ -76,18 +76,18 @@ class TestVerdicts:
         assert verdict.statistic == np.inf
 
     def test_accepts_identical_source(self):
-        ref = DiscreteDistribution.uniform(tuple(range(100)))
+        ref = DiscreteDistribution.uniform(100)
         rate = accept_rate(CFG, ref, ref.probs, runs=50, seed=2)
         assert rate >= 0.9
 
     def test_rejects_far_source(self):
-        ref = DiscreteDistribution.uniform(tuple(range(100)))
+        ref = DiscreteDistribution.uniform(100)
         far = planted_shift(ref.probs, 2 * CFG.epsilon)
         rate = accept_rate(CFG, ref, far, runs=50, seed=3)
         assert rate <= 0.1
 
     def test_acceptance_monotone_in_distance(self):
-        ref = DiscreteDistribution.uniform(tuple(range(100)))
+        ref = DiscreteDistribution.uniform(100)
         rates = [accept_rate(CFG, ref, planted_shift(ref.probs, tv), runs=60, seed=4)
                  for tv in (0.0, CFG.inner, 0.05, 0.1, 0.2)]
         for earlier, later in zip(rates, rates[1:]):

@@ -88,8 +88,7 @@ class TestHonestPartition:
         for trial in range(20):
             rng = child_rng(31, trial)
             pop = IntervalPopulation.grid_realizable(16, TARGET)
-            s = pop.sample(240, rng)
-            msg = honest_prover_partition(s.xs, s.ys, k=12)
+            msg = honest_prover_partition(*pop.sample(240, rng), k=12)
             assert (msg.counts.sum(axis=1) == 20).all()
 
 
@@ -132,8 +131,8 @@ class TestBandLevelProver:
         cfg = IntervalProtocolConfig.default(d, epsilon, 0.2)
         cfg = dataclasses.replace(cfg, m_p=cfg.k * chunk)
         for seed in range(4):
-            s = pop.sample(cfg.m_p, child_rng(seed))
-            expected = honest_prover_partition(s.xs, s.ys, cfg.k).to_payload()
+            expected = honest_prover_partition(*pop.sample(cfg.m_p, child_rng(seed)),
+                                               cfg.k).to_payload()
             claim = HonestIntervalProver(pop, cfg).build_message(child_rng(seed))
             assert claim.to_payload() == expected, seed
 
@@ -334,11 +333,6 @@ def same_law_columns(a, b, z=4.75):
     return failed
 
 
-def library_sample(pop, m, rng):
-    s = pop.sample(m, rng)
-    return s.xs, s.ys
-
-
 class TestSamplingLaw:
     """The sorted sampler and the verifier's multinomial counts against the
     point-by-point references in ``oracles``."""
@@ -383,7 +377,7 @@ class TestSamplingLaw:
 
     def test_honest_chunk_label_counts_match_reference(self):
         pop = self.pop(0.05)
-        new = self.chunk_ones(library_sample, pop, 3000, seed=1)
+        new = self.chunk_ones(IntervalPopulation.sample, pop, 3000, seed=1)
         ref = self.chunk_ones(reference_interval_sample, pop, 3000, seed=2)
         assert same_law_columns(new, ref) == []
         # the test sees a 0.1 change of one band's label law

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    accepted_batches,
     bruteforce_atoms,
     reference_honest_atom_counts,
     reference_portfolio_blocks,
@@ -19,7 +20,6 @@ from pacverify.core import DiscreteDistribution, child_rng
 from pacverify.harness import run_interaction
 from pacverify.sq import (
     AtomSwapSqProver,
-    ExactOracle,
     HonestSqProver,
     PortfolioAlgorithm,
     Query,
@@ -151,7 +151,7 @@ class TestInducedEvaluations:
         mat = rng.integers(0, 2, size=(n_queries, domain))
         probs = rng.random(domain)
         probs /= probs.sum()
-        dist = DiscreteDistribution.from_probs(tuple(range(domain)), probs)
+        dist = DiscreteDistribution(probs)
         batch = batch_from_rows(mat)
         ap = atoms_of(batch)
         v = induced_evaluations(ap, true_atom_probs(ap, dist))
@@ -198,7 +198,7 @@ class TestWireFormat:
         rng = child_rng(seed)
         mat = rng.integers(0, 2, size=(n_queries, domain))
         probs = rng.random(domain) + 1e-3
-        dist = DiscreteDistribution.from_probs(tuple(range(domain)), probs / probs.sum())
+        dist = DiscreteDistribution(probs / probs.sum())
         cfg = SqProtocolConfig.default(tau=tau, epsilon=0.1, delta=0.2, s=64)
         payload = {"atoms": atoms_of(batch_from_rows(mat)).signature.tolist()}
 
@@ -242,16 +242,16 @@ class TestAmplification:
 
 class TestPortfolioAlgorithm:
     def test_point_mass_selects_the_item(self):
-        dist = DiscreteDistribution.from_probs(tuple(range(4)), [1.0, 0.0, 0.0, 0.0])
+        dist = DiscreteDistribution([1.0, 0.0, 0.0, 0.0])
         alg = PortfolioAlgorithm(4, 1, num_blocks=4)
-        sel = simulate_algorithm(alg, ExactOracle(dist), child_rng(0))
+        sel = simulate_algorithm(alg, dist, child_rng(0))
         assert sel == [0]
         assert portfolio_population_loss(sel, dist) == pytest.approx(0.0)
 
     def test_uniform_loss_matches_symmetry(self):
-        dist = DiscreteDistribution.uniform(tuple(range(64)))
+        dist = DiscreteDistribution.uniform(64)
         alg = PortfolioAlgorithm(64, 8)
-        sel = simulate_algorithm(alg, ExactOracle(dist), child_rng(0))
+        sel = simulate_algorithm(alg, dist, child_rng(0))
         assert portfolio_population_loss(sel, dist) == pytest.approx(1 - 8 / 64)
 
     def test_requires_headroom(self):
@@ -486,7 +486,7 @@ class TestProtocol2:
         assert t.outcome.kind == "hypothesis"
         # deterministic algorithm + reused samples: every iteration agrees
         assert t.outcome.hypothesis == simulate_algorithm(
-            PortfolioAlgorithm(16, 2, num_blocks=8), ExactOracle(dist), child_rng(0))
+            PortfolioAlgorithm(16, 2, num_blocks=8), dist, child_rng(0))
 
     def test_one_algorithm_instance_serves_every_simulation(self):
         class CountingPortfolio(PortfolioAlgorithm):
@@ -554,18 +554,12 @@ class TestOracleChannelInvariant:
             counts_v = rng.multinomial(cfg.m_v, dist.probs)
             prover = HonestSqProver(dist, cfg)
             channel = _DirectChannel(prover, child_rng(92, i))
-            seen = []
-
-            def instrument(batch, ap, claimed, evaluations):
+            accepted = accepted_batches(counts_v, PortfolioAlgorithm(64, 8), channel,
+                                        cfg, 0, child_rng(93, i), {})
+            for ap, claimed, evaluations in accepted:
                 p = true_atom_probs(ap, dist)
-                l1 = float(np.abs(claimed.probs - p).sum())
-                exact = induced_evaluations(ap, p)
-                err = float(np.abs(evaluations - exact).max())
-                seen.append((l1, err))
-
-            result = verifier_iteration(counts_v, PortfolioAlgorithm(64, 8), channel,
-                                        cfg, 0, child_rng(93, i), {}, instrument=instrument)
-            for l1, err in seen:
+                l1 = float(np.abs(claimed - p).sum())
+                err = float(np.abs(evaluations - induced_evaluations(ap, p)).max())
                 if l1 <= cfg.tau and err > cfg.tau:
                     violations += 1
         assert violations == 0

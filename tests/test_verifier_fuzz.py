@@ -3,6 +3,7 @@
 import copy
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,6 +85,27 @@ def test_sq_verifier_never_raises(data):
     alg = sq.PortfolioAlgorithm(8, 2, num_blocks=4)
     verifier = sq.make_sq_verifier(SQ_DIST, alg, SQ_CFG, sq.portfolio_holdout_loss)
     assert outcome(verifier, mutate(SQ_REPLY, data)) in ("reject", "hypothesis")
+
+
+def nested(depth):
+    """A list nested ``depth`` lists deep, built without recursion."""
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("protocol", ["intervals", "sq"])
+def test_payload_nested_past_the_recursion_limit_rejects(protocol):
+    if protocol == "intervals":
+        verifier, honest = iv.make_protocol1_verifier(IV_POP, IV_CFG), IV_PAYLOAD
+    else:
+        alg = sq.PortfolioAlgorithm(8, 2, num_blocks=4)
+        verifier = sq.make_sq_verifier(SQ_DIST, alg, SQ_CFG, sq.portfolio_holdout_loss)
+        honest = SQ_REPLY
+    deep = nested(5000)
+    assert outcome(verifier, deep) == "reject"
+    assert outcome(verifier, dict(honest, counts=deep)) == "reject"
 
 
 def adversarial_boundaries(data):
