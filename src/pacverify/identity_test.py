@@ -17,18 +17,16 @@ import numpy as np
 
 @dataclass(frozen=True)
 class IdentityTestConfig:
-    """Parameters of one tolerant identity test.
+    """Parameters of one tolerant identity test's decision.
 
     ``epsilon`` is the outer rejection radius. The inner acceptance radius
     defaults to epsilon/sqrt(n) and can be overridden (the statistical-query
-    protocol uses tau / (2 sqrt(atoms))). ``constant_C`` scales the sample
-    budget.
+    protocol uses tau / (2 sqrt(atoms))). The sample budget is
+    ``required_samples``.
     """
 
     n: int
     epsilon: float
-    delta: float
-    constant_C: float = 4.0
     inner_radius: float | None = None
 
     def __post_init__(self):
@@ -36,10 +34,6 @@ class IdentityTestConfig:
             raise ValueError("support size n must be >= 2")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.constant_C <= 0:
-            raise ValueError("constant_C must be positive")
         if self.inner_radius is not None and not 0.0 < self.inner_radius < self.epsilon:
             raise ValueError("inner_radius must lie in (0, epsilon)")
 
@@ -55,9 +49,14 @@ class TestVerdict:
     samples_used: int
 
 
-def required_samples(cfg: IdentityTestConfig) -> int:
-    """Total sample budget: ceil(C * sqrt(n) * log(2/delta) / epsilon^2)."""
-    return math.ceil(cfg.constant_C * math.sqrt(cfg.n) * math.log(2.0 / cfg.delta) / cfg.epsilon**2)
+def required_samples(n: int, epsilon: float, delta: float, C: float = 4.0) -> int:
+    """The tester's sample budget at confidence 1 - delta on n atoms:
+    ceil(C * sqrt(n) * log(2/delta) / epsilon^2)."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    if not C > 0:
+        raise ValueError("C must be positive")
+    return math.ceil(C * math.sqrt(n) * math.log(2.0 / delta) / epsilon**2)
 
 
 def _statistic(counts: np.ndarray, ref: np.ndarray, m: int, n: int) -> float:

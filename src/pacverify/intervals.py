@@ -15,7 +15,7 @@ reported discretization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -155,30 +155,40 @@ class IntervalPopulation:
 
 @dataclass(frozen=True)
 class IntervalProtocolConfig:
-    """Budgets for one verified run over k = 12d/epsilon intervals. m_v must
-    cover the tester's budget, so the verifier never tests on fewer samples."""
+    """One verified run over k = 12d/epsilon intervals, with budgets derived
+    from c_v and c_p.
+
+    m_v is exactly the tolerant tester's budget at (epsilon/6, delta/2) on
+    the 2k (interval, label) atoms, so the verifier never tests on fewer
+    samples; m_p follows c_p (d^2 log(d/epsilon) + log(1/delta)) / epsilon^4,
+    rounded up to a multiple of k.
+    """
 
     d: int
     epsilon: float
     delta: float
-    m_v: int
-    m_p: int
-    tester_C: float = 2.0
+    c_v: float
+    c_p: float
+    m_v: int = field(init=False)
+    m_p: int = field(init=False)
 
     def __post_init__(self):
         inv_eps = 1.0 / self.epsilon
         if abs(inv_eps - round(inv_eps)) > 1e-9:
             raise ValueError("1/epsilon must be an integer")
-        if self.m_p % self.k != 0:
-            raise ValueError("m_p must be a multiple of k")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if max(self.m_v, self.m_p) > 2**53:
-            raise OverflowError("sample budgets must be at most 2**53, where float count sums "
-                                "are exact")
-        need = required_samples(self.tester_config())
-        if self.m_v < need:
-            raise ValueError(f"verifier budget m_v={self.m_v} is below the tester's {need}")
+        if self.d < 1 or not (self.c_v > 0 and self.c_p > 0):
+            raise ValueError("d must be >= 1, and c_v and c_p positive")
+        d, epsilon, k = self.d, self.epsilon, self.k
+        m_v = required_samples(2 * k, epsilon / 6.0, self.delta / 2.0, self.c_v)
+        base = self.c_p * (d * d * math.log(max(d / epsilon, math.e))
+                           + math.log(1.0 / self.delta)) / epsilon**4
+        m_p = int(math.ceil(base / k) * k)
+        if max(m_v, m_p) > 2**53:
+            raise OverflowError("sample budgets must be at most 2**53, where float sums are exact")
+        object.__setattr__(self, "m_v", m_v)
+        object.__setattr__(self, "m_p", m_p)
 
     @property
     def k(self) -> int:
@@ -189,31 +199,14 @@ class IntervalProtocolConfig:
         return self.m_p // self.k
 
     def tester_config(self) -> IdentityTestConfig:
-        return IdentityTestConfig(
-            n=2 * self.k,
-            epsilon=self.epsilon / 6.0,
-            delta=self.delta / 2.0,
-            constant_C=self.tester_C,
-        )
+        return IdentityTestConfig(n=2 * self.k, epsilon=self.epsilon / 6.0)
 
     @classmethod
     def default(cls, d: int, epsilon: float, delta: float,
                 c_v: float = 2.0, c_p: float = 8.0) -> "IntervalProtocolConfig":
-        """Sample budgets following the protocol's asymptotic shapes.
-
-        m_v is exactly the tolerant tester's budget at parameters
-        (epsilon/6, delta/2) on support 2k; m_p follows
-        (d^2 log(d/epsilon) + log(1/delta)) / epsilon^4, rounded up to a
-        multiple of k. The constants c_v = 2 and c_p = 8 are fixed values, the
-        ones at which acceptance criteria 1 and 2 hold.
-        """
-        k = round(12 * d / epsilon)
-        tcfg = IdentityTestConfig(n=2 * k, epsilon=epsilon / 6.0, delta=delta / 2.0,
-                                  constant_C=c_v)
-        m_v = required_samples(tcfg)
-        base = c_p * (d * d * math.log(max(d / epsilon, math.e)) + math.log(1.0 / delta)) / epsilon**4
-        m_p = int(math.ceil(base / k) * k)
-        return cls(d=d, epsilon=epsilon, delta=delta, m_v=m_v, m_p=m_p, tester_C=c_v)
+        """The config at c_v = 2 and c_p = 8, fixed values at which acceptance
+        criteria 1 and 2 hold."""
+        return cls(d=d, epsilon=epsilon, delta=delta, c_v=c_v, c_p=c_p)
 
 
 @dataclass(frozen=True)

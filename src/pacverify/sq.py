@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .harness import (
     parse_counts,
     run_interaction,
 )
-from .identity_test import IdentityTestConfig, test_from_counts
+from .identity_test import IdentityTestConfig, required_samples, test_from_counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,13 +131,15 @@ def iteration_count(epsilon: float, delta: float) -> int:
 
 @dataclass(frozen=True)
 class SqProtocolConfig:
-    """Budgets and bounds for one verified SQ run.
+    """Bounds for one verified SQ run, with budgets derived from c_v and c_p.
 
     ``b`` bounds the number of query batches, ``s`` the partition size
     (atom count) of any single batch; the per-batch identity test runs at
     confidence 1 - epsilon*delta/(4b) with inner radius tau/(2 sqrt(atoms))
-    and outer radius tau. ``fresh_samples`` redraws the verifier sample each
-    iteration instead of reusing one sample across all of them.
+    and outer radius tau. m_v is that test's budget at the worst admissible
+    atom count s, m_p ~ s^2 / tau^2 puts the prover's accuracy well inside the
+    inner radius, and the holdout is sized for uniform convergence of the T
+    candidate losses to epsilon/2.
     """
 
     tau: float
@@ -144,56 +147,44 @@ class SqProtocolConfig:
     s: int
     epsilon: float
     delta: float
-    m_v: int
-    m_v_holdout: int
-    m_p: int
-    fresh_samples: bool = False
+    c_v: float
+    c_p: float
+    m_v: int = field(init=False)
+    m_v_holdout: int = field(init=False)
+    m_p: int = field(init=False)
+    # one main sample serves all T simulations; a class constant, since the
+    # benchmark's verifier-sample counter reads it
+    fresh_samples: ClassVar[bool] = False
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.b < 1 or self.s < 1:
             raise ValueError("batch and partition bounds must be >= 1")
-        if min(self.m_v, self.m_v_holdout, self.m_p) < 1:
+        m_v = required_samples(self.s, self.tau, self.epsilon * self.delta / (4.0 * self.b), self.c_v)
+        m_hold = math.ceil(2.0 * math.log(16.0 * self.T / self.delta) / self.epsilon**2)
+        m_p = math.ceil(self.c_p * self.s * self.s / self.tau**2)
+        if min(m_v, m_hold, m_p) < 1:
             raise ValueError("sample budgets must be >= 1")
-        if max(self.m_v, self.m_v_holdout, self.m_p) > 2**53:
-            raise OverflowError("sample budgets must be at most 2**53, where float count sums "
-                                "are exact")
+        if max(m_v, m_hold, m_p) > 2**53:
+            raise OverflowError("sample budgets must be at most 2**53, where float sums are exact")
+        for name, value in (("m_v", m_v), ("m_v_holdout", m_hold), ("m_p", m_p)):
+            object.__setattr__(self, name, value)
 
     @property
     def T(self) -> int:
         return iteration_count(self.epsilon, self.delta)
 
-    @property
-    def per_test_delta(self) -> float:
-        return self.epsilon * self.delta / (4.0 * self.b)
-
     def tester_config(self, atom_count: int) -> IdentityTestConfig:
-        return IdentityTestConfig(
-            n=atom_count,
-            epsilon=self.tau,
-            delta=self.per_test_delta,
-            inner_radius=self.tau / (2.0 * math.sqrt(atom_count)),
-        )
+        return IdentityTestConfig(n=atom_count, epsilon=self.tau,
+                                  inner_radius=self.tau / (2.0 * math.sqrt(atom_count)))
 
     @classmethod
     def default(cls, tau: float, epsilon: float, delta: float, s: int, b: int = 1,
                 c_v: float = 4.0, c_p: float = 16.0) -> "SqProtocolConfig":
-        """Budgets at the protocol's asymptotic shapes, with the fixed constants
-        c_v = 4 and c_p = 16 at which acceptance criterion 6 holds.
-
-        m_v ~ sqrt(s) log(1/delta') / tau^2 (the tolerant tester at the worst
-        admissible atom count), m_p ~ s^2 / tau^2 (prover accuracy well inside
-        the inner radius), and a holdout sized for uniform convergence of the
-        T candidate losses to epsilon/2.
-        """
-        delta_test = epsilon * delta / (4.0 * b)
-        m_v = math.ceil(c_v * math.sqrt(s) * math.log(2.0 / delta_test) / tau**2)
-        m_p = math.ceil(c_p * s * s / tau**2)
-        T = iteration_count(epsilon, delta)
-        m_hold = math.ceil(2.0 * math.log(16.0 * T / delta) / epsilon**2)
-        return cls(tau=tau, b=b, s=s, epsilon=epsilon, delta=delta,
-                   m_v=m_v, m_v_holdout=m_hold, m_p=m_p)
+        """The config at c_v = 4 and c_p = 16, fixed values at which acceptance
+        criterion 6 holds."""
+        return cls(tau=tau, b=b, s=s, epsilon=epsilon, delta=delta, c_v=c_v, c_p=c_p)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +352,8 @@ def make_sq_verifier(dist: DiscreteDistribution, alg: SqAlgorithm, cfg: SqProtoc
     Each simulation resets ``alg`` with fresh randomness and runs it to its
     output. ``holdout_loss(hypothesis, element_counts, total)`` scores a
     candidate on the holdout occupancy counts. The main sample is reused
-    across all T iterations unless cfg.fresh_samples is set; the atom
-    partition of each distinct batch is computed once per run.
+    across all T iterations; the atom partition of each distinct batch is
+    computed once per run.
     """
 
     def verifier(channel, rng):
@@ -371,8 +362,6 @@ def make_sq_verifier(dist: DiscreteDistribution, alg: SqAlgorithm, cfg: SqProtoc
         partitions: dict = {}
         candidates = []
         for i in range(cfg.T):
-            if cfg.fresh_samples and i > 0:
-                element_counts_v = rng.multinomial(cfg.m_v, dist.probs)
             result = verifier_iteration(element_counts_v, alg, channel, cfg, i, rng, partitions)
             if result is _REJECT:
                 return VerifierOutcome.reject()
@@ -468,8 +457,11 @@ def make_sq_prover(name: str, dist: DiscreteDistribution, cfg: SqProtocolConfig)
 
 
 def zipf_distribution(N: int, a: float = 1.0) -> DiscreteDistribution:
-    weights = 1.0 / np.arange(1, N + 1, dtype=float) ** a
-    return DiscreteDistribution(weights / weights.sum())
+    # an exponent far below 0 gives a NaN vector, which DiscreteDistribution refuses
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        weights = 1.0 / np.arange(1, N + 1, dtype=float) ** a
+        probs = weights / weights.sum()
+    return DiscreteDistribution(probs)
 
 
 def portfolio_baseline(dist: DiscreteDistribution, N: int, n: int,

@@ -369,10 +369,11 @@ def planted_shift(probs: np.ndarray, tv: float) -> np.ndarray:
     return shifted
 
 
-def accept_rate(cfg: IdentityTestConfig, ref: DiscreteDistribution, source_probs: np.ndarray,
-                runs: int, seed: int) -> float:
-    """Empirical acceptance rate of the tester over independent runs."""
-    m_total = required_samples(cfg)
+def accept_rate(cfg: IdentityTestConfig, delta: float, ref: DiscreteDistribution,
+                source_probs: np.ndarray, runs: int, seed: int) -> float:
+    """Empirical acceptance rate of the tester over independent runs, each on
+    the budget for confidence 1 - delta."""
+    m_total = required_samples(cfg.n, cfg.epsilon, delta)
     accepted = 0
     for run in range(runs):
         counts = child_rng(seed, run).multinomial(m_total, source_probs)

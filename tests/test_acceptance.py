@@ -126,16 +126,16 @@ class TestCriterion3ErmExactness:
 
 class TestCriterion4IdentityTesterContract:
     def test_planted_distances(self):
-        cfg = IdentityTestConfig(n=100, epsilon=0.1, delta=0.1)
+        cfg, delta = IdentityTestConfig(n=100, epsilon=0.1), 0.1
         ref = DiscreteDistribution.uniform(100)
         runs = 500
-        floor = (1 - cfg.delta) - slack(1 - cfg.delta, runs)
+        floor = (1 - delta) - slack(1 - delta, runs)
         results = []
         for tv in (0.0, cfg.inner):
-            rate = accept_rate(cfg, ref, planted_shift(ref.probs, tv), runs, seed=44)
+            rate = accept_rate(cfg, delta, ref, planted_shift(ref.probs, tv), runs, seed=44)
             results.append((tv, "accept", rate, rate >= floor))
         for tv in (cfg.epsilon, 2 * cfg.epsilon):
-            rate = 1.0 - accept_rate(cfg, ref, planted_shift(ref.probs, tv), runs, seed=45)
+            rate = 1.0 - accept_rate(cfg, delta, ref, planted_shift(ref.probs, tv), runs, seed=45)
             results.append((tv, "reject", rate, rate >= floor))
         ok = all(r[3] for r in results)
         detail = ", ".join(f"tv={r[0]:.2f} {r[1]}={r[2]:.3f}" for r in results)

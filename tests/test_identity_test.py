@@ -1,30 +1,27 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from oracles import accept_rate, planted_shift, tv_from_probs
 
 from pacverify import identity_test as it
-from pacverify import intervals as iv
 from pacverify.core import DiscreteDistribution, child_rng
 from pacverify.identity_test import IdentityTestConfig, required_samples
 
-CFG = IdentityTestConfig(n=100, epsilon=0.1, delta=0.1)
+CFG = IdentityTestConfig(n=100, epsilon=0.1)
+DELTA = 0.1
+BUDGET = required_samples(100, 0.1, DELTA)
 
 
 class TestBudget:
     def test_reference_budget_value(self):
         # ceil(4 * sqrt(100) * ln(20) / 0.01)
-        assert required_samples(CFG) == 11983
+        assert BUDGET == 11983
 
     def test_support_scaling_is_sqrt(self):
-        doubled = IdentityTestConfig(n=200, epsilon=0.1, delta=0.1)
-        ratio = required_samples(doubled) / required_samples(CFG)
+        ratio = required_samples(200, 0.1, DELTA) / BUDGET
         assert ratio == pytest.approx(np.sqrt(2), rel=1e-3)
 
     def test_epsilon_scaling_is_inverse_square(self):
-        halved = IdentityTestConfig(n=100, epsilon=0.05, delta=0.1)
-        ratio = required_samples(halved) / required_samples(CFG)
+        ratio = required_samples(100, 0.05, DELTA) / BUDGET
         assert ratio == pytest.approx(4.0, rel=1e-3)
 
     def test_inner_radius_default(self):
@@ -32,9 +29,12 @@ class TestBudget:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            IdentityTestConfig(n=1, epsilon=0.1, delta=0.1)
+            IdentityTestConfig(n=1, epsilon=0.1)
         with pytest.raises(ValueError):
-            IdentityTestConfig(n=100, epsilon=0.1, delta=0.1, inner_radius=0.2)
+            IdentityTestConfig(n=100, epsilon=0.1, inner_radius=0.2)
+        for delta, C in ((0.0, 4.0), (1.0, 4.0), (0.1, 0.0)):
+            with pytest.raises(ValueError):
+                required_samples(100, 0.1, delta, C)
 
 
 class TestPlantedShift:
@@ -54,41 +54,35 @@ class TestPlantedShift:
 class TestVerdicts:
     def test_deterministic_given_sample(self):
         ref = DiscreteDistribution.uniform(100)
-        counts = child_rng(1).multinomial(required_samples(CFG), ref.probs)
+        counts = child_rng(1).multinomial(BUDGET, ref.probs)
         v1 = it.test_from_counts(ref.probs, counts, CFG)
         v2 = it.test_from_counts(ref.probs, counts, CFG)
         assert v1 == v2
-        assert v1.samples_used == required_samples(CFG)
-
-    def test_small_sample_rejected_loudly(self):
-        # no config gives the verifier fewer samples than the tester's budget
-        cfg = iv.IntervalProtocolConfig.default(1, 0.5, 0.5)
-        with pytest.raises(ValueError, match="below the tester's"):
-            dataclasses.replace(cfg, m_v=required_samples(cfg.tester_config()) - 1)
+        assert v1.samples_used == BUDGET
 
     def test_out_of_support_draw_rejects(self):
         # mass on a zero-probability atom contradicts the reference outright
         ref = np.append(np.full(100, 0.01), 0.0)
         counts = np.zeros(101, dtype=np.int64)
-        counts[100] = required_samples(CFG)
+        counts[100] = BUDGET
         verdict = it.test_from_counts(ref, counts, CFG)
         assert not verdict.accept
         assert verdict.statistic == np.inf
 
     def test_accepts_identical_source(self):
         ref = DiscreteDistribution.uniform(100)
-        rate = accept_rate(CFG, ref, ref.probs, runs=50, seed=2)
+        rate = accept_rate(CFG, DELTA, ref, ref.probs, runs=50, seed=2)
         assert rate >= 0.9
 
     def test_rejects_far_source(self):
         ref = DiscreteDistribution.uniform(100)
         far = planted_shift(ref.probs, 2 * CFG.epsilon)
-        rate = accept_rate(CFG, ref, far, runs=50, seed=3)
+        rate = accept_rate(CFG, DELTA, ref, far, runs=50, seed=3)
         assert rate <= 0.1
 
     def test_acceptance_monotone_in_distance(self):
         ref = DiscreteDistribution.uniform(100)
-        rates = [accept_rate(CFG, ref, planted_shift(ref.probs, tv), runs=60, seed=4)
+        rates = [accept_rate(CFG, DELTA, ref, planted_shift(ref.probs, tv), runs=60, seed=4)
                  for tv in (0.0, CFG.inner, 0.05, 0.1, 0.2)]
         for earlier, later in zip(rates, rates[1:]):
             assert earlier >= later - 0.05

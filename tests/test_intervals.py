@@ -13,7 +13,7 @@ from oracles import (
 
 from pacverify.core import child_rng
 from pacverify.harness import ProtocolViolation, run_interaction
-from pacverify.identity_test import IdentityTestConfig, required_samples
+from pacverify.identity_test import required_samples
 from pacverify.intervals import (
     BAND_FRACTION,
     DiscretizedMessage,
@@ -128,8 +128,9 @@ class TestBandLevelProver:
                              ids=PROVER_POPULATIONS.keys())
     def test_claim_equals_sort_and_partition(self, population, d, epsilon, chunk):
         pop = population()
-        cfg = IntervalProtocolConfig.default(d, epsilon, 0.2)
-        cfg = dataclasses.replace(cfg, m_p=cfg.k * chunk)
+        c_p = {1: 0.5, 37: 1.38, 200: 0.352}[chunk]
+        cfg = IntervalProtocolConfig.default(d, epsilon, 0.2, c_p=c_p)
+        assert cfg.chunk == chunk
         for seed in range(4):
             expected = honest_prover_partition(*pop.sample(cfg.m_p, child_rng(seed)),
                                                cfg.k).to_payload()
@@ -397,10 +398,6 @@ class TestSamplingLaw:
 
 
 class TestBudgets:
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="multiple of k"):
-            IntervalProtocolConfig(d=2, epsilon=0.1, delta=0.2, m_v=10, m_p=241)
-
     def test_m_p_is_multiple_of_k(self):
         cfg = small_config()
         assert cfg.m_p % cfg.k == 0
@@ -413,4 +410,18 @@ class TestBudgets:
 
     def test_m_v_equals_tester_budget(self):
         cfg = small_config()
-        assert cfg.m_v == required_samples(cfg.tester_config())
+        assert cfg.m_v == required_samples(2 * cfg.k, cfg.epsilon / 6, cfg.delta / 2, cfg.c_v)
+
+    def test_derived_budgets_pinned(self):
+        # every intervals report at these parameters reads these budgets
+        cfg = small_config()
+        assert (cfg.k, cfg.m_v, cfg.m_p) == (240, 472_560, 1_087_440)
+        with pytest.raises(ValueError):
+            dataclasses.replace(cfg, m_p=cfg.k)
+
+    @pytest.mark.parametrize("params", [{"c_v": 0.0}, {"c_p": 0.0}, {"c_p": -1.0},
+                                        {"c_p": float("nan")}, {"d": 0}])
+    def test_nonpositive_parameter_refused(self, params):
+        # a zero c_p would give m_p = 0 and chunk = 0, on which the prover divides by zero
+        with pytest.raises(ValueError, match="positive"):
+            IntervalProtocolConfig.default(**{"d": 2, "epsilon": 0.1, "delta": 0.2} | params)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +240,35 @@ class TestAmplification:
         bound = (1.0 - 0.1 / 8.0) ** T
         assert bound == pytest.approx(0.0494, abs=5e-3)
         assert bound <= 0.2 / 4.0
+
+
+class TestConfig:
+    @pytest.mark.parametrize("s,budgets", [(1, (9_587, 1_973, 6_400)),
+                                           (16, (38_346, 1_973, 1_638_400)),
+                                           (256, (153_382, 1_973, 419_430_400))])
+    def test_derived_budgets_pinned(self, s, budgets):
+        # every SQ report at these parameters reads these budgets
+        cfg = SqProtocolConfig.default(tau=0.05, epsilon=0.1, delta=0.2, s=s)
+        assert (cfg.m_v, cfg.m_v_holdout, cfg.m_p) == budgets
+        with pytest.raises(ValueError):
+            dataclasses.replace(cfg, m_p=1)
+
+    @pytest.mark.parametrize("constants", [{"c_v": 0.0}, {"c_p": 0.0}, {"c_p": -1.0}])
+    def test_nonpositive_constant_refused(self, constants):
+        with pytest.raises(ValueError):
+            SqProtocolConfig.default(tau=0.05, epsilon=0.1, delta=0.2, s=16, **constants)
+
+
+class TestZipfDistribution:
+    def test_extreme_exponents_warn_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # k**a underflows to 0 from k = 2 on, so the normalised weights are NaN
+            with pytest.raises(ValueError):
+                zipf_distribution(64, a=-1000)
+            # k**a overflows from k = 3 on, leaving those items weight 0
+            dist = zipf_distribution(64, a=1000)
+            assert dist.probs[0] == 1.0 and not dist.probs[2:].any()
 
 
 class TestPortfolioAlgorithm:
