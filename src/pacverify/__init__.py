@@ -14,11 +14,10 @@ from .harness import (
     classify_outcome,
     run_interaction,
 )
-from .identity_test import IdentityTestConfig, required_samples
+from .identity_test import required_samples
 
 __all__ = [
     "DiscreteDistribution",
-    "IdentityTestConfig",
     "ProtocolViolation",
     "Transcript",
     "VerifierOutcome",

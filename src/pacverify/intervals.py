@@ -27,7 +27,7 @@ from .harness import (
     VerifierOutcome,
     parse_counts,
 )
-from .identity_test import IdentityTestConfig, required_samples, test_from_counts
+from .identity_test import required_samples, test_from_counts
 
 
 @dataclass(frozen=True)
@@ -158,10 +158,12 @@ class IntervalProtocolConfig:
     """One verified run over k = 12d/epsilon intervals, with budgets derived
     from c_v and c_p.
 
-    m_v is exactly the tolerant tester's budget at (epsilon/6, delta/2) on
-    the 2k (interval, label) atoms, so the verifier never tests on fewer
-    samples; m_p follows c_p (d^2 log(d/epsilon) + log(1/delta)) / epsilon^4,
-    rounded up to a multiple of k.
+    The verifier tests the claim on the 2k (interval, label) atoms at outer
+    radius epsilon/6 and inner radius epsilon/(6 sqrt(2k)); m_v is exactly
+    the tester's budget at (epsilon/6, delta/2) on those atoms, so the
+    verifier never tests on fewer samples; m_p follows
+    c_p (d^2 log(d/epsilon) + log(1/delta)) / epsilon^4, rounded up to a
+    multiple of k.
     """
 
     d: int
@@ -173,6 +175,8 @@ class IntervalProtocolConfig:
     m_p: int = field(init=False)
 
     def __post_init__(self):
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError("epsilon must lie in (0, 1)")
         inv_eps = 1.0 / self.epsilon
         if abs(inv_eps - round(inv_eps)) > 1e-9:
             raise ValueError("1/epsilon must be an integer")
@@ -197,9 +201,6 @@ class IntervalProtocolConfig:
     @property
     def chunk(self) -> int:
         return self.m_p // self.k
-
-    def tester_config(self) -> IdentityTestConfig:
-        return IdentityTestConfig(n=2 * self.k, epsilon=self.epsilon / 6.0)
 
     @classmethod
     def default(cls, d: int, epsilon: float, delta: float,
@@ -349,7 +350,8 @@ def verifier_protocol1(pop: IntervalPopulation, msg: DiscretizedMessage,
         return VerifierOutcome.reject()
 
     counts = rng.multinomial(cfg.m_v, pop.interval_label_masses(msg.boundaries).ravel())
-    verdict = test_from_counts(msg.reference_probs(), counts, cfg.tester_config())
+    outer = cfg.epsilon / 6.0
+    verdict = test_from_counts(msg.reference_probs(), counts, outer, outer / math.sqrt(2 * cfg.k))
     if not verdict.accept:
         return VerifierOutcome.reject()
 

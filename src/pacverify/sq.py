@@ -29,7 +29,7 @@ from .harness import (
     parse_counts,
     run_interaction,
 )
-from .identity_test import IdentityTestConfig, required_samples, test_from_counts
+from .identity_test import required_samples, test_from_counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,8 +157,9 @@ class SqProtocolConfig:
     fresh_samples: ClassVar[bool] = False
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        for name in ("tau", "epsilon", "delta"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1)")
         if self.b < 1 or self.s < 1:
             raise ValueError("batch and partition bounds must be >= 1")
         m_v = required_samples(self.s, self.tau, self.epsilon * self.delta / (4.0 * self.b), self.c_v)
@@ -174,10 +175,6 @@ class SqProtocolConfig:
     @property
     def T(self) -> int:
         return iteration_count(self.epsilon, self.delta)
-
-    def tester_config(self, atom_count: int) -> IdentityTestConfig:
-        return IdentityTestConfig(n=atom_count, epsilon=self.tau,
-                                  inner_radius=self.tau / (2.0 * math.sqrt(atom_count)))
 
     @classmethod
     def default(cls, tau: float, epsilon: float, delta: float, s: int, b: int = 1,
@@ -264,8 +261,11 @@ def portfolio_population_loss(selection, dist: DiscreteDistribution) -> float:
 # direct (unverified) simulation
 
 
-def simulate_algorithm(alg: SqAlgorithm, dist: DiscreteDistribution, rng,
-                       max_batches: int = 10_000):
+# the most batches an unverified simulation answers before it gives up
+MAX_BATCHES = 10_000
+
+
+def simulate_algorithm(alg: SqAlgorithm, dist: DiscreteDistribution, rng):
     """Run an SQ algorithm to completion, answering every query with its
     exact expectation under ``dist``; returns its output."""
     alg.reset(rng)
@@ -273,7 +273,7 @@ def simulate_algorithm(alg: SqAlgorithm, dist: DiscreteDistribution, rng,
     batches = 0
     while kind == "batch":
         batches += 1
-        if batches > max_batches:
+        if batches > MAX_BATCHES:
             raise RuntimeError("algorithm exceeded the batch cap")
         kind, value = alg.step(value.matrix().astype(float) @ dist.probs)
     return value
@@ -326,11 +326,10 @@ def verifier_iteration(element_counts_v: np.ndarray, alg: SqAlgorithm, channel,
             "atoms": ap.signature.tolist(),
         })
         claimed = _parse_atom_claim(reply, ap.size, cfg.m_p)
-        if ap.size >= 2:
-            atom_counts = ap.atom_counts(element_counts_v)
-            verdict = test_from_counts(claimed.probs, atom_counts, cfg.tester_config(ap.size))
-            if not verdict.accept:
-                return _REJECT
+        verdict = test_from_counts(claimed.probs, ap.atom_counts(element_counts_v),
+                                   cfg.tau, cfg.tau / (2.0 * math.sqrt(ap.size)))
+        if not verdict.accept:
+            return _REJECT
         kind, value = alg.step(induced_evaluations(ap, claimed.probs))
     return value
 

@@ -12,7 +12,7 @@ from itertools import combinations, product
 import numpy as np
 
 from pacverify.core import DiscreteDistribution, child_rng
-from pacverify.identity_test import IdentityTestConfig, required_samples, test_from_counts
+from pacverify.identity_test import required_samples, test_from_counts
 
 
 def bruteforce_interval_erm(mass0, mass1, d):
@@ -306,11 +306,10 @@ def reference_sq_verifier(dist, alg, cfg, holdout_loss):
             reply = channel.ask({"iteration": iteration, "batch": t,
                                  "atoms": ap.signature.tolist()})
             claimed = sq._parse_atom_claim(reply, ap.size, cfg.m_p)
-            if ap.size >= 2:
-                verdict = test_from_counts(claimed.probs, ap.atom_counts(counts_v),
-                                           cfg.tester_config(ap.size))
-                if not verdict.accept:
-                    return None
+            verdict = test_from_counts(claimed.probs, ap.atom_counts(counts_v),
+                                       cfg.tau, cfg.tau / (2.0 * math.sqrt(ap.size)))
+            if not verdict.accept:
+                return None
             kind, value = alg.step(sq.induced_evaluations(ap, claimed.probs))
         return value
 
@@ -369,14 +368,14 @@ def planted_shift(probs: np.ndarray, tv: float) -> np.ndarray:
     return shifted
 
 
-def accept_rate(cfg: IdentityTestConfig, delta: float, ref: DiscreteDistribution,
+def accept_rate(outer: float, inner: float, delta: float, ref: DiscreteDistribution,
                 source_probs: np.ndarray, runs: int, seed: int) -> float:
-    """Empirical acceptance rate of the tester over independent runs, each on
-    the budget for confidence 1 - delta."""
-    m_total = required_samples(cfg.n, cfg.epsilon, delta)
+    """Empirical acceptance rate of the tester at radii (outer, inner) over
+    independent runs, each on the budget for confidence 1 - delta."""
+    m_total = required_samples(len(ref), outer, delta)
     accepted = 0
     for run in range(runs):
         counts = child_rng(seed, run).multinomial(m_total, source_probs)
-        if test_from_counts(ref.probs, counts, cfg).accept:
+        if test_from_counts(ref.probs, counts, outer, inner).accept:
             accepted += 1
     return accepted / runs

@@ -24,7 +24,6 @@ from pacverify import intervals as iv
 from pacverify import lowerbound as lb
 from pacverify import sq
 from pacverify.core import DiscreteDistribution, child_rng
-from pacverify.identity_test import IdentityTestConfig
 
 
 _EMIT = None
@@ -126,16 +125,20 @@ class TestCriterion3ErmExactness:
 
 class TestCriterion4IdentityTesterContract:
     def test_planted_distances(self):
-        cfg, delta = IdentityTestConfig(n=100, epsilon=0.1), 0.1
+        # n = 100 atoms, outer radius 0.1 and the inner radius outer / sqrt(n)
+        outer, delta = 0.1, 0.1
+        inner = outer / math.sqrt(100)
         ref = DiscreteDistribution.uniform(100)
         runs = 500
         floor = (1 - delta) - slack(1 - delta, runs)
         results = []
-        for tv in (0.0, cfg.inner):
-            rate = accept_rate(cfg, delta, ref, planted_shift(ref.probs, tv), runs, seed=44)
+        for tv in (0.0, inner):
+            rate = accept_rate(outer, inner, delta, ref, planted_shift(ref.probs, tv), runs,
+                               seed=44)
             results.append((tv, "accept", rate, rate >= floor))
-        for tv in (cfg.epsilon, 2 * cfg.epsilon):
-            rate = 1.0 - accept_rate(cfg, delta, ref, planted_shift(ref.probs, tv), runs, seed=45)
+        for tv in (outer, 2 * outer):
+            rate = 1.0 - accept_rate(outer, inner, delta, ref, planted_shift(ref.probs, tv), runs,
+                                     seed=45)
             results.append((tv, "reject", rate, rate >= floor))
         ok = all(r[3] for r in results)
         detail = ", ".join(f"tv={r[0]:.2f} {r[1]}={r[2]:.3f}" for r in results)

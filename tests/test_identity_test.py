@@ -1,12 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import accept_rate, planted_shift, tv_from_probs
 
 from pacverify import identity_test as it
 from pacverify.core import DiscreteDistribution, child_rng
-from pacverify.identity_test import IdentityTestConfig, required_samples
+from pacverify.identity_test import required_samples
 
-CFG = IdentityTestConfig(n=100, epsilon=0.1)
+# 100 atoms, outer radius 0.1 and inner radius outer / sqrt(100)
+OUTER = 0.1
+INNER = OUTER / math.sqrt(100)
 DELTA = 0.1
 BUDGET = required_samples(100, 0.1, DELTA)
 
@@ -24,14 +30,7 @@ class TestBudget:
         ratio = required_samples(100, 0.05, DELTA) / BUDGET
         assert ratio == pytest.approx(4.0, rel=1e-3)
 
-    def test_inner_radius_default(self):
-        assert CFG.inner == pytest.approx(0.1 / 10)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            IdentityTestConfig(n=1, epsilon=0.1)
-        with pytest.raises(ValueError):
-            IdentityTestConfig(n=100, epsilon=0.1, inner_radius=0.2)
+    def test_budget_validation(self):
         for delta, C in ((0.0, 4.0), (1.0, 4.0), (0.1, 0.0)):
             with pytest.raises(ValueError):
                 required_samples(100, 0.1, delta, C)
@@ -55,8 +54,8 @@ class TestVerdicts:
     def test_deterministic_given_sample(self):
         ref = DiscreteDistribution.uniform(100)
         counts = child_rng(1).multinomial(BUDGET, ref.probs)
-        v1 = it.test_from_counts(ref.probs, counts, CFG)
-        v2 = it.test_from_counts(ref.probs, counts, CFG)
+        v1 = it.test_from_counts(ref.probs, counts, OUTER, INNER)
+        v2 = it.test_from_counts(ref.probs, counts, OUTER, INNER)
         assert v1 == v2
         assert v1.samples_used == BUDGET
 
@@ -65,25 +64,37 @@ class TestVerdicts:
         ref = np.append(np.full(100, 0.01), 0.0)
         counts = np.zeros(101, dtype=np.int64)
         counts[100] = BUDGET
-        verdict = it.test_from_counts(ref, counts, CFG)
+        verdict = it.test_from_counts(ref, counts, OUTER, INNER)
         assert not verdict.accept
         assert verdict.statistic == np.inf
 
+    @given(m=st.integers(1, 2**53),
+           outer=st.floats(1e-6, 1.0, exclude_max=True),
+           share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=200, deadline=None)
+    def test_one_atom_claim_accepted(self, m, outer, share):
+        # the statistic is -m and the threshold m^2 * 2(inner^2 + outer^2) - m
+        inner = outer * share
+        verdict = it.test_from_counts(np.array([1.0]), np.array([m]), outer, inner)
+        assert verdict.accept
+        assert verdict.statistic == -m
+        assert verdict.samples_used == m
+
     def test_accepts_identical_source(self):
         ref = DiscreteDistribution.uniform(100)
-        rate = accept_rate(CFG, DELTA, ref, ref.probs, runs=50, seed=2)
+        rate = accept_rate(OUTER, INNER, DELTA, ref, ref.probs, runs=50, seed=2)
         assert rate >= 0.9
 
     def test_rejects_far_source(self):
         ref = DiscreteDistribution.uniform(100)
-        far = planted_shift(ref.probs, 2 * CFG.epsilon)
-        rate = accept_rate(CFG, DELTA, ref, far, runs=50, seed=3)
+        far = planted_shift(ref.probs, 2 * OUTER)
+        rate = accept_rate(OUTER, INNER, DELTA, ref, far, runs=50, seed=3)
         assert rate <= 0.1
 
     def test_acceptance_monotone_in_distance(self):
         ref = DiscreteDistribution.uniform(100)
-        rates = [accept_rate(CFG, DELTA, ref, planted_shift(ref.probs, tv), runs=60, seed=4)
-                 for tv in (0.0, CFG.inner, 0.05, 0.1, 0.2)]
+        rates = [accept_rate(OUTER, INNER, DELTA, ref, planted_shift(ref.probs, tv), runs=60, seed=4)
+                 for tv in (0.0, INNER, 0.05, 0.1, 0.2)]
         for earlier, later in zip(rates, rates[1:]):
             assert earlier >= later - 0.05
 

@@ -425,3 +425,9 @@ class TestBudgets:
         # a zero c_p would give m_p = 0 and chunk = 0, on which the prover divides by zero
         with pytest.raises(ValueError, match="positive"):
             IntervalProtocolConfig.default(**{"d": 2, "epsilon": 0.1, "delta": 0.2} | params)
+
+    @pytest.mark.parametrize("epsilon", [-0.5, 0.0, 1.0, 2.0, float("nan")])
+    def test_epsilon_outside_unit_range_refused(self, epsilon):
+        # at -0.5 the budget formula would take the log of a negative number
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            IntervalProtocolConfig.default(2, epsilon, 0.2)

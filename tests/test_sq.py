@@ -258,6 +258,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             SqProtocolConfig.default(tau=0.05, epsilon=0.1, delta=0.2, s=16, **constants)
 
+    @pytest.mark.parametrize("name,value", [("tau", 1.5), ("tau", 0.0), ("tau", float("nan")),
+                                            ("epsilon", -0.1), ("epsilon", 1.0),
+                                            ("delta", 1.5), ("delta", 0.0)])
+    def test_out_of_unit_range_refused(self, name, value):
+        # tau is the tester's outer radius, and 1 - epsilon * delta / (4b) its confidence
+        params = {"tau": 0.05, "epsilon": 0.1, "delta": 0.2} | {name: value}
+        with pytest.raises(ValueError, match=f"^{name} must lie in"):
+            SqProtocolConfig.default(s=16, **params)
+
 
 class TestZipfDistribution:
     def test_extreme_exponents_warn_nothing(self):
@@ -284,6 +293,23 @@ class TestPortfolioAlgorithm:
         alg = PortfolioAlgorithm(64, 8)
         sel = simulate_algorithm(alg, dist, child_rng(0))
         assert portfolio_population_loss(sel, dist) == pytest.approx(1 - 8 / 64)
+
+    def test_batch_cap_raises(self):
+        class EndlessAlgorithm(SqAlgorithm):
+            batch = batch_from_rows([[1, 0, 0, 0]])
+            steps = 0
+
+            def reset(self, rng):
+                pass
+
+            def step(self, evaluations):
+                self.steps += 1
+                return ("batch", self.batch)
+
+        alg = EndlessAlgorithm()
+        with pytest.raises(RuntimeError, match="batch cap"):
+            simulate_algorithm(alg, DiscreteDistribution.uniform(4), child_rng(0))
+        assert alg.steps == sq.MAX_BATCHES + 1
 
     def test_requires_headroom(self):
         with pytest.raises(ValueError):
@@ -370,6 +396,21 @@ class TestVerifierIteration:
         result = self.run_iter(HonestSqProver(self.dist, self.cfg),
                                alg=ChattyAlgorithm(64, 8))
         assert result is _REJECT
+
+    def test_one_atom_batch_is_tested_and_accepted(self, monkeypatch):
+        tester, verdicts = sq.test_from_counts, []
+
+        def recorded(*args):
+            verdicts.append(tester(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(sq, "test_from_counts", recorded)
+        cfg = SqProtocolConfig.default(tau=0.05, epsilon=0.1, delta=0.2, s=1)
+        result = self.run_iter(HonestSqProver(self.dist, cfg), alg=PortfolioAlgorithm(64, 8, 1),
+                               cfg=cfg)
+        assert result == list(range(8))
+        assert [(v.accept, v.statistic, v.samples_used) for v in verdicts] == [
+            (True, -cfg.m_v, cfg.m_v)]
 
     def test_memoised_partition_is_read_only(self):
         partitions = {}

@@ -1,4 +1,5 @@
-"""Mutated claims driven through the real verifiers: reject or output, never raise."""
+"""Mutated claims driven through the real verifiers: reject or output, never
+raise. A protocol config either refuses its parameters or runs."""
 
 import copy
 
@@ -144,3 +145,52 @@ def test_intervals_verifier_adversarial_boundaries(data):
                "denominator": IV_CFG.m_p}
     verifier = iv.make_protocol1_verifier(pop, IV_CFG)
     assert outcome(verifier, payload) in ("reject", "hypothesis")
+
+
+def unit(inside):
+    """A unit parameter: from ``inside`` two draws in three, in range and small
+    enough that T and every budget stay small; otherwise outside (0, 1) on
+    either side, NaN and the infinities too."""
+    outside = st.floats(allow_nan=True).filter(lambda v: not 0.0 < v < 1.0)
+    return st.sampled_from([True, True, False]).flatmap(lambda ok: inside if ok else outside)
+
+
+def builds_then_runs(build, run, unit_params):
+    """A config out of the unit range on any parameter is refused; one in range
+    either refuses its parameters or runs an honest interaction to an outcome."""
+    if not all(0.0 < v < 1.0 for v in unit_params):
+        with pytest.raises(ValueError):
+            build()
+        return
+    try:
+        cfg = build()
+    except (ValueError, OverflowError):
+        return
+    assert run(cfg) in ("reject", "hypothesis")
+
+
+@given(tau=unit(st.floats(0.05, 0.95)), epsilon=unit(st.floats(0.3, 0.95)),
+       delta=unit(st.floats(0.05, 0.95)),
+       s=st.sampled_from([1, 2, 4]))
+@settings(max_examples=100, deadline=None)
+def test_sq_config_that_builds_runs(tau, epsilon, delta, s):
+    def run(cfg):
+        verifier = sq.make_sq_verifier(SQ_DIST, sq.PortfolioAlgorithm(8, 2, num_blocks=s), cfg,
+                                       sq.portfolio_holdout_loss)
+        return run_interaction(verifier, sq.HonestSqProver(SQ_DIST, cfg), seed=1).outcome.kind
+
+    builds_then_runs(lambda: sq.SqProtocolConfig.default(tau, epsilon, delta, s), run,
+                     (tau, epsilon, delta))
+
+
+@given(epsilon=unit(st.sampled_from([1 / 2, 1 / 3, 1 / 4]) | st.floats(0.25, 0.95)),
+       delta=unit(st.floats(0.05, 0.95)))
+@settings(max_examples=100, deadline=None)
+def test_intervals_config_that_builds_runs(epsilon, delta):
+    def run(cfg):
+        verifier = iv.make_protocol1_verifier(IV_POP, cfg)
+        prover = iv.make_interval_prover("honest", IV_POP, cfg)
+        return run_interaction(verifier, prover, seed=1).outcome.kind
+
+    builds_then_runs(lambda: iv.IntervalProtocolConfig.default(1, epsilon, delta), run,
+                     (epsilon, delta))
