@@ -6,7 +6,9 @@ verifier asks for: ``open(rng)`` answers ``channel.initial()`` and
 ``respond(payload, rng)`` answers ``channel.ask(payload)``. Epsilon, delta
 and the budgets are common input, held by the protocol config that both
 strategies are built with. All payloads must be JSON-serializable so
-transcripts can be written to and replayed from JSON-lines logs.
+transcripts can be written to and replayed from JSON-lines logs. A prover's
+claim is read once, by ``parse_counts`` (and ``parse_numbers`` for any other
+numbers) against that common input; any defect is a ProtocolViolation.
 """
 
 from __future__ import annotations
@@ -23,30 +25,43 @@ class ProtocolViolation(Exception):
     """A malformed, missing, or excess prover message; the verifier rejects."""
 
 
-def parse_counts(value, shape: tuple, denominator) -> np.ndarray:
-    """Parse an untrusted table of exact counts from a prover's JSON payload.
-
-    ``value`` must be a (nested) list of the given shape whose entries are
-    nonnegative integers (integral floats are accepted) summing exactly to
-    ``denominator``, which must itself be a positive int. Any other input,
-    including bools, NaN or infinity, values beyond int64 and ragged lists,
-    raises ProtocolViolation. Returns the counts as int64.
-    """
-    if type(denominator) is not int or denominator < 1:
-        raise ProtocolViolation("denominator must be a positive integer")
+def parse_numbers(value, shape: tuple) -> np.ndarray:
+    """Parse an untrusted (nested) list of exactly ``shape`` from a prover's
+    payload. Its entries must be finite ints or floats; anything else (bools,
+    strings, None, ragged lists, ints beyond the float range) raises
+    ProtocolViolation. Returns float64."""
     try:
         table = np.asarray(value, dtype=object)
         if table.shape != shape or not set(map(type, table.flat)) <= {int, float}:
-            raise ProtocolViolation(f"counts must form a {shape} table of numbers")
-        floats = table.astype(float)
-        if (not np.isfinite(floats).all() or np.any(floats != np.floor(floats))
-                or np.any(np.abs(floats) >= 2.0**63)):
-            raise ProtocolViolation("counts must be integers within the int64 range")
-        counts = table.astype(np.int64)
+            raise ProtocolViolation(f"expected a {shape} table of numbers")
+        numbers = table.astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ProtocolViolation(f"malformed counts: {exc}") from exc
-    if np.any(counts < 0) or counts.sum(dtype=object) != denominator:
-        raise ProtocolViolation("counts must be nonnegative and sum to the denominator")
+        raise ProtocolViolation(f"malformed numbers: {exc}") from exc
+    if not np.isfinite(numbers).all():
+        raise ProtocolViolation("numbers must be finite")
+    return numbers
+
+
+def parse_counts(payload, shape: tuple, m: int) -> np.ndarray:
+    """Parse an untrusted count claim over the agreed sample size ``m``, the
+    config's prover budget: common input, so trusted.
+
+    ``payload`` must be a JSON object whose ``"denominator"`` is the int ``m``
+    and whose ``"counts"`` pass ``parse_numbers`` and are nonnegative integers
+    within int64 (integral floats are accepted) summing exactly to ``m``;
+    anything else raises ProtocolViolation. Returns the counts as int64.
+    """
+    if not isinstance(payload, dict):
+        raise ProtocolViolation("claim must be a JSON object")
+    denominator = payload.get("denominator")
+    if type(denominator) is not int or denominator != m:
+        raise ProtocolViolation("denominator must be the agreed sample size")
+    numbers = parse_numbers(payload.get("counts"), shape)
+    if np.any(numbers != np.floor(numbers)) or np.any(np.abs(numbers) >= 2.0**63):
+        raise ProtocolViolation("counts must be integers within the int64 range")
+    counts = numbers.astype(np.int64)
+    if np.any(counts < 0) or counts.sum(dtype=object) != m:
+        raise ProtocolViolation("counts must be nonnegative and sum to the agreed sample size")
     return counts
 
 

@@ -41,14 +41,17 @@ def _statistic(counts: np.ndarray, ref: np.ndarray, m: int, n: int) -> float:
     return float(((dev * dev - counts) / denom).sum())
 
 
-def _threshold(ref: np.ndarray, m: int, n: int, outer: float, inner: float) -> float:
-    """Decision threshold, midway between the statistic's expectations under
-    an evenly spread total-variation shift at the inner and outer radii."""
+def _threshold_terms(ref: np.ndarray, m: int, n: int, outer: float, inner: float) -> tuple:
+    """The two terms of the decision threshold m^2 mean_sq spread - m bias,
+    midway between the statistic's expectations under an evenly spread
+    total-variation shift at the inner and outer radii. The verdict tests
+    stat + m bias < the first: the rounded difference can equal a statistic
+    below it (both are -1 at m = 1 on one atom)."""
     denom = np.maximum(ref, 1.0 / n)
     spread = float((1.0 / denom).sum()) / n**2
     mean_sq = 2.0 * (inner**2 + outer**2)
     bias = float((ref * ref / denom).sum())
-    return m * m * mean_sq * spread - m * bias
+    return m * m * mean_sq * spread, m * bias
 
 
 def test_from_counts(ref: np.ndarray, counts: np.ndarray, outer: float, inner: float) -> TestVerdict:
@@ -64,5 +67,5 @@ def test_from_counts(ref: np.ndarray, counts: np.ndarray, outer: float, inner: f
         return TestVerdict(accept=False, statistic=math.inf, samples_used=m)
     n = len(ref)
     stat = _statistic(counts, ref, m, n)
-    return TestVerdict(accept=stat < _threshold(ref, m, n, outer, inner), statistic=stat,
-                       samples_used=m)
+    scale, offset = _threshold_terms(ref, m, n, outer, inner)
+    return TestVerdict(accept=stat + offset < scale, statistic=stat, samples_used=m)

@@ -6,10 +6,11 @@ exact integer counts. It works band by band: it draws its sample's band
 counts, jitters and label draws, and sorts only the jitter of the bands that
 hold a cut rank, which gives exactly the claim that sorting the whole sample
 (``IntervalPopulation.sample``) and partitioning it
-(``honest_prover_partition``) gives from the same draws. The verifier checks
-the equal-share identity exactly, runs the tolerant identity tester against
-the discretized population, and outputs the empirical-risk minimizer over the
-reported discretization.
+(``honest_prover_partition``) gives from the same draws. The verifier parses
+the claim once against the agreed k and m_p (``DiscretizedMessage.from_payload``),
+a parse that checks the equal-share identity exactly; it then runs the
+tolerant identity tester against the discretized population and outputs the
+empirical-risk minimizer over the reported discretization.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .harness import (
     SilentProver,
     VerifierOutcome,
     parse_counts,
+    parse_numbers,
 )
 from .identity_test import required_samples, test_from_counts
 
@@ -215,44 +217,32 @@ class DiscretizedMessage:
     """The prover's discretization claim: interval cut points and exact counts.
 
     Provers build it from their own arrays; a received claim goes through
-    ``from_payload``, which validates it.
+    ``from_payload``, the only place a claim's shape, numbers, total and
+    equal shares are checked.
     """
 
     boundaries: np.ndarray  # k+1 points, 0 = b_0 <= ... <= b_k = 1
     counts: np.ndarray      # (k, 2) integer label counts
-    denominator: int
-
-    @property
-    def k(self) -> int:
-        return self.counts.shape[0]
-
-    def reference_probs(self) -> np.ndarray:
-        """Claimed atom probabilities in (interval, label) order: (j,0), (j,1), ..."""
-        return self.counts.ravel() / self.denominator
 
     def to_payload(self) -> dict:
         return {
             "boundaries": self.boundaries.tolist(),
             "counts": self.counts.tolist(),
-            "denominator": int(self.denominator),
+            "denominator": int(self.counts.sum()),
         }
 
     @classmethod
-    def from_payload(cls, payload) -> "DiscretizedMessage":
-        """Parse and validate an untrusted claim; any defect is a ProtocolViolation."""
-        if not isinstance(payload, dict):
-            raise ProtocolViolation("message must be a JSON object")
-        try:
-            boundaries = np.asarray(payload.get("boundaries"), dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ProtocolViolation(f"malformed boundaries: {exc}") from exc
-        if boundaries.ndim != 1 or len(boundaries) < 2 or not np.isfinite(boundaries).all():
-            raise ProtocolViolation("boundaries must be a list of at least two finite numbers")
+    def from_payload(cls, payload, k: int, m: int) -> "DiscretizedMessage":
+        """Parse an untrusted claim of k intervals over the agreed m sample
+        points, each holding the equal share m // k; any defect is a
+        ProtocolViolation."""
+        counts = parse_counts(payload, (k, 2), m)
+        boundaries = parse_numbers(payload.get("boundaries"), (k + 1,))
         if boundaries[0] != 0.0 or boundaries[-1] != 1.0 or np.any(np.diff(boundaries) < 0):
             raise ProtocolViolation("boundaries must increase from 0 to 1")
-        denominator = payload.get("denominator")
-        counts = parse_counts(payload.get("counts"), (len(boundaries) - 1, 2), denominator)
-        return cls(boundaries, counts, denominator)
+        if np.any(counts.sum(axis=1) != m // k):
+            raise ProtocolViolation("every interval must hold an equal share of the sample")
+        return cls(boundaries, counts)
 
 
 def honest_prover_partition(xs: np.ndarray, ys: np.ndarray, k: int) -> DiscretizedMessage:
@@ -278,7 +268,7 @@ def honest_prover_partition(xs: np.ndarray, ys: np.ndarray, k: int) -> Discretiz
     boundaries = np.concatenate(([0.0], inner, [1.0]))
     ones = sy.reshape(k, chunk).sum(axis=1)
     counts = np.stack([chunk - ones, ones], axis=1)
-    return DiscretizedMessage(boundaries, counts, m)
+    return DiscretizedMessage(boundaries, counts)
 
 
 def map_to_interval(boundaries: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -333,34 +323,6 @@ def erm_runs(mass0: np.ndarray, mass1: np.ndarray, d: int) -> tuple[list, float]
     return [(int(s), int(e) - 1) for s, e in edges.reshape(-1, 2)], float(best[0][0][0])
 
 
-def verifier_protocol1(pop: IntervalPopulation, msg: DiscretizedMessage,
-                       cfg: IntervalProtocolConfig, rng: np.random.Generator) -> VerifierOutcome:
-    """The verifier side of the intervals protocol.
-
-    Rejects on the exact equal-share identity failing, then on the tolerant
-    identity test failing against the claimed discretization; otherwise
-    outputs the ERM hypothesis over the claim. The tester reads only the
-    sample's occupancy counts over the claim's (interval, label) atoms, so
-    they are drawn directly: the counts of m_v i.i.d. points are
-    Multinomial(m_v, pushforward masses of the claimed intervals).
-    """
-    if msg.k != cfg.k or msg.denominator != cfg.m_p:
-        return VerifierOutcome.reject()
-    if np.any(msg.counts.sum(axis=1) != cfg.chunk):
-        return VerifierOutcome.reject()
-
-    counts = rng.multinomial(cfg.m_v, pop.interval_label_masses(msg.boundaries).ravel())
-    outer = cfg.epsilon / 6.0
-    verdict = test_from_counts(msg.reference_probs(), counts, outer, outer / math.sqrt(2 * cfg.k))
-    if not verdict.accept:
-        return VerifierOutcome.reject()
-
-    table = msg.counts / cfg.m_p
-    runs, _ = erm_runs(table[:, 0], table[:, 1], cfg.d)
-    intervals = [[float(msg.boundaries[s]), float(msg.boundaries[e + 1])] for s, e in runs]
-    return VerifierOutcome.of(intervals)
-
-
 def optimal_class_loss(pop: IntervalPopulation, d: int) -> float:
     """Exact optimum of 0-1 loss over unions of <= d intervals for a band population."""
     mass1 = pop.masses * pop.label1
@@ -406,7 +368,7 @@ class HonestIntervalProver:
         left, right = values[:k - 1], values[k - 1:]
         inner = np.where(left < right, 0.5 * (left + right), left)
         boundaries = np.concatenate(([0.0], inner, [1.0]))
-        return DiscretizedMessage(boundaries, np.stack([chunk - ones, ones], axis=1), m)
+        return DiscretizedMessage(boundaries, np.stack([chunk - ones, ones], axis=1))
 
     def edit(self, counts: np.ndarray) -> np.ndarray:
         """The claimed (k, 2) label counts, given the prover's own."""
@@ -414,7 +376,7 @@ class HonestIntervalProver:
 
     def open(self, rng):
         msg = self.build_message(rng)
-        return DiscretizedMessage(msg.boundaries, self.edit(msg.counts), msg.denominator).to_payload()
+        return DiscretizedMessage(msg.boundaries, self.edit(msg.counts)).to_payload()
 
 
 class MassShiftProver(HonestIntervalProver):
@@ -443,7 +405,7 @@ class WrongBoundaryProver(HonestIntervalProver):
         boundaries = np.linspace(0.0, 1.0, k + 1)
         inside = 0.5 * (boundaries[:-1] + boundaries[1:]) < 0.5
         counts = np.where(inside[:, None], [0, chunk], [chunk, 0]).astype(np.int64)
-        return DiscretizedMessage(boundaries, counts, self.cfg.m_p).to_payload()
+        return DiscretizedMessage(boundaries, counts).to_payload()
 
 
 INTERVAL_PROVERS = {
@@ -463,10 +425,25 @@ def make_interval_prover(name: str, pop: IntervalPopulation, cfg: IntervalProtoc
 
 
 def make_protocol1_verifier(pop: IntervalPopulation, cfg: IntervalProtocolConfig):
-    """Verifier strategy bound to the population it draws its counts from."""
+    """The intervals verifier, bound to the population it draws its counts from.
+
+    The claim's parse at (k, m_p) refuses unequal shares; the verifier then
+    rejects if the tolerant identity test fails against the claimed
+    discretization, and otherwise outputs the ERM hypothesis over the claim.
+    The tester reads only occupancy counts over the (interval, label) atoms,
+    so they are drawn directly: Multinomial(m_v, the claimed intervals' masses).
+    """
+    outer = cfg.epsilon / 6.0
+    inner = outer / math.sqrt(2 * cfg.k)
 
     def verifier(channel, rng):
-        msg = DiscretizedMessage.from_payload(channel.initial())
-        return verifier_protocol1(pop, msg, cfg, rng)
+        msg = DiscretizedMessage.from_payload(channel.initial(), cfg.k, cfg.m_p)
+        counts = rng.multinomial(cfg.m_v, pop.interval_label_masses(msg.boundaries).ravel())
+        table = msg.counts / cfg.m_p
+        if not test_from_counts(table.ravel(), counts, outer, inner).accept:
+            return VerifierOutcome.reject()
+        runs, _ = erm_runs(table[:, 0], table[:, 1], cfg.d)
+        return VerifierOutcome.of([[float(msg.boundaries[s]), float(msg.boundaries[e + 1])]
+                                   for s, e in runs])
 
     return verifier

@@ -24,7 +24,6 @@ import numpy as np
 
 from .core import DiscreteDistribution, child_rng
 from .harness import (
-    ProtocolViolation,
     VerifierOutcome,
     parse_counts,
     run_interaction,
@@ -325,23 +324,13 @@ def verifier_iteration(element_counts_v: np.ndarray, alg: SqAlgorithm, channel,
             "batch": t,
             "atoms": ap.signature.tolist(),
         })
-        claimed = _parse_atom_claim(reply, ap.size, cfg.m_p)
+        claimed = DiscreteDistribution(parse_counts(reply, (ap.size,), cfg.m_p) / cfg.m_p)
         verdict = test_from_counts(claimed.probs, ap.atom_counts(element_counts_v),
                                    cfg.tau, cfg.tau / (2.0 * math.sqrt(ap.size)))
         if not verdict.accept:
             return _REJECT
         kind, value = alg.step(induced_evaluations(ap, claimed.probs))
     return value
-
-
-def _parse_atom_claim(reply, atom_count: int, m_p: int) -> DiscreteDistribution:
-    if not isinstance(reply, dict):
-        raise ProtocolViolation("atom claim must be a JSON object")
-    denominator = reply.get("denominator")
-    counts = parse_counts(reply.get("counts"), (atom_count,), denominator)
-    if denominator != m_p:
-        raise ProtocolViolation("atom counts must sum to the agreed denominator")
-    return DiscreteDistribution(counts / m_p)
 
 
 def make_sq_verifier(dist: DiscreteDistribution, alg: SqAlgorithm, cfg: SqProtocolConfig,

@@ -290,7 +290,7 @@ def reference_sq_verifier(dist, alg, cfg, holdout_loss):
     then holdout selection. Consumes the verifier's randomness in the same
     order as ``make_sq_verifier``."""
     from pacverify import sq
-    from pacverify.harness import VerifierOutcome
+    from pacverify.harness import VerifierOutcome, parse_counts
 
     def simulate(counts_v, channel, iteration, rng):
         alg.reset(rng)
@@ -305,7 +305,7 @@ def reference_sq_verifier(dist, alg, cfg, holdout_loss):
                 return None
             reply = channel.ask({"iteration": iteration, "batch": t,
                                  "atoms": ap.signature.tolist()})
-            claimed = sq._parse_atom_claim(reply, ap.size, cfg.m_p)
+            claimed = DiscreteDistribution(parse_counts(reply, (ap.size,), cfg.m_p) / cfg.m_p)
             verdict = test_from_counts(claimed.probs, ap.atom_counts(counts_v),
                                        cfg.tau, cfg.tau / (2.0 * math.sqrt(ap.size)))
             if not verdict.accept:

@@ -40,14 +40,14 @@ class TestDiscreteDistribution:
     def test_json_round_trip_exact(self):
         # a claimed count vector survives the JSON wire format exactly
         doc = json.loads(json.dumps({"counts": [5, 3, 2], "denominator": 10}))
-        counts = parse_counts(doc["counts"], (3,), doc["denominator"])
+        counts = parse_counts(doc, (3,), 10)
         assert list(counts) == [5, 3, 2]
-        d = DiscreteDistribution(counts / doc["denominator"])
+        d = DiscreteDistribution(counts / 10)
         assert list(d.probs) == [0.5, 0.3, 0.2]
 
     def test_json_rejects_inconsistent_denominator(self):
         with pytest.raises(ProtocolViolation):
-            parse_counts([1, 1], (2,), 3)
+            parse_counts({"counts": [1, 1], "denominator": 3}, (2,), 3)
 
 
 class TestTotalVariation:

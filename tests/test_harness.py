@@ -18,6 +18,7 @@ from pacverify.harness import (
     VerifierOutcome,
     classify_outcome,
     parse_counts,
+    parse_numbers,
     run_interaction,
 )
 
@@ -187,7 +188,7 @@ class TestClassification:
 
 class TestParseCounts:
     def test_accepts_exact_counts(self):
-        counts = parse_counts([[3, 1.0], [0, 4]], (2, 2), 8)
+        counts = parse_counts({"counts": [[3, 1.0], [0, 4]], "denominator": 8}, (2, 2), 8)
         assert counts.dtype == np.int64
         assert counts.tolist() == [[3, 1], [0, 4]]
 
@@ -208,5 +209,37 @@ class TestParseCounts:
         ([0, 0], 0),                         # empty total
     ])
     def test_rejects_malformed_tables(self, value, denominator):
+        # agreed on the total the claim names where that is a positive int, else on 2
+        m = denominator if type(denominator) is int and denominator > 0 else 2
         with pytest.raises(ProtocolViolation):
-            parse_counts(value, (2,), denominator)
+            parse_counts({"counts": value, "denominator": denominator}, (2,), m)
+
+    @pytest.mark.parametrize("payload", [
+        {"counts": [1, 0], "denominator": 2},      # sums to its own total, not the agreed one
+        {"counts": [1, 1], "denominator": 2},
+        {"counts": [1, 0], "denominator": 1.0},
+        {"counts": [1, 0], "denominator": True},
+        {"counts": [1, 0]},
+        [1, 0],
+        None,
+    ], ids=["other-total", "other-total-counts", "float", "bool", "missing", "list", "null"])
+    def test_denominator_must_be_the_agreed_int(self, payload):
+        with pytest.raises(ProtocolViolation):
+            parse_counts(payload, (2,), 1)
+
+
+class TestParseNumbers:
+    def test_accepts_finite_ints_and_floats(self):
+        numbers = parse_numbers([0, 0.25, 1], (3,))
+        assert numbers.dtype == np.float64
+        assert numbers.tolist() == [0.0, 0.25, 1.0]
+
+    @pytest.mark.parametrize("value", [
+        ["0", 0.5, "1"], [False, 0.5, True], [0, None, 1], [0, 1], [0, 0.5, 1, 1],
+        [[0], [0.5, 1], [1]], [0, float("nan"), 1], [0, float("inf"), 1], [0, 10**400, 1],
+        "zzzz", None,
+    ], ids=["strings", "bools", "none", "short", "long", "ragged", "nan", "inf", "huge-int",
+            "string", "null"])
+    def test_rejects_anything_but_finite_numbers_of_the_shape(self, value):
+        with pytest.raises(ProtocolViolation):
+            parse_numbers(value, (3,))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import accept_rate, planted_shift, tv_from_probs
 
@@ -69,8 +69,9 @@ class TestVerdicts:
         assert verdict.statistic == np.inf
 
     @given(m=st.integers(1, 2**53),
-           outer=st.floats(1e-6, 1.0, exclude_max=True),
+           outer=st.floats(1e-100, 1.0, exclude_max=True),
            share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(m=1, outer=1e-9, share=0.5)  # the threshold's rounded difference is -1 = statistic
     @settings(max_examples=200, deadline=None)
     def test_one_atom_claim_accepted(self, m, outer, share):
         # the statistic is -m and the threshold m^2 * 2(inner^2 + outer^2) - m

@@ -27,7 +27,6 @@ from pacverify.intervals import (
     make_protocol1_verifier,
     map_to_interval,
     optimal_class_loss,
-    verifier_protocol1,
 )
 
 TARGET = UnionOfIntervals(((0.1, 0.3), (0.6, 0.8)))
@@ -77,7 +76,7 @@ class TestHonestPartition:
         ys = np.array([0, 1, 0, 1, 0, 1, 0, 1])
         msg = honest_prover_partition(xs, ys, k=4)
         assert (msg.counts.sum(axis=1) == 2).all()
-        assert msg.denominator == 8
+        assert msg.counts.sum() == 8
 
     def test_sample_size_must_divide(self):
         with pytest.raises(ValueError):
@@ -158,7 +157,7 @@ class TestWireFormat:
         msg = honest_prover_partition(np.linspace(0.05, 0.95, 8), np.ones(8, dtype=int), k=4)
         doc = msg.to_payload()
         assert set(doc) == {"boundaries", "counts", "denominator"}
-        back = DiscretizedMessage.from_payload(doc)
+        back = DiscretizedMessage.from_payload(doc, 4, 8)
         assert np.allclose(back.boundaries, msg.boundaries)
         assert (back.counts == msg.counts).all()
 
@@ -170,13 +169,17 @@ class TestWireFormat:
         lambda d: d["counts"][0].__setitem__(0, -1),
         lambda d: d.update(boundaries=[0.5] + d["boundaries"][1:]),
         lambda d: d.update(counts=[[0.5, 1.5]] + d["counts"][1:]),
+        lambda d: d.update(boundaries=[str(b) for b in d["boundaries"]]),
+        lambda d: d.update(boundaries=[False, *d["boundaries"][1:-1], True]),
+        lambda d: d.update(denominator=16, counts=[[0, 4]] * 4),  # not the agreed m = 8
+        lambda d: d.update(counts=[[0, 3], [0, 1], [0, 2], [0, 2]]),  # unequal shares
     ])
     def test_malformed_payloads_raise(self, mangle):
         msg = honest_prover_partition(np.linspace(0.05, 0.95, 8), np.ones(8, dtype=int), k=4)
         doc = msg.to_payload()
         mangle(doc)
         with pytest.raises(ProtocolViolation):
-            DiscretizedMessage.from_payload(doc)
+            DiscretizedMessage.from_payload(doc, 4, 8)
 
 
 class TestDiscretize:
@@ -257,12 +260,11 @@ class TestVerifier:
     def test_tampered_count_rejected_at_gate(self):
         cfg = small_config()
         pop = IntervalPopulation.grid_realizable(64, TARGET)
-        msg = HonestIntervalProver(pop, cfg).build_message(child_rng(3))
-        counts = msg.counts.copy()
-        counts[0, 0] += 1
-        counts[1, 0] -= 1
-        bad = DiscretizedMessage(msg.boundaries, counts, msg.denominator)
-        assert verifier_protocol1(pop, bad, cfg, child_rng(4)).kind == "reject"
+        doc = HonestIntervalProver(pop, cfg).open(child_rng(3))
+        doc["counts"][0][0] += 1
+        doc["counts"][1][0] -= 1
+        with pytest.raises(ProtocolViolation, match="equal share"):
+            DiscretizedMessage.from_payload(doc, cfg.k, cfg.m_p)
 
     def test_map_to_interval_conventions(self):
         boundaries = np.array([0.0, 0.25, 0.5, 1.0])

@@ -412,6 +412,16 @@ class TestVerifierIteration:
         assert [(v.accept, v.statistic, v.samples_used) for v in verdicts] == [
             (True, -cfg.m_v, cfg.m_v)]
 
+    def test_honest_one_atom_claim_accepted_on_one_sample(self):
+        # m_v = m_p = 1: the statistic is -1, and the threshold 2e-18 - 1 rounds to -1
+        cfg = SqProtocolConfig.default(tau=1e-9, epsilon=0.5, delta=0.5, s=1,
+                                       c_v=1e-20, c_p=1e-20)
+        assert (cfg.m_v, cfg.m_p) == (1, 1)
+        dist = zipf_distribution(8)
+        verifier = make_sq_verifier(dist, PortfolioAlgorithm(8, 2, 1), cfg, portfolio_holdout_loss)
+        t = run_interaction(verifier, HonestSqProver(dist, cfg), 0)
+        assert t.outcome.hypothesis == [0, 1]
+
     def test_memoised_partition_is_read_only(self):
         partitions = {}
         self.run_iter(HonestSqProver(self.dist, self.cfg), partitions=partitions)

@@ -1,5 +1,6 @@
 """Mutated claims driven through the real verifiers: reject or output, never
-raise. A protocol config either refuses its parameters or runs."""
+raise, and a claim with a structural defect always rejects. A protocol
+config either refuses its parameters or runs."""
 
 import copy
 
@@ -16,6 +17,12 @@ from pacverify.harness import run_interaction
 IV_CFG = iv.IntervalProtocolConfig.default(1, 0.5, 0.5)
 IV_POP = iv.IntervalPopulation.grid_realizable(8, iv.UnionOfIntervals(((0.25, 0.5),)))
 IV_PAYLOAD = iv.HonestIntervalProver(IV_POP, IV_CFG).open(child_rng(0))
+# the acceptance config, whose honest claims give hypotheses (IV_CFG's m_p = 240 is
+# too small for the tester to accept them), so a defect the parse misses shows
+IV_FULL_CFG = iv.IntervalProtocolConfig.default(2, 0.1, 0.2)
+IV_FULL_POP = iv.IntervalPopulation.grid_realizable(
+    64, iv.UnionOfIntervals(((0.1, 0.3), (0.6, 0.8))))
+IV_FULL_PAYLOAD = iv.HonestIntervalProver(IV_FULL_POP, IV_FULL_CFG).open(child_rng(0))
 # the same bands at half-width 1e-3, close to point masses
 IV_NARROW_POP = iv.IntervalPopulation(IV_POP.centers, IV_POP.masses, IV_POP.label1,
                                       halfwidth=1e-3)
@@ -107,6 +114,59 @@ def test_payload_nested_past_the_recursion_limit_rejects(protocol):
     deep = nested(5000)
     assert outcome(verifier, deep) == "reject"
     assert outcome(verifier, dict(honest, counts=deep)) == "reject"
+
+
+def share_moved(doc):
+    """One count moved from interval 1 to interval 0, the total kept."""
+    counts = copy.deepcopy(doc["counts"])
+    y = 0 if counts[1][0] else 1
+    counts[1][y] -= 1
+    counts[0][y] += 1
+    return dict(doc, counts=counts)
+
+
+# one structural defect each in the honest claims; the parse must refuse every one
+IV_DEFECTS = {
+    "boundaries-as-strings": lambda d: dict(d, boundaries=[str(b) for b in d["boundaries"]]),
+    "boundaries-as-bools": lambda d: dict(d, boundaries=[False, *d["boundaries"][1:-1], True]),
+    "boundary-none": lambda d: dict(d, boundaries=[0.0, None, *d["boundaries"][2:]]),
+    "k-boundaries": lambda d: dict(d, boundaries=[0.0, *d["boundaries"][2:]]),
+    "denominator-plus-1": lambda d: dict(d, denominator=IV_FULL_CFG.m_p + 1),
+    "denominator-minus-1": lambda d: dict(d, denominator=IV_FULL_CFG.m_p - 1),
+    "denominator-float": lambda d: dict(d, denominator=float(IV_FULL_CFG.m_p)),
+    "denominator-true": lambda d: dict(d, denominator=True),
+    "not-an-object": lambda d: [d],
+    "unequal-share": share_moved,
+}
+SQ_DEFECTS = {
+    "denominator-plus-1": lambda r: dict(r, denominator=SQ_CFG.m_p + 1),
+    "denominator-minus-1": lambda r: dict(r, denominator=SQ_CFG.m_p - 1),
+    "denominator-float": lambda r: dict(r, denominator=float(SQ_CFG.m_p)),
+    "denominator-missing": lambda r: {"counts": r["counts"]},
+    "counts-as-strings": lambda r: dict(r, counts=[str(c) for c in r["counts"]]),
+    "not-an-object": lambda r: [r],
+}
+
+
+def test_honest_claims_give_hypotheses():
+    alg = sq.PortfolioAlgorithm(8, 2, num_blocks=4)
+    verifier = iv.make_protocol1_verifier(IV_FULL_POP, IV_FULL_CFG)
+    assert outcome(verifier, IV_FULL_PAYLOAD) == "hypothesis"
+    assert outcome(sq.make_sq_verifier(SQ_DIST, alg, SQ_CFG, sq.portfolio_holdout_loss),
+                   SQ_REPLY) == "hypothesis"
+
+
+@pytest.mark.parametrize("defect", IV_DEFECTS.values(), ids=IV_DEFECTS.keys())
+def test_intervals_claim_with_a_defect_rejects(defect):
+    verifier = iv.make_protocol1_verifier(IV_FULL_POP, IV_FULL_CFG)
+    assert outcome(verifier, defect(IV_FULL_PAYLOAD)) == "reject"
+
+
+@pytest.mark.parametrize("defect", SQ_DEFECTS.values(), ids=SQ_DEFECTS.keys())
+def test_sq_claim_with_a_defect_rejects(defect):
+    alg = sq.PortfolioAlgorithm(8, 2, num_blocks=4)
+    verifier = sq.make_sq_verifier(SQ_DIST, alg, SQ_CFG, sq.portfolio_holdout_loss)
+    assert outcome(verifier, defect(SQ_REPLY)) == "reject"
 
 
 def adversarial_boundaries(data):
