@@ -1,14 +1,16 @@
 """Interactive-proof execution: message passing, transcripts, outcome scoring.
 
-A verifier strategy is a callable ``verifier(channel, rng)`` that returns a
-:class:`VerifierOutcome`. A prover strategy implements the messages its
-verifier asks for: ``open(rng)`` answers ``channel.initial()`` and
-``respond(payload, rng)`` answers ``channel.ask(payload)``. Epsilon, delta
-and the budgets are common input, held by the protocol config that both
-strategies are built with. All payloads must be JSON-serializable so
-transcripts can be written to and replayed from JSON-lines logs. A prover's
-claim is read once, by ``parse_counts`` (and ``parse_numbers`` for any other
-numbers) against that common input; any defect is a ProtocolViolation.
+A verifier strategy is a callable ``verifier(channel, rng)`` that returns its
+hypothesis, or raises ProtocolViolation, naming the gate, to reject;
+``run_interaction`` alone turns either into a :class:`VerifierOutcome`. A
+prover strategy implements the messages its verifier asks for: ``open(rng)``
+answers ``channel.initial()`` and ``respond(payload, rng)`` answers
+``channel.ask(payload)``. Epsilon, delta and the budgets are common input,
+held by the protocol config that both strategies are built with. All
+payloads must be JSON-serializable so transcripts can be written to and
+replayed from JSON-lines logs. A prover's claim is read once, by
+``parse_counts`` (and ``parse_numbers`` for any other numbers) against that
+common input; any defect is a ProtocolViolation.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from .core import child_rng
 
 
 class ProtocolViolation(Exception):
-    """A malformed, missing, or excess prover message; the verifier rejects."""
+    """A malformed, missing or excess prover message, or a claim or a bound
+    that the verifier refuses; the verifier rejects."""
 
 
 def parse_numbers(value, shape: tuple) -> np.ndarray:
@@ -50,6 +53,8 @@ def parse_counts(payload, shape: tuple, m: int) -> np.ndarray:
     and whose ``"counts"`` pass ``parse_numbers`` and are nonnegative integers
     within int64 (integral floats are accepted) summing exactly to ``m``;
     anything else raises ProtocolViolation. Returns the counts as int64.
+    Needs ``m < 2**53``, which both configs' budgets keep: every count
+    float64 would round is then above ``m``, so the sum check refuses it.
     """
     if not isinstance(payload, dict):
         raise ProtocolViolation("claim must be a JSON object")
@@ -75,14 +80,6 @@ class VerifierOutcome:
             raise ValueError(f"unknown outcome kind {self.kind!r}")
         if (self.kind == "hypothesis") != (self.hypothesis is not None):
             raise ValueError("hypothesis present iff kind == 'hypothesis'")
-
-    @classmethod
-    def reject(cls) -> "VerifierOutcome":
-        return cls("reject")
-
-    @classmethod
-    def of(cls, hypothesis) -> "VerifierOutcome":
-        return cls("hypothesis", hypothesis)
 
 
 @dataclass(frozen=True)
@@ -187,16 +184,15 @@ def run_interaction(verifier, prover, seed: int) -> Transcript:
     """Execute one verifier-prover interaction and capture its transcript.
 
     Deterministic given (strategies, seed): the verifier and prover
-    receive independent child generators derived from the seed. Any protocol
-    violation by the prover yields a reject outcome rather than an exception.
+    receive independent child generators derived from the seed. A
+    ProtocolViolation, whichever gate raises it, ends the run in reject.
     """
     transcript = Transcript()
     channel = ProverChannel(prover, child_rng(seed, 1), transcript.messages)
     try:
-        outcome = verifier(channel, child_rng(seed, 0))
+        transcript.outcome = VerifierOutcome("hypothesis", verifier(channel, child_rng(seed, 0)))
     except ProtocolViolation:
-        outcome = VerifierOutcome.reject()
-    transcript.outcome = outcome
+        transcript.outcome = VerifierOutcome("reject")
     return transcript
 
 

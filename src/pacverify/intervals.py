@@ -25,7 +25,6 @@ from .harness import (
     GarbageProver,
     ProtocolViolation,
     SilentProver,
-    VerifierOutcome,
     parse_counts,
     parse_numbers,
 )
@@ -191,8 +190,8 @@ class IntervalProtocolConfig:
         base = self.c_p * (d * d * math.log(max(d / epsilon, math.e))
                            + math.log(1.0 / self.delta)) / epsilon**4
         m_p = int(math.ceil(base / k) * k)
-        if max(m_v, m_p) > 2**53:
-            raise OverflowError("sample budgets must be at most 2**53, where float sums are exact")
+        if max(m_v, m_p) >= 2**53:
+            raise OverflowError("sample budgets must be below 2**53, where float counts are exact")
         object.__setattr__(self, "m_v", m_v)
         object.__setattr__(self, "m_p", m_p)
 
@@ -428,10 +427,11 @@ def make_protocol1_verifier(pop: IntervalPopulation, cfg: IntervalProtocolConfig
     """The intervals verifier, bound to the population it draws its counts from.
 
     The claim's parse at (k, m_p) refuses unequal shares; the verifier then
-    rejects if the tolerant identity test fails against the claimed
-    discretization, and otherwise outputs the ERM hypothesis over the claim.
-    The tester reads only occupancy counts over the (interval, label) atoms,
-    so they are drawn directly: Multinomial(m_v, the claimed intervals' masses).
+    raises ProtocolViolation if the tolerant identity test refuses the claimed
+    discretization, and otherwise returns the ERM hypothesis over the claim,
+    a list of [start, end] intervals. The tester reads only occupancy counts
+    over the (interval, label) atoms, so they are drawn directly:
+    Multinomial(m_v, the claimed intervals' masses).
     """
     outer = cfg.epsilon / 6.0
     inner = outer / math.sqrt(2 * cfg.k)
@@ -441,9 +441,8 @@ def make_protocol1_verifier(pop: IntervalPopulation, cfg: IntervalProtocolConfig
         counts = rng.multinomial(cfg.m_v, pop.interval_label_masses(msg.boundaries).ravel())
         table = msg.counts / cfg.m_p
         if not test_from_counts(table.ravel(), counts, outer, inner).accept:
-            return VerifierOutcome.reject()
+            raise ProtocolViolation("identity tester refused the claimed discretization")
         runs, _ = erm_runs(table[:, 0], table[:, 1], cfg.d)
-        return VerifierOutcome.of([[float(msg.boundaries[s]), float(msg.boundaries[e + 1])]
-                                   for s, e in runs])
+        return [[float(msg.boundaries[s]), float(msg.boundaries[e + 1])] for s, e in runs]
 
     return verifier

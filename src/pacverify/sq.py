@@ -23,11 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from .core import DiscreteDistribution, child_rng
-from .harness import (
-    VerifierOutcome,
-    parse_counts,
-    run_interaction,
-)
+from .harness import ProtocolViolation, parse_counts, run_interaction
 from .identity_test import required_samples, test_from_counts
 
 
@@ -95,7 +91,7 @@ class AtomPartition:
 
     def atom_counts(self, element_counts: np.ndarray) -> np.ndarray:
         """Aggregate per-element occupancy counts into per-atom counts (float
-        sums of counts are exact up to 2**53, which the config's budget bound
+        sums of counts are exact below 2**53, which the config's budget bound
         keeps them within; every atom holds an element)."""
         return np.bincount(self.signature, weights=element_counts).astype(np.int64)
 
@@ -166,8 +162,8 @@ class SqProtocolConfig:
         m_p = math.ceil(self.c_p * self.s * self.s / self.tau**2)
         if min(m_v, m_hold, m_p) < 1:
             raise ValueError("sample budgets must be >= 1")
-        if max(m_v, m_hold, m_p) > 2**53:
-            raise OverflowError("sample budgets must be at most 2**53, where float sums are exact")
+        if max(m_v, m_hold, m_p) >= 2**53:
+            raise OverflowError("sample budgets must be below 2**53, where float counts are exact")
         for name, value in (("m_v", m_v), ("m_v_holdout", m_hold), ("m_p", m_p)):
             object.__setattr__(self, name, value)
 
@@ -288,9 +284,6 @@ def simulation_sample_cost(d: int, tau: float, delta: float) -> int:
 # the verified protocol
 
 
-_REJECT = object()
-
-
 def verifier_iteration(element_counts_v: np.ndarray, alg: SqAlgorithm, channel,
                        cfg: SqProtocolConfig, iteration: int, rng, partitions: dict):
     """Simulate one full run of the algorithm through the prover channel.
@@ -298,8 +291,9 @@ def verifier_iteration(element_counts_v: np.ndarray, alg: SqAlgorithm, channel,
     Per batch: look up or compute the atoms, send the prover their partition,
     identity-test its claimed atom distribution against the verifier sample's
     atom counts, and feed the claim's induced evaluations back to the
-    algorithm. Returns the algorithm's output, or the module-level reject
-    sentinel on any bound or test failure.
+    algorithm. Returns the algorithm's output; raises ProtocolViolation,
+    naming the gate, when the algorithm asks more than ``cfg.b`` batches, a
+    batch has more than ``cfg.s`` atoms, or the tester refuses a claim.
 
     ``partitions`` memoises atom partitions by ``batch.key``, the content
     key each batch computes once from its read-only matrix, so a fresh but
@@ -312,13 +306,13 @@ def verifier_iteration(element_counts_v: np.ndarray, alg: SqAlgorithm, channel,
     while kind == "batch":
         t += 1
         if t > cfg.b:
-            return _REJECT
+            raise ProtocolViolation(f"batch bound: the algorithm asked more than {cfg.b} batches")
         batch = value
         ap = partitions.get(batch.key)
         if ap is None:
             ap = partitions[batch.key] = atoms_of(batch)
         if ap.size > cfg.s:
-            return _REJECT
+            raise ProtocolViolation(f"partition bound: {ap.size} atoms exceed {cfg.s}")
         reply = channel.ask({
             "iteration": iteration,
             "batch": t,
@@ -328,7 +322,7 @@ def verifier_iteration(element_counts_v: np.ndarray, alg: SqAlgorithm, channel,
         verdict = test_from_counts(claimed.probs, ap.atom_counts(element_counts_v),
                                    cfg.tau, cfg.tau / (2.0 * math.sqrt(ap.size)))
         if not verdict.accept:
-            return _REJECT
+            raise ProtocolViolation(f"identity tester refused the claim on batch {t}")
         kind, value = alg.step(induced_evaluations(ap, claimed.probs))
     return value
 
@@ -348,14 +342,10 @@ def make_sq_verifier(dist: DiscreteDistribution, alg: SqAlgorithm, cfg: SqProtoc
         element_counts_v = rng.multinomial(cfg.m_v, dist.probs)
         holdout_counts = rng.multinomial(cfg.m_v_holdout, dist.probs)
         partitions: dict = {}
-        candidates = []
-        for i in range(cfg.T):
-            result = verifier_iteration(element_counts_v, alg, channel, cfg, i, rng, partitions)
-            if result is _REJECT:
-                return VerifierOutcome.reject()
-            candidates.append(result)
+        candidates = [verifier_iteration(element_counts_v, alg, channel, cfg, i, rng, partitions)
+                      for i in range(cfg.T)]
         losses = [holdout_loss(h, holdout_counts, cfg.m_v_holdout) for h in candidates]
-        return VerifierOutcome.of(candidates[int(np.argmin(losses))])
+        return candidates[int(np.argmin(losses))]
 
     return verifier
 

@@ -12,6 +12,7 @@ from itertools import combinations, product
 import numpy as np
 
 from pacverify.core import DiscreteDistribution, child_rng
+from pacverify.harness import ProtocolViolation, parse_counts
 from pacverify.identity_test import required_samples, test_from_counts
 
 
@@ -145,7 +146,8 @@ def accepted_batches(counts_v, alg, channel, cfg, iteration, rng, partitions):
     and return one (atom partition, claimed atom probabilities, evaluations
     fed to the algorithm) per batch the verifier accepted, in order. The
     partition is the verifier's own, read from ``partitions`` by batch key;
-    the claim is the prover's reply counts over its denominator."""
+    the claim is the prover's reply counts over its denominator. A refused
+    iteration adds no batch past the last accepted one."""
     from pacverify import sq
 
     accepted, last = [], {}
@@ -170,7 +172,10 @@ def accepted_batches(counts_v, alg, channel, cfg, iteration, rng, partitions):
                 last["batch"] = value
             return kind, value
 
-    sq.verifier_iteration(counts_v, Algorithm(), Channel(), cfg, iteration, rng, partitions)
+    try:
+        sq.verifier_iteration(counts_v, Algorithm(), Channel(), cfg, iteration, rng, partitions)
+    except ProtocolViolation:
+        pass
     return accepted
 
 
@@ -290,7 +295,6 @@ def reference_sq_verifier(dist, alg, cfg, holdout_loss):
     then holdout selection. Consumes the verifier's randomness in the same
     order as ``make_sq_verifier``."""
     from pacverify import sq
-    from pacverify.harness import VerifierOutcome, parse_counts
 
     def simulate(counts_v, channel, iteration, rng):
         alg.reset(rng)
@@ -299,31 +303,26 @@ def reference_sq_verifier(dist, alg, cfg, holdout_loss):
         while kind == "batch":
             t += 1
             if t > cfg.b:
-                return None
+                raise ProtocolViolation("batch bound")
             ap = sq.atoms_of(value)
             if ap.size > cfg.s:
-                return None
+                raise ProtocolViolation("partition bound")
             reply = channel.ask({"iteration": iteration, "batch": t,
                                  "atoms": ap.signature.tolist()})
             claimed = DiscreteDistribution(parse_counts(reply, (ap.size,), cfg.m_p) / cfg.m_p)
             verdict = test_from_counts(claimed.probs, ap.atom_counts(counts_v),
                                        cfg.tau, cfg.tau / (2.0 * math.sqrt(ap.size)))
             if not verdict.accept:
-                return None
+                raise ProtocolViolation("identity tester")
             kind, value = alg.step(sq.induced_evaluations(ap, claimed.probs))
         return value
 
     def verifier(channel, rng):
         counts_v = rng.multinomial(cfg.m_v, dist.probs)
         holdout = rng.multinomial(cfg.m_v_holdout, dist.probs)
-        candidates = []
-        for i in range(cfg.T):
-            result = simulate(counts_v, channel, i, rng)
-            if result is None:
-                return VerifierOutcome.reject()
-            candidates.append(result)
+        candidates = [simulate(counts_v, channel, i, rng) for i in range(cfg.T)]
         losses = [holdout_loss(h, holdout, cfg.m_v_holdout) for h in candidates]
-        return VerifierOutcome.of(candidates[int(np.argmin(losses))])
+        return candidates[int(np.argmin(losses))]
 
     return verifier
 

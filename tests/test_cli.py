@@ -30,8 +30,8 @@ SQ_SPEC = {
 
 GAP_SPEC = {"protocol": "sq", "params": {"experiment": "gap", "ds": [4, 16]}}
 
-# (base, params) whose sample budgets overflow, divide by zero or pass 2**53
-# (beyond which float count sums lose counts) once the config is built
+# (base, params) whose sample budgets overflow, divide by zero or reach 2**53
+# (where a count read as float64 can round) once the config is built
 BAD_BUDGETS = [
     (SQ_SPEC, {"c_p": 1e308}),
     (SQ_SPEC, {"c_v": 1e250}),
@@ -367,11 +367,11 @@ class TestSpecFuzz:
             return
         if experiment.run:
             return
-        # a spec that validates also makes its parties, with every budget at most 2**53
+        # a spec that validates also makes its parties, with every budget below 2**53
         cfg, make_verifier, make_prover, baseline, _ = built
         make_verifier(), make_prover(), baseline()
         budgets = [cfg.m_v, cfg.m_p, getattr(cfg, "m_v_holdout", 1)]
-        assert all(type(m) is int and 1 <= m <= 2**53 for m in budgets)
+        assert all(type(m) is int and 1 <= m < 2**53 for m in budgets)
 
 
 class TestWilson:

@@ -12,6 +12,7 @@ from pacverify.harness import (
     SOUNDNESS_VIOLATION,
     GarbageProver,
     ProtocolViolation,
+    ProverChannel,
     SilentProver,
     Transcript,
     TranscriptParseError,
@@ -34,15 +35,15 @@ def echo_verifier(channel, rng):
     first = channel.initial()
     answer = channel.ask({"q": first["hello"] + 1})
     if answer["echo"]["q"] != 2:
-        return VerifierOutcome.reject()
-    return VerifierOutcome.of([1, 2])
+        raise ProtocolViolation("echo mismatch")
+    return [1, 2]
 
 
 class TestRunInteraction:
     def test_transcript_captures_both_sides(self):
         t = run_interaction(echo_verifier, EchoProver(), seed=0)
         assert [m.sender for m in t.messages] == ["prover", "verifier", "prover"]
-        assert t.outcome == VerifierOutcome.of([1, 2])
+        assert t.outcome == VerifierOutcome("hypothesis", [1, 2])
 
     def test_deterministic_given_seed(self):
         a = run_interaction(echo_verifier, EchoProver(), seed=5)
@@ -77,7 +78,7 @@ class TestRunInteraction:
 
         def verifier(channel, rng):
             channel.initial()
-            return VerifierOutcome.of([0])
+            return [0]
 
         t = run_interaction(verifier, NonFinite(), seed=0)
         assert t.outcome.kind == "reject"
@@ -99,8 +100,8 @@ class TestRunInteraction:
         def verifier(channel, rng):
             msg = channel.initial()
             if not isinstance(msg, dict) or "hello" not in msg:
-                return VerifierOutcome.reject()
-            return VerifierOutcome.of([0])
+                raise ProtocolViolation("no greeting")
+            return [0]
 
         t = run_interaction(verifier, Fuzzer(), seed=0)
         assert t.outcome.kind in ("reject", "hypothesis")
@@ -110,10 +111,34 @@ class TestRunInteraction:
             msg = channel.initial()
             if not isinstance(msg.get("boundaries"), list):
                 raise ProtocolViolation("bad boundaries")
-            return VerifierOutcome.of([0])
+            return [0]
 
         t = run_interaction(verifier, GarbageProver(), seed=0)
         assert t.outcome.kind == "reject"
+
+    def test_refusal_after_an_exchange_keeps_the_messages(self):
+        def verifier(channel, rng):
+            channel.ask({"q": 1})
+            raise ProtocolViolation("claim refused")
+
+        t = run_interaction(verifier, EchoProver(), seed=0)
+        assert [(m.sender, m.payload) for m in t.messages] == [
+            ("verifier", {"q": 1}), ("prover", {"echo": {"q": 1}})]
+        assert t.outcome == VerifierOutcome("reject")
+
+
+    @pytest.mark.parametrize("speak,message", [
+        (lambda rng: None, "prover sent no message"),
+        (lambda rng: 1 / 0, "prover crashed: division by zero"),
+        (lambda rng: {"arr": object()}, "unserializable prover payload"),
+    ], ids=["silent", "crash", "unserializable"])
+    def test_channel_refusal_names_the_defect(self, speak, message):
+        class Prover:
+            def open(self, rng):
+                return speak(rng)
+
+        with pytest.raises(ProtocolViolation, match=message):
+            ProverChannel(Prover(), np.random.default_rng(0), []).initial()
 
 
 class TestTranscriptSerialization:
@@ -161,27 +186,27 @@ class TestClassification:
         return t
 
     def test_honest_accept_within_epsilon(self):
-        t = self.transcript(VerifierOutcome.of(0.55))
+        t = self.transcript(VerifierOutcome("hypothesis", 0.55))
         assert classify_outcome(t, self.loss_of, 0.5, 0.1) == COMPLETENESS_SUCCESS
 
     def test_honest_accept_beyond_epsilon(self):
-        t = self.transcript(VerifierOutcome.of(0.65))
+        t = self.transcript(VerifierOutcome("hypothesis", 0.65))
         assert classify_outcome(t, self.loss_of, 0.5, 0.1) == COMPLETENESS_FAILURE
 
     def test_honest_reject_is_failure(self):
-        t = self.transcript(VerifierOutcome.reject())
+        t = self.transcript(VerifierOutcome("reject"))
         assert classify_outcome(t, self.loss_of, 0.5, 0.1) == COMPLETENESS_FAILURE
 
     def test_adversarial_reject_is_safe(self):
-        t = self.transcript(VerifierOutcome.reject())
+        t = self.transcript(VerifierOutcome("reject"))
         assert classify_outcome(t, self.loss_of, 0.5, 0.1, role="adversarial") == SOUNDNESS_SAFE
 
     def test_adversarial_bad_accept_is_violation(self):
-        t = self.transcript(VerifierOutcome.of(0.65))
+        t = self.transcript(VerifierOutcome("hypothesis", 0.65))
         assert classify_outcome(t, self.loss_of, 0.5, 0.1, role="adversarial") == SOUNDNESS_VIOLATION
 
     def test_classification_is_pure(self):
-        t = self.transcript(VerifierOutcome.of(0.55))
+        t = self.transcript(VerifierOutcome("hypothesis", 0.55))
         for _ in range(3):
             assert classify_outcome(t, self.loss_of, 0.5, 0.1) == COMPLETENESS_SUCCESS
 
@@ -226,6 +251,20 @@ class TestParseCounts:
     def test_denominator_must_be_the_agreed_int(self, payload):
         with pytest.raises(ProtocolViolation):
             parse_counts(payload, (2,), 1)
+
+
+    @pytest.mark.parametrize("payload,message", [
+        ([1, 1], "claim must be a JSON object"),
+        ({"counts": [1, 1], "denominator": 3}, "denominator must be the agreed sample size"),
+        ({"counts": ["1", 1], "denominator": 2}, r"expected a \(2,\) table of numbers"),
+        ({"counts": [10**400, 1], "denominator": 2}, "malformed numbers"),
+        ({"counts": [float("nan"), 1], "denominator": 2}, "numbers must be finite"),
+        ({"counts": [0.5, 1.5], "denominator": 2}, "counts must be integers"),
+        ({"counts": [-1, 3], "denominator": 2}, "counts must be nonnegative and sum"),
+    ], ids=["not-object", "denominator", "not-numbers", "huge", "nan", "fraction", "negative"])
+    def test_refusal_names_the_gate(self, payload, message):
+        with pytest.raises(ProtocolViolation, match=message):
+            parse_counts(payload, (2,), 2)
 
 
 class TestParseNumbers:

@@ -266,6 +266,28 @@ class TestVerifier:
         with pytest.raises(ProtocolViolation, match="equal share"):
             DiscretizedMessage.from_payload(doc, cfg.k, cfg.m_p)
 
+    def test_unsorted_boundaries_rejected_at_gate(self):
+        cfg = small_config()
+        pop = IntervalPopulation.grid_realizable(64, TARGET)
+        doc = HonestIntervalProver(pop, cfg).open(child_rng(3))
+        doc["boundaries"][1], doc["boundaries"][2] = doc["boundaries"][2], doc["boundaries"][1]
+        with pytest.raises(ProtocolViolation, match="boundaries must increase from 0 to 1"):
+            DiscretizedMessage.from_payload(doc, cfg.k, cfg.m_p)
+
+    def test_label_swapped_claim_refused_by_the_tester(self):
+        cfg = small_config()
+        pop = IntervalPopulation.grid_realizable(64, TARGET)
+        prover = make_interval_prover("label-swap", pop, cfg)
+
+        class Channel:
+            def initial(self):
+                return prover.open(child_rng(3))
+
+        verifier = make_protocol1_verifier(pop, cfg)
+        with pytest.raises(ProtocolViolation, match="identity tester"):
+            verifier(Channel(), child_rng(4))
+        assert run_interaction(verifier, prover, 9).outcome.kind == "reject"
+
     def test_map_to_interval_conventions(self):
         boundaries = np.array([0.0, 0.25, 0.5, 1.0])
         assert list(map_to_interval(boundaries, [0.0, 0.25, 0.49, 1.0])) == [0, 1, 1, 2]

@@ -19,7 +19,7 @@ from oracles import (
 
 from pacverify import sq
 from pacverify.core import DiscreteDistribution, child_rng
-from pacverify.harness import run_interaction
+from pacverify.harness import ProtocolViolation, run_interaction
 from pacverify.sq import (
     AtomSwapSqProver,
     HonestSqProver,
@@ -267,6 +267,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{name} must lie in"):
             SqProtocolConfig.default(s=16, **params)
 
+    def test_budget_of_two_to_the_53_refused(self):
+        # here m_p would be 2**53, where parse_counts' float64 read rounds a claimed
+        # count of 2**53 + 1 down to 2**53; below it, every rounded count exceeds m_p
+        with pytest.raises(OverflowError, match=r"below 2\*\*53"):
+            SqProtocolConfig.default(tau=0.5, epsilon=0.5, delta=0.5, s=1, c_p=2.0**51)
+
 
 class TestZipfDistribution:
     def test_extreme_exponents_warn_nothing(self):
@@ -383,8 +389,8 @@ class TestVerifierIteration:
                 counts[np.argmin(counts)] += shift
                 return {"counts": [int(c) for c in counts], "denominator": reply["denominator"]}
 
-        from pacverify.sq import _REJECT
-        assert self.run_iter(FarProver(self.dist, self.cfg)) is _REJECT
+        with pytest.raises(ProtocolViolation, match="identity tester"):
+            self.run_iter(FarProver(self.dist, self.cfg))
 
     def test_batch_bound_rejects(self):
         class ChattyAlgorithm(PortfolioAlgorithm):
@@ -392,10 +398,8 @@ class TestVerifierIteration:
                 self._sent = False  # keep re-sending the batch forever
                 return ("batch", self.batch)
 
-        from pacverify.sq import _REJECT
-        result = self.run_iter(HonestSqProver(self.dist, self.cfg),
-                               alg=ChattyAlgorithm(64, 8))
-        assert result is _REJECT
+        with pytest.raises(ProtocolViolation, match="batch bound"):
+            self.run_iter(HonestSqProver(self.dist, self.cfg), alg=ChattyAlgorithm(64, 8))
 
     def test_one_atom_batch_is_tested_and_accepted(self, monkeypatch):
         tester, verdicts = sq.test_from_counts, []
@@ -433,9 +437,8 @@ class TestVerifierIteration:
 
     def test_partition_size_guard(self):
         cfg = SqProtocolConfig.default(tau=0.05, epsilon=0.1, delta=0.2, s=4)
-        from pacverify.sq import _REJECT
-        result = self.run_iter(HonestSqProver(self.dist, cfg), cfg=cfg)  # PS=16 > s=4
-        assert result is _REJECT
+        with pytest.raises(ProtocolViolation, match="partition bound"):
+            self.run_iter(HonestSqProver(self.dist, cfg), cfg=cfg)  # PS=16 > s=4
 
 
 class _CountingAtoms:
