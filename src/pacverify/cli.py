@@ -152,9 +152,10 @@ class Experiment:
     """One experiment kind. ``params``: name -> (check kind, default), the default
     ``REQUIRED``, a value, or None where the library or ``build`` picks it.
     ``build(spec, p)`` checks the filled params and builds what the run builds.
-    ``run(p, seed)`` returns the report sections; without it the kind plays verified
-    trials that ``build`` wires as (config, make_verifier, make_prover, baseline,
-    loss_of), the middle three thunks: one verifier serves a run, a prover a trial."""
+    ``run(p, seed, built)`` returns the report sections; without it the kind plays
+    verified trials that ``build`` wires as (config, make_verifier, make_prover,
+    baseline, loss_of), the middle three thunks: one verifier serves a run, a
+    prover a trial."""
 
     name: str
     params: dict
@@ -266,7 +267,7 @@ def _sq_verify(spec: ExperimentSpec, p: dict) -> tuple:
     """The config's partition bound ``s`` is the portfolio's block count."""
     if 2 * p["n"] > p["N"]:
         raise SpecError("params.n", "need 2n <= N")
-    s = p["num_blocks"] if "num_blocks" in p else sq.default_blocks(p["N"], p["n"])
+    s = p.get("num_blocks", min(p["N"], 2 * p["n"]))
     cfg = sq.SqProtocolConfig.default(p["tau"], p["epsilon"], p["delta"], s,
                                       **_given(p, "b", "c_v", "c_p"))
     if cfg.s > p["N"]:
@@ -294,15 +295,42 @@ def _sq_verify(spec: ExperimentSpec, p: dict) -> tuple:
             lambda: sq.portfolio_baseline(dist, N, n, cfg.s), loss_of)
 
 
-def _sq_gap(spec: ExperimentSpec, p: dict) -> None:
+def _sq_gap(spec: ExperimentSpec, p: dict) -> list:
+    """One sq-verify build per d: an honest portfolio on a zipf(d) law whose
+    single batch has d singleton atoms."""
     if any(d * d > MAX_ENTRIES for d in p["ds"]):
         raise SpecError("params.ds", f"d * d must be at most {MAX_ENTRIES}")
-    for d in p["ds"]:  # the sweep's configs, whose budgets must be in range
-        sq.SqProtocolConfig.default(p["tau"], p["epsilon"], p["delta"], d)
+    builds = [_sq_verify(ExperimentSpec("sq"), {
+        "N": d, "n": max(1, d // 4), "num_blocks": d,
+        "tau": p["tau"], "epsilon": p["epsilon"], "delta": p["delta"]}) for d in p["ds"]]
     # the work: T simulations of a d-atom batch for each d
     work = sq.iteration_count(p["epsilon"], p["delta"]) * sum(p["ds"])
     if work > MAX_ENTRIES:
         raise SpecError("params.epsilon", f"T * sum(ds) = {work} must be at most {MAX_ENTRIES}")
+    return builds
+
+
+def _gap_sweep(p: dict, seed: int, builds: list) -> dict:
+    """Measured verifier per-batch cost vs direct-simulation cost across atom counts.
+
+    Plays one honest trial of each d's build and records the verifier samples
+    per batch beside the direct-simulation requirement, with log-log slopes.
+    """
+    rows = []
+    for d, (cfg, make_verifier, make_prover, *_) in zip(p["ds"], builds):
+        transcript = run_interaction(make_verifier(), make_prover(),
+                                     child_rng(seed, d).integers(2**63))
+        rows.append({
+            "d": d,
+            "verifier_samples_per_batch": cfg.m_v,
+            "simulation_samples": sq.simulation_sample_cost(d, p["tau"], p["delta"]),
+            "accepted": transcript.outcome.kind == "hypothesis",
+        })
+    logd = np.log([r["d"] for r in rows])
+    slope_v = float(np.polyfit(logd, np.log([r["verifier_samples_per_batch"] for r in rows]), 1)[0])
+    slope_s = float(np.polyfit(logd, np.log([r["simulation_samples"] for r in rows]), 1)[0])
+    return {"gap": {"tau": p["tau"], "epsilon": p["epsilon"], "delta": p["delta"], "seed": seed,
+                    "rows": rows, "verifier_cost_slope": slope_v, "simulation_cost_slope": slope_s}}
 
 
 def _lowerbound(spec: ExperimentSpec, p: dict) -> None:
@@ -345,16 +373,15 @@ PROTOCOLS = {
         lambda r: _table(r["gap"]["rows"], ("d", "verifier_samples_per_batch",
                                             "simulation_samples", "accepted"),
                          r["gap"], ("verifier_cost_slope", "simulation_cost_slope")),
-        build=_sq_gap,
-        run=lambda p, seed: {"gap": sq.sq_gap_sweep(**p, seed=seed)})},
+        build=_sq_gap, run=_gap_sweep)},
     "lowerbound": {None: Experiment("lowerbound", {
         "ds": ("size-list", (64, 256, 1024, 4096)), "trials_per_point": ("int", 3000)},
         lambda r: _table([row for point in r["crossing"]["points"] for row in point["rows"]],
                          ("d", "t", "trials", "success_rate", "collision_rate", "tv_estimate"),
                          r["crossing"], ("crossing_slope",)),
         build=_lowerbound,
-        run=lambda p, seed: {"crossing": lb.crossing_experiment(p["ds"], p["trials_per_point"],
-                                                                seed)})},
+        run=lambda p, seed, _: {"crossing": lb.crossing_experiment(
+            p["ds"], p["trials_per_point"], seed)})},
 }
 
 
@@ -381,7 +408,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     experiment, p, built = spec.validate()
     report: dict = {"spec": spec.to_doc(), "root_seed": spec.root_seed}
     if experiment.run:
-        report.update(experiment.run(p, spec.root_seed))
+        report.update(experiment.run(p, spec.root_seed, built))
     else:
         _, make_verifier, make_prover, baseline, loss_of = built
         verifier, baseline = make_verifier(), baseline()

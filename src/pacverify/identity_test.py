@@ -34,31 +34,17 @@ def required_samples(n: int, epsilon: float, delta: float, C: float = 4.0) -> in
     return math.ceil(C * math.sqrt(n) * math.log(2.0 / delta) / epsilon**2)
 
 
-def _statistic(counts: np.ndarray, ref: np.ndarray, m: int, n: int) -> float:
-    """Chi-square-style statistic sum(((N_i - m*p_i)^2 - N_i) / max(p_i, 1/n))."""
-    denom = np.maximum(ref, 1.0 / n)
-    dev = counts - m * ref
-    return float(((dev * dev - counts) / denom).sum())
-
-
-def _threshold_terms(ref: np.ndarray, m: int, n: int, outer: float, inner: float) -> tuple:
-    """The two terms of the decision threshold m^2 mean_sq spread - m bias,
-    midway between the statistic's expectations under an evenly spread
-    total-variation shift at the inner and outer radii. The verdict tests
-    stat + m bias < the first: the rounded difference can equal a statistic
-    below it (both are -1 at m = 1 on one atom)."""
-    denom = np.maximum(ref, 1.0 / n)
-    spread = float((1.0 / denom).sum()) / n**2
-    mean_sq = 2.0 * (inner**2 + outer**2)
-    bias = float((ref * ref / denom).sum())
-    return m * m * mean_sq * spread, m * bias
-
-
 def test_from_counts(ref: np.ndarray, counts: np.ndarray, outer: float, inner: float) -> TestVerdict:
     """Run the tester of ``ref`` on n = len(ref) atoms, at radii ``outer``
     and ``inner``, on the occupancy counts of one i.i.d. sample.
 
-    Any observed mass on a reference atom of weight zero rejects outright.
+    The statistic is sum(((N_i - m*p_i)^2 - N_i) / max(p_i, 1/n)). The
+    threshold m^2 mean_sq spread - m bias lies midway between its
+    expectations under an evenly spread total-variation shift at the inner
+    and outer radii. The verdict tests stat + m bias < m^2 mean_sq spread:
+    the rounded difference can equal a statistic below it (both are -1 at
+    m = 1 on one atom). Any observed mass on a reference atom of weight zero
+    rejects outright.
     """
     ref = np.asarray(ref, dtype=float)
     counts = np.asarray(counts)
@@ -66,6 +52,11 @@ def test_from_counts(ref: np.ndarray, counts: np.ndarray, outer: float, inner: f
     if np.any(counts[ref == 0.0] > 0):
         return TestVerdict(accept=False, statistic=math.inf, samples_used=m)
     n = len(ref)
-    stat = _statistic(counts, ref, m, n)
-    scale, offset = _threshold_terms(ref, m, n, outer, inner)
-    return TestVerdict(accept=stat + offset < scale, statistic=stat, samples_used=m)
+    denom = np.maximum(ref, 1.0 / n)
+    dev = counts - m * ref
+    stat = float(((dev * dev - counts) / denom).sum())
+    spread = float((1.0 / denom).sum()) / n**2
+    mean_sq = 2.0 * (inner**2 + outer**2)
+    bias = float((ref * ref / denom).sum())
+    return TestVerdict(accept=stat + m * bias < m * m * mean_sq * spread, statistic=stat,
+                       samples_used=m)

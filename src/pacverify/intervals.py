@@ -89,8 +89,10 @@ class IntervalPopulation:
             raise ValueError("centers, masses and label1 must have equal length")
         if np.any(np.diff(centers) <= 0):
             raise ValueError("centers must be strictly increasing")
-        if abs(masses.sum() - 1.0) > 1e-9 or np.any(masses < 0):
+        if not abs(masses.sum() - 1.0) <= 1e-9 or np.any(masses < 0):
             raise ValueError("masses must be a probability vector")
+        if not np.all((label1 >= 0) & (label1 <= 1)):
+            raise ValueError("label1 must lie in [0, 1]")
         hw = float(self.halfwidth)
         if not hw > 0:
             raise ValueError("halfwidth must be > 0")
@@ -163,8 +165,8 @@ class IntervalProtocolConfig:
     radius epsilon/6 and inner radius epsilon/(6 sqrt(2k)); m_v is exactly
     the tester's budget at (epsilon/6, delta/2) on those atoms, so the
     verifier never tests on fewer samples; m_p follows
-    c_p (d^2 log(d/epsilon) + log(1/delta)) / epsilon^4, rounded up to a
-    multiple of k.
+    c_p (d^2 log(max(d/epsilon, e)) + log(1/delta)) / epsilon^4, rounded up
+    to a multiple of k.
     """
 
     d: int

@@ -23,7 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from .core import DiscreteDistribution, child_rng
-from .harness import ProtocolViolation, parse_counts, run_interaction
+from .harness import ProtocolViolation, parse_counts
 from .identity_test import required_samples, test_from_counts
 
 
@@ -200,10 +200,6 @@ class SqAlgorithm:
         raise NotImplementedError
 
 
-def default_blocks(N: int, n: int) -> int:
-    return min(N, 2 * n)
-
-
 class PortfolioAlgorithm(SqAlgorithm):
     """Select the n heaviest-looking items out of N using one query batch.
 
@@ -215,11 +211,9 @@ class PortfolioAlgorithm(SqAlgorithm):
     The 0-1 loss of the output S on item i is 1 when i is not in S.
     """
 
-    def __init__(self, N: int, n: int, num_blocks: int | None = None):
+    def __init__(self, N: int, n: int, num_blocks: int):
         if 2 * n > N:
             raise ValueError("need 2n <= N")
-        if num_blocks is None:
-            num_blocks = default_blocks(N, n)
         if not 1 <= num_blocks <= N:
             raise ValueError("num_blocks must lie in [1, N]")
         self.N = N
@@ -442,43 +436,9 @@ def zipf_distribution(N: int, a: float = 1.0) -> DiscreteDistribution:
     return DiscreteDistribution(probs)
 
 
-def portfolio_baseline(dist: DiscreteDistribution, N: int, n: int,
-                       num_blocks: int | None = None) -> float:
+def portfolio_baseline(dist: DiscreteDistribution, N: int, n: int, num_blocks: int) -> float:
     """Exact loss of the algorithm answered with exact query expectations:
     the baseline the verification guarantee compares against."""
     alg = PortfolioAlgorithm(N, n, num_blocks)
     selection = simulate_algorithm(alg, dist, child_rng(0))
     return portfolio_population_loss(selection, dist)
-
-
-def sq_gap_sweep(ds, tau: float, epsilon: float, delta: float, seed: int) -> dict:
-    """Measured verifier per-batch cost vs direct-simulation cost across atom counts.
-
-    For each d, runs one honest verified portfolio instance whose single
-    batch has exactly d atoms (singleton blocks on a d-item domain) and
-    records the verifier samples actually used per batch alongside the
-    direct-simulation sample requirement. Reports log-log fitted slopes.
-    """
-    rows = []
-    for d in ds:
-        n = max(1, d // 4)
-        dist = zipf_distribution(d)
-        cfg = SqProtocolConfig.default(tau=tau, epsilon=epsilon, delta=delta, s=d, b=1)
-        verifier = make_sq_verifier(dist, PortfolioAlgorithm(d, n, d), cfg, portfolio_holdout_loss)
-        transcript = run_interaction(verifier, HonestSqProver(dist, cfg),
-                                     child_rng(seed, d).integers(2**63))
-        rows.append({
-            "d": d,
-            "verifier_samples_per_batch": cfg.m_v,
-            "simulation_samples": simulation_sample_cost(d, tau, delta),
-            "accepted": transcript.outcome.kind == "hypothesis",
-        })
-    logd = np.log([r["d"] for r in rows])
-    slope_v = float(np.polyfit(logd, np.log([r["verifier_samples_per_batch"] for r in rows]), 1)[0])
-    slope_s = float(np.polyfit(logd, np.log([r["simulation_samples"] for r in rows]), 1)[0])
-    return {
-        "tau": tau, "epsilon": epsilon, "delta": delta, "seed": seed,
-        "rows": rows,
-        "verifier_cost_slope": slope_v,
-        "simulation_cost_slope": slope_s,
-    }

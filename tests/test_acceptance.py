@@ -76,6 +76,14 @@ SQ_SPEC = {
     "record_transcripts": False,
 }
 
+# the README's gap sweep
+GAP_SPEC = {
+    "protocol": "sq",
+    "params": {"experiment": "gap", "ds": [4, 16, 64, 256], "tau": 0.05,
+               "epsilon": 0.1, "delta": 0.2},
+    "root_seed": 66,
+}
+
 
 class TestCriterion1IntervalsCompleteness:
     def test_realizable_two_interval_grid(self):
@@ -155,7 +163,7 @@ class TestCriterion5OracleChannelInvariant:
         checked = 0
         iterations = 0
         i = 0
-        alg = sq.PortfolioAlgorithm(64, 8)
+        alg = sq.PortfolioAlgorithm(64, 8, 16)
         partitions: dict = {}
         while iterations < 10_000:
             rng_v = child_rng(55, i, 0)
@@ -210,8 +218,7 @@ class TestCriterion6SqPortfolio:
 class TestCriterion7GapScaling:
     def test_verifier_vs_simulation_slopes(self):
         start = time.monotonic()
-        report = sq.sq_gap_sweep(ds=(4, 16, 64, 256), tau=0.05, epsilon=0.1,
-                                 delta=0.2, seed=66)
+        report = cli.run_experiment(cli.ExperimentSpec.from_doc(GAP_SPEC))["gap"]
         elapsed = time.monotonic() - start
         sv, ss = report["verifier_cost_slope"], report["simulation_cost_slope"]
         ok = (0.4 <= sv <= 0.6 and 0.9 <= ss <= 1.1

@@ -575,6 +575,21 @@ class TestBuildOnce:
         assert cli.replay(str(tmp_path / "report.json"))["replayed"] == 2
         assert len(builds) == 2
 
+    def test_gap_builds_are_sq_verify_builds(self):
+        # each d of a gap sweep is the sq-verify spec with N = num_blocks = d, n = max(1, d // 4)
+        doc = {"protocol": "sq", "params": {"experiment": "gap", "ds": [2, 5, 16],
+                                            "tau": 0.1, "epsilon": 0.2, "delta": 0.2}}
+        _, _, builds = cli.ExperimentSpec.from_doc(doc).validate()
+        rows = cli.run_experiment(cli.ExperimentSpec.from_doc(doc))["gap"]["rows"]
+        assert len(builds) == len(rows) == 3
+        for d, (cfg, *_), row in zip(doc["params"]["ds"], builds, rows):
+            verify = cli.ExperimentSpec("sq", params={
+                "N": d, "n": max(1, d // 4), "num_blocks": d, "tau": 0.1, "epsilon": 0.2,
+                "delta": 0.2})
+            expected = verify.validate()[2][0]
+            assert cfg == expected and cfg.s == d
+            assert row["d"] == d and row["verifier_samples_per_batch"] == expected.m_v
+
 
 class TestNotJson:
     def test_report_file_exits_2(self, tmp_path, capsys):

@@ -151,6 +151,19 @@ class TestBandLevelProver:
             IntervalPopulation(np.array([0.25, 0.75]), np.array([0.5, 0.5]), np.zeros(2),
                                halfwidth=halfwidth)
 
+    @pytest.mark.parametrize("masses", [[np.nan, 0.5, 0.25, 0.25], [0.5, 0.5, 0.25, 0.25],
+                                        [1.25, -0.25, 0.0, 0.0]])
+    def test_masses_that_are_no_probability_vector_are_refused(self, masses):
+        # a NaN sum fails no "> 1e-9" test, so the check must accept only a sum near 1
+        with pytest.raises(ValueError, match="masses"):
+            banded(4, np.array(masses), np.zeros(4))
+
+    @pytest.mark.parametrize("label1", [[0, 1.7, 0, 0], [0, 0, -3, 0], [0, 0, 0, np.nan]])
+    def test_labels_outside_the_unit_interval_are_refused(self, label1):
+        # such a band has no label law, and a NaN label made loss01 NaN
+        with pytest.raises(ValueError, match="label1"):
+            banded(4, np.full(4, 0.25), np.array(label1, dtype=float))
+
 
 class TestWireFormat:
     def test_payload_round_trip(self):

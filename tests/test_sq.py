@@ -17,7 +17,7 @@ from oracles import (
     true_atom_probs,
 )
 
-from pacverify import sq
+from pacverify import cli, sq
 from pacverify.core import DiscreteDistribution, child_rng
 from pacverify.harness import ProtocolViolation, run_interaction
 from pacverify.sq import (
@@ -39,13 +39,12 @@ from pacverify.sq import (
     portfolio_population_loss,
     simulate_algorithm,
     simulation_sample_cost,
-    sq_gap_sweep,
     verifier_iteration,
     zipf_distribution,
 )
 
 
-def portfolio_verifier(dist, cfg, N, n, num_blocks=None):
+def portfolio_verifier(dist, cfg, N, n, num_blocks):
     return make_sq_verifier(dist, PortfolioAlgorithm(N, n, num_blocks), cfg, portfolio_holdout_loss)
 
 
@@ -296,7 +295,7 @@ class TestPortfolioAlgorithm:
 
     def test_uniform_loss_matches_symmetry(self):
         dist = DiscreteDistribution.uniform(64)
-        alg = PortfolioAlgorithm(64, 8)
+        alg = PortfolioAlgorithm(64, 8, 16)
         sel = simulate_algorithm(alg, dist, child_rng(0))
         assert portfolio_population_loss(sel, dist) == pytest.approx(1 - 8 / 64)
 
@@ -319,7 +318,7 @@ class TestPortfolioAlgorithm:
 
     def test_requires_headroom(self):
         with pytest.raises(ValueError):
-            PortfolioAlgorithm(8, 5)
+            PortfolioAlgorithm(8, 5, 8)
 
     def test_batch_and_selection_match_reference_rule(self):
         # a third of the instances on the uneven layouts 10/4 and 60/12; three
@@ -371,7 +370,7 @@ class TestVerifierIteration:
         rng = child_rng(41)
         counts_v = rng.multinomial(cfg.m_v, self.dist.probs)
         channel = _DirectChannel(prover, child_rng(42))
-        alg = alg or PortfolioAlgorithm(64, 8)
+        alg = alg or PortfolioAlgorithm(64, 8, 16)
         partitions = {} if partitions is None else partitions
         return verifier_iteration(counts_v, alg, channel, cfg, 0, child_rng(43), partitions)
 
@@ -399,7 +398,7 @@ class TestVerifierIteration:
                 return ("batch", self.batch)
 
         with pytest.raises(ProtocolViolation, match="batch bound"):
-            self.run_iter(HonestSqProver(self.dist, self.cfg), alg=ChattyAlgorithm(64, 8))
+            self.run_iter(HonestSqProver(self.dist, self.cfg), alg=ChattyAlgorithm(64, 8, 16))
 
     def test_one_atom_batch_is_tested_and_accepted(self, monkeypatch):
         tester, verdicts = sq.test_from_counts, []
@@ -559,9 +558,9 @@ class TestProtocol2:
     def test_honest_end_to_end(self):
         dist = zipf_distribution(64)
         cfg = SqProtocolConfig.default(tau=0.05, epsilon=0.1, delta=0.2, s=16)
-        t = run_interaction(portfolio_verifier(dist, cfg, 64, 8), HonestSqProver(dist, cfg), 71)
+        t = run_interaction(portfolio_verifier(dist, cfg, 64, 8, 16), HonestSqProver(dist, cfg), 71)
         assert t.outcome.kind == "hypothesis"
-        base = portfolio_baseline(dist, 64, 8)
+        base = portfolio_baseline(dist, 64, 8, 16)
         assert portfolio_population_loss(t.outcome.hypothesis, dist) <= base + cfg.epsilon
 
     def test_constant_candidates_argmin_is_that_candidate(self):
@@ -615,9 +614,9 @@ class TestProtocol2:
     def test_malicious_provers_are_safe(self):
         dist = zipf_distribution(64)
         cfg = SqProtocolConfig.default(tau=0.05, epsilon=0.1, delta=0.2, s=16)
-        base = portfolio_baseline(dist, 64, 8)
+        base = portfolio_baseline(dist, 64, 8, 16)
         for name in ("mass-shift", "atom-swap", "stale"):
-            t = run_interaction(portfolio_verifier(dist, cfg, 64, 8),
+            t = run_interaction(portfolio_verifier(dist, cfg, 64, 8, 16),
                                 make_sq_prover(name, dist, cfg), 81)
             if t.outcome.kind == "hypothesis":
                 assert portfolio_population_loss(t.outcome.hypothesis, dist) <= base + cfg.epsilon
@@ -639,7 +638,7 @@ class TestOracleChannelInvariant:
             counts_v = rng.multinomial(cfg.m_v, dist.probs)
             prover = HonestSqProver(dist, cfg)
             channel = _DirectChannel(prover, child_rng(92, i))
-            accepted = accepted_batches(counts_v, PortfolioAlgorithm(64, 8), channel,
+            accepted = accepted_batches(counts_v, PortfolioAlgorithm(64, 8, 16), channel,
                                         cfg, 0, child_rng(93, i), {})
             for ap, claimed, evaluations in accepted:
                 p = true_atom_probs(ap, dist)
@@ -655,7 +654,9 @@ class TestGapSweep:
         assert simulation_sample_cost(4, 0.05, 0.2) == int(np.ceil((4 + np.log(5)) / 0.0025))
 
     def test_slopes_small_sweep(self):
-        report = sq_gap_sweep(ds=(4, 16, 64), tau=0.1, epsilon=0.2, delta=0.2, seed=2)
+        report = cli.run_experiment(cli.ExperimentSpec("sq", params={
+            "experiment": "gap", "ds": [4, 16, 64], "tau": 0.1, "epsilon": 0.2, "delta": 0.2},
+            root_seed=2))["gap"]
         assert 0.4 <= report["verifier_cost_slope"] <= 0.6
         assert 0.8 <= report["simulation_cost_slope"] <= 1.2
         assert all(r["accepted"] for r in report["rows"])
