@@ -300,14 +300,15 @@ def _sq_gap(spec: ExperimentSpec, p: dict) -> list:
     single batch has d singleton atoms."""
     if any(d * d > MAX_ENTRIES for d in p["ds"]):
         raise SpecError("params.ds", f"d * d must be at most {MAX_ENTRIES}")
-    builds = [_sq_verify(ExperimentSpec("sq"), {
-        "N": d, "n": max(1, d // 4), "num_blocks": d,
-        "tau": p["tau"], "epsilon": p["epsilon"], "delta": p["delta"]}) for d in p["ds"]]
-    # the work: T simulations of a d-atom batch for each d
+    # the work: T simulations of a d-atom batch for each d. Each build's own
+    # cap, T * b * N = T * d, is at most this, so checking it first keeps the
+    # message in the gap's params
     work = sq.iteration_count(p["epsilon"], p["delta"]) * sum(p["ds"])
     if work > MAX_ENTRIES:
         raise SpecError("params.epsilon", f"T * sum(ds) = {work} must be at most {MAX_ENTRIES}")
-    return builds
+    return [_sq_verify(ExperimentSpec("sq"), {
+        "N": d, "n": max(1, d // 4), "num_blocks": d,
+        "tau": p["tau"], "epsilon": p["epsilon"], "delta": p["delta"]}) for d in p["ds"]]
 
 
 def _gap_sweep(p: dict, seed: int, builds: list) -> dict:

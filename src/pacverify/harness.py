@@ -137,10 +137,10 @@ class ProverChannel:
     """The verifier's view of the prover, with transcript capture.
 
     The prover sends one message per solicitation, ``initial`` or ``ask``.
-    A prover that fails to answer, sends a payload that is not JSON, or raises
-    commits a protocol violation, and the interaction ends in reject. The
-    prover speaks only when asked, so the verifier's own loops bound the
-    message count.
+    A prover that fails to answer, sends a payload that is not JSON (or whose
+    keys the transcript cannot sort), or raises commits a protocol violation,
+    and the interaction ends in reject. The prover speaks only when asked, so
+    the verifier's own loops bound the message count.
     """
 
     def __init__(self, prover, rng: np.random.Generator, messages: list):
@@ -163,8 +163,8 @@ class ProverChannel:
             raise ProtocolViolation(f"prover crashed: {exc}") from exc
         if payload is None:
             raise ProtocolViolation("prover sent no message")
-        try:  # strict JSON: NaN and infinity are not JSON numbers
-            json.dumps(payload, allow_nan=False)
+        try:  # as the transcript writes it, in strict JSON (no NaN or infinity)
+            json.dumps(payload, sort_keys=True, allow_nan=False)
         except (TypeError, ValueError, RecursionError) as exc:
             raise ProtocolViolation(f"unserializable prover payload: {exc}") from exc
         self._log("prover", payload)

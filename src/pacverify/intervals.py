@@ -3,9 +3,11 @@
 The honest prover partitions [0, 1] into k = 12d/epsilon intervals holding
 equal shares of its sample and reports per-interval label frequencies as
 exact integer counts. It works band by band: it draws its sample's band
-counts, jitters and label draws, and sorts only the jitter of the bands that
-hold a cut rank, which gives exactly the claim that sorting the whole sample
-(``IntervalPopulation.sample``) and partitioning it
+counts, then its jitter band by band and its label draws interval by
+interval, sorts only the jitter of the bands that hold a cut rank, and keeps
+only the cut values and per-interval label counts, so its memory is
+O(largest band + m_p / k). That gives exactly the claim that sorting the
+whole sample (``IntervalPopulation.sample``) and partitioning it
 (``honest_prover_partition``) gives from the same draws. The verifier parses
 the claim once against the agreed k and m_p (``DiscretizedMessage.from_payload``),
 a parse that checks the equal-share identity exactly; it then runs the
@@ -346,26 +348,47 @@ class HonestIntervalProver:
 
     def build_message(self, rng) -> DiscretizedMessage:
         """The equal-share claim of ``honest_prover_partition(*pop.sample(m_p, rng), k)``,
-        from the same draws in the same order, read off the bands.
+        from the same draws in the same order, read off the bands block by block.
 
         Sorted position r lies in the band whose cumulative count first
         exceeds r, and takes the label draw r. Its value is the band's center
         plus the band's r-th smallest jitter: bands are disjoint and in order,
-        and adding a constant keeps order under rounding. So only the jitter
-        blocks of bands holding a cut rank j * chunk - 1 or j * chunk are sorted.
+        and adding a constant keeps order under rounding. A generator yields
+        the same doubles in consecutive blocks as in one call, so the jitter
+        comes band by band, and only the bands holding a cut rank
+        j * chunk - 1 or j * chunk are sorted and read. The bands between two
+        such bands hold no cut rank, so they lie inside one interval: their
+        jitter is one block, drawn and dropped. The label draws then come one
+        interval at a time. No block is longer than a band or a chunk, so
+        memory is O(largest band + m_p / k), and the loops run over the k
+        intervals and the bands holding cut ranks, never over every band. A
+        single band still holds m_p jitters: its order statistics need them all.
         """
         pop, m, k, chunk = self.pop, self.cfg.m_p, self.cfg.k, self.cfg.chunk
+        hw = pop.halfwidth
         counts = rng.multinomial(m, pop.masses)
-        jitter = rng.uniform(-pop.halfwidth, pop.halfwidth, size=m)
-        ones = np.count_nonzero((rng.random(m) < np.repeat(pop.label1, counts)).reshape(k, chunk),
-                                axis=1)
         ends = np.cumsum(counts)
-        cuts = np.arange(chunk, m, chunk)
-        ranks = np.concatenate([cuts - 1, cuts])
+        starts = ends - counts
+        lo = np.arange(0, m, chunk)  # each interval's first sorted position
+        ranks = np.concatenate([lo[1:] - 1, lo[1:]])
         bands = np.searchsorted(ends, ranks, side="right")
+        values = np.empty(len(ranks))
+        drawn = 0
         for b in np.unique(bands):
-            jitter[ends[b] - counts[b]:ends[b]].sort()
-        values = pop.centers[bands] + jitter[ranks]
+            rng.uniform(-hw, hw, size=starts[b] - drawn)  # the bands since the last one read
+            block = rng.uniform(-hw, hw, size=counts[b])
+            block.sort()
+            at = bands == b
+            values[at] = pop.centers[b] + block[ranks[at] - starts[b]]
+            drawn = ends[b]
+        rng.uniform(-hw, hw, size=m - drawn)
+        first = np.searchsorted(ends, lo, side="right")
+        last = np.searchsorted(ends, lo + chunk - 1, side="right")
+        ones = np.empty(k, dtype=np.int64)
+        for j in range(k):
+            span = slice(first[j], last[j] + 1)  # the bands that interval j meets
+            share = np.minimum(ends[span], lo[j] + chunk) - np.maximum(starts[span], lo[j])
+            ones[j] = np.count_nonzero(rng.random(chunk) < np.repeat(pop.label1[span], share))
         left, right = values[:k - 1], values[k - 1:]
         inner = np.where(left < right, 0.5 * (left + right), left)
         boundaries = np.concatenate(([0.0], inner, [1.0]))

@@ -35,6 +35,13 @@ def bruteforce_interval_erm(mass0, mass1, d):
     return best_loss, best_mask
 
 
+def reference_atoms(query_matrix):
+    """Atoms of a 0/1 query matrix as numpy's unique rows of its transpose,
+    compared field by field: (signature, atom query values as float)."""
+    uniq, inverse = np.unique(np.asarray(query_matrix).T, axis=0, return_inverse=True)
+    return inverse.ravel(), uniq.T.astype(float)
+
+
 def bruteforce_atoms(query_matrix):
     """Atom count of a 0/1 query matrix by hashing per-element signatures."""
     signatures = {tuple(query_matrix[:, x]) for x in range(query_matrix.shape[1])}

@@ -255,6 +255,14 @@ class TestSpecValidation:
             cli.ExperimentSpec.from_doc(doc).validate()
         assert err.value.field == field
 
+    @pytest.mark.parametrize("params", [{"epsilon": 1e-5}, {"ds": [4, 8192], "epsilon": 0.002}])
+    def test_gap_over_the_work_cap_names_its_own_params(self, params):
+        # each d's build caps T * b * N = T * d, which a gap spec has no params for;
+        # the sweep's cap T * sum(ds) is never below it, so it is the one reported
+        with pytest.raises(cli.SpecError, match=r"T \* sum\(ds\) = \d+ must be at most"):
+            cli.ExperimentSpec.from_doc(
+                {"protocol": "sq", "params": dict(params, experiment="gap")}).validate()
+
     @pytest.mark.parametrize("doc", [
         {"protocol": "lowerbound", "params": {"ds": [64, 4096], "trials_per_point": 599_186}},
         dict(SQ_SPEC, params=dict(SQ_SPEC["params"], N=8192, num_blocks=8192)),

@@ -131,7 +131,9 @@ class TestRunInteraction:
         (lambda rng: None, "prover sent no message"),
         (lambda rng: 1 / 0, "prover crashed: division by zero"),
         (lambda rng: {"arr": object()}, "unserializable prover payload"),
-    ], ids=["silent", "crash", "unserializable"])
+        # JSON itself allows these keys, but the transcript writes sorted keys
+        (lambda rng: {1: "a", "b": 2}, "unserializable prover payload"),
+    ], ids=["silent", "crash", "unserializable", "unsortable-keys"])
     def test_channel_refusal_names_the_defect(self, speak, message):
         class Prover:
             def open(self, rng):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,19 @@ class TestBandLevelProver:
                                                cfg.k).to_payload()
             claim = HonestIntervalProver(pop, cfg).build_message(child_rng(seed))
             assert claim.to_payload() == expected, seed
+
+    def test_holds_no_array_of_length_m_p(self):
+        # one byte per sample point is less than any array of the whole sample
+        # (its jitter, label draws or labels); m_p = 1,087,440 at this config
+        cfg = IntervalProtocolConfig.default(2, 0.1, 0.2)
+        prover = HonestIntervalProver(IntervalPopulation.grid_realizable(64, TARGET), cfg)
+        tracemalloc.start()
+        try:
+            prover.build_message(child_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.m_p
 
     def test_bands_whose_rounded_edges_cross_are_refused(self):
         # b - a rounds to exactly 2 * hw, but a + hw rounds above b - hw, so a

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     accepted_batches,
     bruteforce_atoms,
+    reference_atoms,
     reference_honest_atom_counts,
     reference_portfolio_blocks,
     reference_portfolio_selection,
@@ -73,6 +74,19 @@ class TestAtoms:
         ap = atoms_of(batch_from_rows(mat))
         assert ap.size == bruteforce_atoms(mat)
         assert ap.size <= min(2 ** n_queries, domain)
+
+    @pytest.mark.parametrize("n_queries,domain", [(1, 1), (1, 9), (5, 1), (16, 64), (256, 256)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_unique_rows(self, n_queries, domain, seed):
+        # columns drawn from a few distinct ones, so that atoms hold several elements
+        rng = child_rng(seed)
+        distinct = rng.integers(0, 2, size=(n_queries, max(1, domain // 3)))
+        mat = distinct[:, rng.integers(0, distinct.shape[1], size=domain)]
+        ap = atoms_of(batch_from_rows(mat))
+        signature, values = reference_atoms(mat.astype(np.int8))
+        assert ap.signature.dtype == signature.dtype
+        assert np.array_equal(ap.signature, signature)
+        assert np.array_equal(ap.atom_query_values, values)
 
     @given(st.integers(1, 4), st.integers(2, 12), st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)
