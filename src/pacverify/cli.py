@@ -335,8 +335,9 @@ def _gap_sweep(p: dict, seed: int, builds: list) -> dict:
 
 
 def _lowerbound(spec: ExperimentSpec, p: dict) -> None:
-    # crossing_point draws (trials, ceil(f sqrt(d))) arrays at its largest
-    # factor f; past MAX_ENTRIES**2, sqrt(d) alone is over the cap
+    # crossing_point draws trials sample paths of ceil(f sqrt(d)) draws per
+    # law, f its largest factor, and scores every size from their first
+    # collisions; past MAX_ENTRIES**2, sqrt(d) alone is over the cap
     trials, f = p["trials_per_point"], max(lb.SCAN_FACTORS)
     if any(trials * math.ceil(f * math.sqrt(min(d, MAX_ENTRIES**2))) > MAX_ENTRIES
            for d in p["ds"]):

@@ -6,7 +6,7 @@ from oracles import (REDUCTION_TEST_SIZE, exact_no_collision, exact_success_rate
                      reference_collision_cell, reduction_tester)
 
 from pacverify import lowerbound
-from pacverify.lowerbound import (_collision_cells, _key_dtype, crossing_experiment,
+from pacverify.lowerbound import (_first_collisions, _key_dtype, crossing_experiment,
                                    distinguisher_success)
 
 
@@ -52,10 +52,18 @@ class TestDraws:
         assert diff.max() < 0.05
 
 
-def packed(xs, ys, d):
+def packed(xs, ys, d, dtype=None):
     """Samples as the keys 2x + y that distinguisher_success draws, in its dtype."""
-    dtype = _key_dtype(d)
+    dtype = dtype or _key_dtype(d)
     return (np.asarray(xs).astype(dtype) << 1) | np.asarray(ys).astype(dtype)
+
+
+def cells(keys, t=None):
+    """Collision cell of each row's first t draws (default: all of them), read
+    from its first collision and its first disagreeing collision."""
+    t = keys.shape[1] if t is None else t
+    first, disagreeing = _first_collisions(keys)
+    return np.where(disagreeing < t, 2, np.where(first < t, 1, 0))
 
 
 class TestCollisionDistinguisher:
@@ -64,7 +72,7 @@ class TestCollisionDistinguisher:
 
     @staticmethod
     def cell(xs, ys):
-        return int(_collision_cells(packed([xs], [ys], 4))[0])
+        return int(cells(packed([xs], [ys], 4))[0])
 
     def test_disagreeing_collision_means_uniform(self):
         assert self.cell([3, 1, 3], [0, 1, 1]) == 2
@@ -98,12 +106,59 @@ class TestCollisionDistinguisher:
             picks = (rng.random((rows, t)) * rng.integers(1, 13, size=(rows, 1))).astype(int)
             xs = np.take_along_axis(pools, picks, axis=1)
             ys = rng.integers(0, 2, size=(rows, t))
-            cells = _collision_cells(packed(xs, ys, d))
-            assert cells.tolist() == [reference_collision_cell(x, y) for x, y in zip(xs, ys)]
-            mixture = _collision_cells(packed(xs, np.zeros_like(ys), d))
+            uniform = cells(packed(xs, ys, d))
+            assert uniform.tolist() == [reference_collision_cell(x, y) for x, y in zip(xs, ys)]
+            mixture = cells(packed(xs, np.zeros_like(ys), d))
             assert mixture.tolist() == [reference_collision_cell(x, [0] * t) for x in xs]
-            seen.update(cells.tolist())
+            seen.update(uniform.tolist())
         assert seen == {0, 1, 2}
+
+
+class TestFirstCollisions:
+    """The scorer reads a path's cell at every prefix from two indices; each
+    prefix must get the cell the reference gives that prefix."""
+
+    @staticmethod
+    def paths(rng, d, rows, t, dtype=np.uint64):
+        """Rows of t draws of x in [0, d): half uniform, half from a per-row
+        pool of 1-6 values that holds 0 and d - 1, so every cell occurs."""
+        xs = rng.integers(0, d, size=(rows, t), dtype=dtype)
+        pools = rng.integers(0, d, size=(rows, 6), dtype=dtype)
+        pools[:, 0], pools[:, 1] = d - 1, 0
+        picks = (rng.random((rows, t)) * rng.integers(1, 7, size=(rows, 1))).astype(int)
+        xs[rows // 2:] = np.take_along_axis(pools, picks, axis=1)[rows // 2:]
+        return xs
+
+    @staticmethod
+    def assert_every_prefix_matches(keys, xs, ys):
+        t = keys.shape[1]
+        for prefix in range(1, t + 1):
+            assert cells(keys, prefix).tolist() == [
+                reference_collision_cell(x[:prefix], y[:prefix]) for x, y in zip(xs, ys)]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 64, 256, 4096, 70_000])
+    @pytest.mark.parametrize("law", ["uniform", "mixture"])
+    def test_every_prefix_matches_reference(self, d, law):
+        rng = np.random.default_rng(d)
+        xs = self.paths(rng, d, 200, 12)
+        ys = rng.integers(0, 2, size=xs.shape) if law == "uniform" else np.zeros(xs.shape, int)
+        dtypes = [t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                  if 2 * d - 1 <= np.iinfo(t).max]
+        assert _key_dtype(d) in dtypes
+        for dtype in dtypes:
+            self.assert_every_prefix_matches(packed(xs, ys, d, dtype), xs, ys)
+
+    def test_keys_spanning_uint64(self):
+        # keys up to 2**64 - 1 and a draw index leave no room to pack the
+        # key (x, draw index, label) in 64 bits
+        d, t = 2**63, 10
+        rng = np.random.default_rng(64)
+        xs = self.paths(rng, d, 300, t)
+        ys = rng.integers(0, 2, size=xs.shape)
+        keys = packed(xs, ys, d)
+        assert keys.dtype == np.uint64 and int(keys.max()) == 2**64 - 1
+        assert int(keys.max()).bit_length() + (t - 1).bit_length() > 64
+        self.assert_every_prefix_matches(keys, xs, ys)
 
 
 def chi_square_z(counts) -> float:
@@ -122,15 +177,18 @@ class TestDrawLaw:
 
     @staticmethod
     def drawn_keys(monkeypatch, d, t, trials, seed):
-        keys = []
+        """The keys scored under each law: the uniform law's blocks of paths
+        come first, then as many blocks of the mixture's."""
+        blocks = []
 
         def record(k):
-            keys.append(k.copy())
-            return _collision_cells(k)
+            blocks.append(k.copy())
+            return _first_collisions(k)
 
-        monkeypatch.setattr(lowerbound, "_collision_cells", record)
+        monkeypatch.setattr(lowerbound, "_first_collisions", record)
         distinguisher_success(d, t, trials, seed)
-        return keys
+        half = len(blocks) // 2
+        return np.concatenate(blocks[:half]), np.concatenate(blocks[half:])
 
     # z = 4.75 is the chi-square's 1 - 1e-6 quantile in the normal approximation.
     # An even (x, y) table means x uniform, y fair and y independent of x at once.
@@ -205,6 +263,27 @@ class TestSuccessCurves:
             exact = exact_success_rate(row["d"], row["t"])
             radius = bernstein_radius(exact, 2 * row["trials"], len(rows), 1e-6)
             assert abs(row["success_rate"] - exact) <= radius, (row["d"], row["t"])
+
+
+class TestSharedPaths:
+    """The sizes of one crossing point read prefixes of the same paths, so a
+    path with a (disagreeing) collision at t keeps it at every larger t. With
+    independent draws per size neither monotonicity below holds exactly."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_collision_rates_are_monotone_in_t(self, seed):
+        report = crossing_experiment(ds=(64, 256, 1024), trials=400, seed=seed)
+        for point in report["points"]:
+            rows = point["rows"]
+            for law in ("uniform", "mixture"):
+                rates = [row[f"no_collision_rate_{law}"] for row in rows]
+                assert rates == sorted(rates, reverse=True), (point["d"], law)
+            # success_uniform = no-collision rate / 2 + disagreeing rate, both
+            # multiples of 1/trials
+            disagreeing = [round((row["success_uniform"] - 0.5 * row["no_collision_rate_uniform"])
+                                 * row["trials"]) for row in rows]
+            assert disagreeing == sorted(disagreeing), point["d"]
+            assert disagreeing[-1] > 0
 
 
 class TestReduction:
