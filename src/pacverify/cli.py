@@ -335,9 +335,10 @@ def _gap_sweep(p: dict, seed: int, builds: list) -> dict:
 
 
 def _lowerbound(spec: ExperimentSpec, p: dict) -> None:
-    # crossing_point draws trials sample paths of ceil(f sqrt(d)) draws per
-    # law, f its largest factor, and scores every size from their first
-    # collisions; past MAX_ENTRIES**2, sqrt(d) alone is over the cap
+    # crossing_point scans sizes up to t_max = ceil(f sqrt(d)), f its largest
+    # factor: the -log q table holds t_max + 1 floats and each of the trials
+    # paths per law is drawn as its two collision times, so trials * t_max
+    # bounds both; past MAX_ENTRIES**2, sqrt(d) alone is over the cap
     trials, f = p["trials_per_point"], max(lb.SCAN_FACTORS)
     if any(trials * math.ceil(f * math.sqrt(min(d, MAX_ENTRIES**2))) > MAX_ENTRIES
            for d in p["ds"]):
@@ -483,7 +484,8 @@ def replay(report_path: str) -> dict:
     Takes the path of a report.json of a kind that plays verified trials
     (intervals or sq-verify) with embedded transcripts; each transcript's
     recorded outcome is reparsed and reclassified under the report's own
-    spec, and must match the stored classification.
+    spec, and must match the stored classification. A trial without a
+    transcript is a SpecError, so a report cannot pass by carrying none.
     """
     report = _read_json(report_path, "report")
     if not isinstance(report, dict) or not isinstance(report.get("trials", []), list):
@@ -497,10 +499,9 @@ def replay(report_path: str) -> dict:
     rows = []
     mismatches = 0
     for i, trial in enumerate(report.get("trials", [])):
-        if not isinstance(trial, dict) or not isinstance(trial.get("transcript", ""), str):
-            raise SpecError(f"trials[{i}]", "must be an object whose transcript is a string")
-        if "transcript" not in trial:
-            continue
+        if not isinstance(trial, dict) or not isinstance(trial.get("transcript"), str):
+            raise SpecError(f"trials[{i}]", "must be an object with a transcript string "
+                                            "(record_transcripts true)")
         transcript = Transcript.from_jsonl(trial["transcript"])
         try:  # the outcome line is untrusted: it may be missing or hold any JSON hypothesis
             classification = classify_outcome(transcript, loss_of, baseline,

@@ -8,15 +8,12 @@ x-values; the birthday bound places that at about sqrt(d) samples. The
 module measures the collision distinguisher's success curve at each d and
 where it crosses 7/12, and fits how that crossing scales with d.
 
-Each sample is drawn as its key 2x + y, the form the classifier reads. This is
-exact in law: a uniform x on [0, d) with an independent fair label bit is a key
-uniform on [0, 2d), and the mixture's collision cell reads x alone (key 2x).
-
-Each trial is one sample path, drawn once at the largest scanned size and read
-at its prefixes: size t reads a path's first t draws, which are t i.i.d. draws.
-A path's cell at every t follows from two indices, its first draw whose x
-already occurred and its first draw whose x already occurred with the other
-label, and one row-wise sort per block of paths finds both.
+Each trial is one sample path per law, read at its prefixes: size t reads the
+path's first t draws, which are t i.i.d. draws, so every row is exact in law
+and the rows of one d share their paths. A path's cell at every t follows from
+two stopping times, its first draw whose x already occurred and its first draw
+whose x already occurred with the other label, and only these two are drawn,
+never the path's points.
 """
 
 from __future__ import annotations
@@ -28,56 +25,63 @@ import numpy as np
 from .core import child_rng
 
 
-def _key_dtype(d: int) -> type:
-    """Smallest unsigned dtype that holds every key 2x + y, up to 2d - 1."""
-    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
-                if 2 * d - 1 <= np.iinfo(t).max)
+# sample paths drawn at a time, so per-path temporaries stay small at any
+# trial count
+BLOCK_PATHS = 2**16
 
 
-# draws per block of sample paths: a block holds BLOCK_ENTRIES // t paths of
-# t draws, so its temporaries stay the same size at every d
-BLOCK_ENTRIES = 2**14
+def _collision_times(d: int, t_max: int, trials: int, seed: int):
+    """Yields (law, times) for `trials` sample paths of t_max draws under each
+    law (0 uniform, 1 mixture), BLOCK_PATHS paths at a time: times[0] is each
+    path's first draw whose x already occurred, and times[1] its first draw
+    whose x already occurred with the other label; t_max where there is none.
 
-
-def _first_collisions(keys: np.ndarray) -> np.ndarray:
-    """Per row of a (paths, t) unsigned array of keys 2x + y in draw order,
-    the index of its first draw whose x already occurred (row 0 of the
-    result) and of its first draw whose x already occurred with the other
-    label (row 1); t where there is none.
-
-    One sort per row of the packed key (x, draw index, label) orders the draws
-    by x and then by draw index: the draws of one x lie together in the order
-    they were drawn, so a draw repeats an earlier x exactly when its left
-    neighbour has the same x, and the first draw of an x whose label differs
-    from the x's first label is the first one whose label differs from its
-    neighbour's. Where the packed key would pass 64 bits, each x is replaced
-    by its rank among the block's values first.
+    With q[i] = prod_{r<i} (1 - r/d), the chance that i draws are distinct, a
+    path holding D distinct x makes W more new draws before its next repeat,
+    P(W >= w) = q[D + w] / q[D]. W >= w exactly when -log q[D + w] <=
+    -log q[D] + E for a standard exponential E, so one E and a search of the
+    table draw W. Until a path's first disagreement every x it holds carries
+    one label, so under the uniform law each repeat's fresh label disagrees
+    with probability 1/2, independently; a labelling function never disagrees.
     """
-    rows, t = keys.shape
-    index_bits = (t - 1).bit_length()
-    width = int(keys.max(initial=0)).bit_length() + index_bits
-    x, label = keys >> 1, keys & 1
-    if width > 64:
-        # ranks keep every equality and, being below the block's entry
-        # count, leave room for the draw index and the label
-        x = np.unique(x, return_inverse=True)[1].reshape(rows, t)
-    packed = x.astype(np.uint32 if width <= 32 else np.uint64)
-    packed <<= index_bits + 1
-    packed |= label
-    packed |= np.arange(t, dtype=packed.dtype) << 1
-    packed.sort(axis=1)
-    packed = packed.ravel()
-    x = packed >> (index_bits + 1)
-    repeat = x[1:] == x[:-1]
-    repeat[t - 1::t] = False  # a row's first draw repeats nothing
-    hit = np.flatnonzero(repeat) + 1
-    row = hit // t
-    draw = ((packed[hit] >> 1) & ((1 << index_bits) - 1)).astype(np.intp)
-    disagree = ((packed[hit] ^ packed[hit - 1]) & 1).astype(bool)
-    first = np.full((2, rows), t, dtype=np.intp)
-    np.minimum.at(first[0], row, draw)
-    np.minimum.at(first[1], row[disagree], draw[disagree])
-    return first
+    # -log q[i] for i = 0..t_max, non-decreasing; inf from i = d + 1 on, where
+    # the factor r = d is 0
+    neg_log_q = np.arange(-1, t_max, dtype=float)
+    np.clip(neg_log_q, 0, d, out=neg_log_q)
+    neg_log_q /= -d
+    with np.errstate(divide="ignore"):
+        np.log1p(neg_log_q, out=neg_log_q)
+    np.cumsum(neg_log_q, out=neg_log_q)
+    np.negative(neg_log_q, out=neg_log_q)
+
+    def distinct_at_repeat(rng, distinct):
+        """D + W: the distinct x a path holds when its next draw repeats one;
+        t_max if that is past the table."""
+        level = neg_log_q[distinct] + rng.standard_exponential(distinct.size)
+        return np.searchsorted(neg_log_q, level, side="right") - 1
+
+    for law in (0, 1):
+        rng = child_rng(seed, law)
+        for start in range(0, trials, BLOCK_PATHS):
+            distinct = distinct_at_repeat(rng, np.zeros(min(BLOCK_PATHS, trials - start),
+                                                        dtype=np.intp))
+            # every draw before the first repeat is new
+            times = np.stack([distinct, np.full_like(distinct, t_max)])
+            path = np.arange(distinct.size)
+            # round r: the live paths' r earlier repeats all agreed, and their
+            # next repeat is draw distinct + r; a labelling function never
+            # disagrees with itself, so the mixture has no round to play
+            for r in range(t_max if law == 0 else 0):
+                at = distinct + r
+                inside = at < t_max
+                path, distinct, at = path[inside], distinct[inside], at[inside]
+                if not path.size:
+                    break
+                disagree = rng.random(path.size) < 0.5
+                times[1, path[disagree]] = at[disagree]
+                path = path[~disagree]
+                distinct = distinct_at_repeat(rng, distinct[~disagree])
+            yield law, times
 
 
 def success_curve(d: int, ts, trials: int, seed: int) -> list:
@@ -86,29 +90,15 @@ def success_curve(d: int, ts, trials: int, seed: int) -> list:
 
     Each trial is one path of max(ts) i.i.d. draws, and size t reads its first
     t draws, which are t i.i.d. draws: every row is exact in law, and the rows
-    share their paths (common random numbers across t). The paths are drawn
-    and scored in blocks of about BLOCK_ENTRIES draws.
+    share their paths (common random numbers across t). A path enters only
+    through its two collision times, which _collision_times draws directly.
     """
-    t_max = max(ts)
-    dtype = _key_dtype(d)
-    block = max(1, BLOCK_ENTRIES // t_max)
-    # firsts[law, kind, i]: paths whose first collision (kind 0) or first
-    # disagreeing collision (kind 1) is draw i; i = t_max counts paths with none
-    firsts = np.zeros((2, 2, t_max + 1), dtype=np.int64)
-    # uniform law (0): a uniform x and a fair label bit make the key 2x + y
-    # uniform on [0, 2d); mixture (1): a labelling function never disagrees
-    # with itself on a repeated x, so the collision cell depends on x alone
-    # and the key is 2x
-    for law, high in enumerate((2 * d, d)):
-        rng = child_rng(seed, law)
-        for start in range(0, trials, block):
-            keys = rng.integers(0, high, size=(min(block, trials - start), t_max), dtype=dtype)
-            keys <<= law
-            for kind, index in enumerate(_first_collisions(keys)):
-                firsts[law, kind] += np.bincount(index, minlength=t_max + 1)
+    # below[law, kind, i]: paths whose collision time of that kind is < ts[i]
+    below = np.zeros((2, 2, len(ts)), dtype=np.int64)
+    for law, times in _collision_times(d, max(ts), trials, seed):
+        below[law] += (times[:, None, :] < np.asarray(ts)[:, None]).sum(axis=2)
     rows = []
-    for t in ts:
-        collided, disagreed = firsts[:, :, :t].sum(axis=2).T
+    for t, (collided, disagreed) in zip(ts, below.transpose(2, 1, 0)):
         # p_u, p_m: the rate of each cell, 0 no collision, 1 all collisions
         # agree, 2 some collision disagrees
         p_u, p_m = np.stack([trials - collided, collided - disagreed, disagreed], axis=1) / trials

@@ -90,6 +90,16 @@ def reference_collision_cell(xs, ys):
     return 1 if repeated else 0
 
 
+def _distinct_value_law(d, t):
+    """P(D = j) for j = 0..t, D the number of distinct values among t uniform
+    draws from d points, from the occupancy recursion, one draw at a time."""
+    dist = [1.0] + [0.0] * t  # dist[j] = P(j distinct values so far)
+    for _ in range(t):
+        dist = [dist[j] * j / d + (dist[j - 1] * (d - j + 1) / d if j else 0.0)
+                for j in range(t + 1)]
+    return dist
+
+
 def exact_success_rate(d, t):
     """Exact success of the collision distinguisher at sample size t, scoring
     an undecided verdict 1/2: 1 - E[2^(D - t)] / 2, with D the number of
@@ -97,13 +107,20 @@ def exact_success_rate(d, t):
 
     Under the uniform law all collisions agree with probability 2^(D - t)
     given D (each repeated value needs its extra labels to match); averaging
-    the two laws' success leaves only this term. P(D = j) comes from the
-    occupancy recursion, one draw at a time."""
-    dist = [1.0] + [0.0] * t  # dist[j] = P(j distinct values so far)
-    for _ in range(t):
-        dist = [dist[j] * j / d + (dist[j - 1] * (d - j + 1) / d if j else 0.0)
-                for j in range(t + 1)]
+    the two laws' success leaves only this term."""
+    dist = _distinct_value_law(d, t)
     return 1.0 - sum(p * 2.0 ** (j - t) for j, p in enumerate(dist)) / 2.0
+
+
+def exact_cell_rates(d, t):
+    """Exact collision-cell rates at sample size t under the uniform law and
+    under the mixture, each as (no collision, all collisions agree, some
+    collision disagrees). With D as in exact_success_rate, no collision is
+    D = t under both laws; under the uniform law every collision agrees with
+    probability 2^(D - t) given D, and under the mixture always."""
+    dist = _distinct_value_law(d, t)
+    agree = sum(p * 2.0 ** (j - t) for j, p in enumerate(dist))
+    return ((dist[t], agree - dist[t], 1.0 - agree), (dist[t], 1.0 - dist[t], 0.0))
 
 
 # test-sample size of the reduction: ceil(18^2 * ln 12) = 806

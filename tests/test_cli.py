@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pacverify import cli
 from pacverify import intervals as iv
 from pacverify import sq
+from pacverify.harness import COMPLETENESS_FAILURE, COMPLETENESS_SUCCESS
 
 INTERVALS_SPEC = {
     "protocol": "intervals",
@@ -530,9 +531,10 @@ class TestReplay:
 
     @pytest.mark.parametrize("edit,field", [
         (lambda r: r["trials"][0].update(transcript=5), "trials[0]"),
+        (lambda r: r["trials"][0].pop("transcript"), "trials[0]"),
         (lambda r: r.pop("spec"), "spec"),
         (lambda r: r.update(trials={"0": {}}), "report"),
-    ], ids=["transcript-not-string", "no-spec", "trials-not-list"])
+    ], ids=["transcript-not-string", "no-transcript", "no-spec", "trials-not-list"])
     def test_malformed_report_exits_2(self, tmp_path, capsys, edit, field):
         report = cli.run_experiment(cli.ExperimentSpec.from_doc(dict(INTERVALS_SPEC, trials=1)))
         edit(report)
@@ -540,6 +542,29 @@ class TestReplay:
         path.write_text(json.dumps(report))
         assert cli.main(["replay", str(path)]) == 2
         assert f"spec error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base", [INTERVALS_SPEC, SQ_SPEC], ids=["intervals", "sq"])
+    def test_report_without_transcripts_exits_2(self, tmp_path, capsys, base):
+        # nothing to replay is a refusal, not "replayed 0, mismatches 0"
+        report = cli.run_experiment(cli.ExperimentSpec.from_doc(
+            dict(base, trials=2, record_transcripts=False)))
+        cli.write_report(report, str(tmp_path))
+        assert cli.main(["replay", str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr().err.startswith("spec error: trials[0]:")
+
+    def test_deleting_a_transcript_cannot_hide_an_edited_classification(self, tmp_path, capsys):
+        report = cli.run_experiment(cli.ExperimentSpec.from_doc(INTERVALS_SPEC))
+        trial = report["trials"][1]
+        trial["classification"] = (COMPLETENESS_SUCCESS if trial["classification"]
+                                   == COMPLETENESS_FAILURE else COMPLETENESS_FAILURE)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert cli.main(["replay", str(path)]) == 1  # the edit alone is a mismatch
+        del trial["transcript"]
+        path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert cli.main(["replay", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("spec error: trials[1]:")
 
     @pytest.mark.parametrize("base,hypothesis", UNSCORABLE_OUTCOMES.values(),
                              ids=UNSCORABLE_OUTCOMES.keys())

@@ -1,13 +1,14 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
-from oracles import (REDUCTION_TEST_SIZE, exact_no_collision, exact_success_rate,
-                     reference_collision_cell, reduction_tester)
+from oracles import (REDUCTION_TEST_SIZE, exact_cell_rates, exact_no_collision,
+                     exact_success_rate, reference_collision_cell, reduction_tester)
 
 from pacverify import lowerbound
-from pacverify.lowerbound import (_first_collisions, _key_dtype, crossing_experiment,
-                                   distinguisher_success)
+from pacverify.lowerbound import (SCAN_FACTORS, _collision_times, crossing_experiment,
+                                   distinguisher_success, success_curve)
 
 
 def drawn(d, mixture, seed, *sizes):
@@ -52,157 +53,173 @@ class TestDraws:
         assert diff.max() < 0.05
 
 
-def packed(xs, ys, d, dtype=None):
-    """Samples as the keys 2x + y that distinguisher_success draws, in its dtype."""
-    dtype = dtype or _key_dtype(d)
-    return (np.asarray(xs).astype(dtype) << 1) | np.asarray(ys).astype(dtype)
+def bernstein_radius(p: float, n: int, rates: int, alpha: float) -> float:
+    """Deviation s with P[any of `rates` means of n independent [0, 1] scores
+    with mean p is off by >= s] <= alpha: Bernstein's inequality with the
+    variance bound p(1 - p) per score, and a union bound."""
+    L = math.log(2.0 * rates / alpha)
+    b = 2.0 * L / 3.0
+    return (b + math.sqrt(b * b + 8.0 * n * L * p * (1.0 - p))) / (2.0 * n)
 
 
-def cells(keys, t=None):
-    """Collision cell of each row's first t draws (default: all of them), read
-    from its first collision and its first disagreeing collision."""
-    t = keys.shape[1] if t is None else t
-    first, disagreeing = _first_collisions(keys)
-    return np.where(disagreeing < t, 2, np.where(first < t, 1, 0))
+def cell_rates(row):
+    """A success-curve row's six cell rates: (no collision, all collisions
+    agree, some collision disagrees) under the uniform law, then the mixture.
+    Each law's success rate is half its no-collision rate plus the rate of the
+    cell that votes for it: disagreement for the uniform law, agreement for
+    the mixture."""
+    u0, m0 = row["no_collision_rate_uniform"], row["no_collision_rate_mixture"]
+    u2, m1 = row["success_uniform"] - 0.5 * u0, row["success_mixture"] - 0.5 * m0
+    return [[u0, 1.0 - u0 - u2, u2], [m0, m1, 1.0 - m0 - m1]]
+
+
+def assert_rows_match_exact_law(rows, max_exact_t=None, alpha=1e-6):
+    """Every row's six cell rates within a union-bounded Bernstein radius of
+    exact_cell_rates; rows past ``max_exact_t``, where the occupancy recursion
+    is too slow, check only their two no-collision rates against the birthday
+    product."""
+    exact = [max_exact_t is None or row["t"] <= max_exact_t for row in rows]
+    rates = sum(6 if e else 2 for e in exact)
+    for row, exact_row in zip(rows, exact):
+        if exact_row:
+            pairs = zip(np.ravel(cell_rates(row)), np.ravel(exact_cell_rates(row["d"], row["t"])))
+        else:
+            exact = exact_no_collision(row["d"], row["t"])
+            pairs = [(row[f"no_collision_rate_{law}"], exact) for law in ("uniform", "mixture")]
+        for sampled, exact in pairs:
+            radius = bernstein_radius(exact, row["trials"], rates, alpha)
+            assert abs(sampled - exact) <= radius, (row["d"], row["t"], sampled, exact)
 
 
 class TestCollisionDistinguisher:
     """The distinguisher's verdict per collision cell: 2 uniform, 1 mixture,
-    0 undecided."""
-
-    @staticmethod
-    def cell(xs, ys):
-        return int(cells(packed([xs], [ys], 4))[0])
+    0 undecided, as the reference scores one explicit sample; and the cell
+    rates the sampler measures, against the exact law."""
 
     def test_disagreeing_collision_means_uniform(self):
-        assert self.cell([3, 1, 3], [0, 1, 1]) == 2
+        assert reference_collision_cell([3, 1, 3], [0, 1, 1]) == 2
 
     def test_agreeing_collision_means_mixture(self):
-        assert self.cell([3, 1, 3], [1, 0, 1]) == 1
+        assert reference_collision_cell([3, 1, 3], [1, 0, 1]) == 1
 
     def test_no_collision_undecided(self):
-        assert self.cell([0, 1, 2], [1, 0, 1]) == 0
+        assert reference_collision_cell([0, 1, 2], [1, 0, 1]) == 0
 
     def test_disagreement_dominates_agreement(self):
-        assert self.cell([0, 0, 1, 1], [1, 1, 0, 1]) == 2
+        assert reference_collision_cell([0, 0, 1, 1], [1, 1, 0, 1]) == 2
 
-    # domain sizes at which the packed key 2x + y just fits in, or just
-    # outgrows, uint8, uint16 and uint32, and one whose keys need uint64
+    # domain sizes from 2 to 2**40, so the -log q table's first step runs from
+    # log 2 down to about 1e-12; past t = 320 only the birthday product is cheap
     @pytest.mark.parametrize("d", [2, 127, 128, 129, 32767, 32768, 32769,
                                    2**31, 2**31 + 1, 2**40])
     def test_matches_reference_on_random_rows(self, d):
-        # the smallest unsigned dtype that holds the largest key, 2d - 1
-        dtype = _key_dtype(d)
-        smaller = {np.uint16: np.uint8, np.uint32: np.uint16, np.uint64: np.uint32}.get(dtype)
-        assert 2 * d - 1 <= np.iinfo(dtype).max
-        assert smaller is None or 2 * d - 1 > np.iinfo(smaller).max
-        rng = np.random.default_rng(d)
-        rows, seen = 2000, set()
-        for t in (2, 6):
-            # each row draws from a pool of 1-12 values that holds 0 and d - 1,
-            # the packed keys' extremes, so every cell occurs
-            pools = rng.integers(0, d, size=(rows, 12))
-            pools[:, 0], pools[:, 1] = d - 1, 0
-            picks = (rng.random((rows, t)) * rng.integers(1, 13, size=(rows, 1))).astype(int)
-            xs = np.take_along_axis(pools, picks, axis=1)
-            ys = rng.integers(0, 2, size=(rows, t))
-            uniform = cells(packed(xs, ys, d))
-            assert uniform.tolist() == [reference_collision_cell(x, y) for x, y in zip(xs, ys)]
-            mixture = cells(packed(xs, np.zeros_like(ys), d))
-            assert mixture.tolist() == [reference_collision_cell(x, [0] * t) for x in xs]
-            seen.update(uniform.tolist())
-        assert seen == {0, 1, 2}
+        ts = sorted({max(2, math.ceil(f * math.sqrt(d))) for f in SCAN_FACTORS})
+        rows = success_curve(d, ts, trials=2000, seed=d % 1000)
+        assert [r["t"] for r in rows] == ts
+        assert_rows_match_exact_law(rows, max_exact_t=320)
 
 
-class TestFirstCollisions:
-    """The scorer reads a path's cell at every prefix from two indices; each
-    prefix must get the cell the reference gives that prefix."""
+class TestCellRates:
+    """Every row of a success curve, against exact_cell_rates: at d = 1 and 2
+    the table of q holds zeros (d + 1 draws always repeat), and the sizes run
+    from no collision to nearly sure disagreement."""
 
-    @staticmethod
-    def paths(rng, d, rows, t, dtype=np.uint64):
-        """Rows of t draws of x in [0, d): half uniform, half from a per-row
-        pool of 1-6 values that holds 0 and d - 1, so every cell occurs."""
-        xs = rng.integers(0, d, size=(rows, t), dtype=dtype)
-        pools = rng.integers(0, d, size=(rows, 6), dtype=dtype)
-        pools[:, 0], pools[:, 1] = d - 1, 0
-        picks = (rng.random((rows, t)) * rng.integers(1, 7, size=(rows, 1))).astype(int)
-        xs[rows // 2:] = np.take_along_axis(pools, picks, axis=1)[rows // 2:]
-        return xs
+    @pytest.mark.parametrize("d", [1, 2, 3, 64, 4096])
+    def test_rows_match_exact_cell_rates(self, d):
+        ts = sorted({1, 2, 3, *(max(1, math.ceil(f * math.sqrt(d)))
+                                 for f in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0))})
+        rows = success_curve(d, ts, trials=20_000, seed=33 + d)
+        assert_rows_match_exact_law(rows)
 
-    @staticmethod
-    def assert_every_prefix_matches(keys, xs, ys):
-        t = keys.shape[1]
-        for prefix in range(1, t + 1):
-            assert cells(keys, prefix).tolist() == [
-                reference_collision_cell(x[:prefix], y[:prefix]) for x, y in zip(xs, ys)]
+    def test_paths_drawn_in_blocks(self, monkeypatch):
+        # 2500 paths per law in blocks of 1000: every path counts once, and
+        # the rows keep the exact law
+        monkeypatch.setattr(lowerbound, "BLOCK_PATHS", 1000)
+        rows = success_curve(64, [4, 8, 12, 16], trials=2500, seed=7)
+        assert_rows_match_exact_law(rows)
+        # d = 3: draw 3 repeats at the latest, so no path of 4 draws is collision-free
+        row = distinguisher_success(3, 4, trials=2500, seed=7)
+        assert row["no_collision_rate_uniform"] == row["no_collision_rate_mixture"] == 0.0
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 64, 256, 4096, 70_000])
-    @pytest.mark.parametrize("law", ["uniform", "mixture"])
-    def test_every_prefix_matches_reference(self, d, law):
-        rng = np.random.default_rng(d)
-        xs = self.paths(rng, d, 200, 12)
-        ys = rng.integers(0, 2, size=xs.shape) if law == "uniform" else np.zeros(xs.shape, int)
-        dtypes = [t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
-                  if 2 * d - 1 <= np.iinfo(t).max]
-        assert _key_dtype(d) in dtypes
-        for dtype in dtypes:
-            self.assert_every_prefix_matches(packed(xs, ys, d, dtype), xs, ys)
+    def test_exact_cell_rates_agree_with_the_other_oracles(self):
+        for d, t in ((1, 3), (2, 2), (64, 8), (365, 23)):
+            uniform, mixture = exact_cell_rates(d, t)
+            assert sum(uniform) == pytest.approx(1.0) and sum(mixture) == pytest.approx(1.0)
+            assert uniform[0] == mixture[0] == pytest.approx(exact_no_collision(d, t))
+            success = 0.5 * (uniform[0] / 2 + uniform[2] + mixture[0] / 2 + mixture[1])
+            assert success == pytest.approx(exact_success_rate(d, t))
 
-    def test_keys_spanning_uint64(self):
-        # keys up to 2**64 - 1 and a draw index leave no room to pack the
-        # key (x, draw index, label) in 64 bits
-        d, t = 2**63, 10
-        rng = np.random.default_rng(64)
-        xs = self.paths(rng, d, 300, t)
-        ys = rng.integers(0, 2, size=xs.shape)
-        keys = packed(xs, ys, d)
-        assert keys.dtype == np.uint64 and int(keys.max()) == 2**64 - 1
-        assert int(keys.max()).bit_length() + (t - 1).bit_length() > 64
-        self.assert_every_prefix_matches(keys, xs, ys)
+    def test_largest_domains_run(self):
+        # d = 10**12 scans up to 1.75e6 draws per path from a table of as many floats
+        report = crossing_experiment([64, 10**12], 2, seed=5)
+        assert [len(p["rows"]) for p in report["points"]] == [8, 8]
 
 
-def chi_square_z(counts) -> float:
-    """Wilson-Hilferty normal score of Pearson's chi-square statistic of
-    ``counts`` against equal cell probabilities (df = cells - 1)."""
-    counts = np.asarray(counts, dtype=float).ravel()
-    expected = counts.sum() / counts.size
-    stat, df = ((counts - expected) ** 2).sum() / expected, counts.size - 1
+def two_sample_chi_square_z(a, b) -> float:
+    """Wilson-Hilferty normal score of Pearson's chi-square statistic for two
+    samples of category labels drawn from one law; categories with fewer than
+    10 pooled counts are merged into one. 0 when there is one category."""
+    labels, counts = np.unique(np.concatenate([a, b]), return_counts=True)
+    keep = counts >= 10
+    table = np.array([[np.sum(sample == v) for v in labels[keep]]
+                      + [np.sum(~np.isin(sample, labels[keep]))] for sample in (a, b)], float)
+    table = table[:, table.sum(axis=0) > 0]
+    df = table.shape[1] - 1
+    if df == 0:
+        return 0.0
+    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+    stat = ((table - expected) ** 2 / expected).sum()
     return ((stat / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
 
 
-class TestDrawLaw:
-    """distinguisher_success draws each sample as its key 2x + y: under the
-    uniform law x = key >> 1 is uniform on [0, d) and y = key & 1 a fair bit
-    independent of it; under the mixture every key is 2x."""
+def reference_times(xs, ys):
+    """An explicit path's first collision and first disagreeing collision, as
+    draw indices (len(xs) where there is none): the first prefix the
+    reference scores at cell >= 1 (>= 2), less one, found by bisection since
+    both events persist in longer prefixes."""
+    xs, ys = xs.tolist(), ys.tolist()
+    prefixes = range(1, len(xs) + 1)
+    return [bisect.bisect_left(prefixes, True,
+                               key=lambda p: reference_collision_cell(xs[:p], ys[:p]) >= cell)
+            for cell in (1, 2)]
+
+
+class TestFirstCollisions:
+    """The sampler draws each path's first collision and first disagreeing
+    collision directly; their joint law must match explicit (x, y) paths
+    scored at every prefix by the reference."""
 
     @staticmethod
-    def drawn_keys(monkeypatch, d, t, trials, seed):
-        """The keys scored under each law: the uniform law's blocks of paths
-        come first, then as many blocks of the mixture's."""
-        blocks = []
+    def explicit_times(d, t, n, law, rng):
+        """(first collision, first disagreeing collision) of n explicit paths
+        of t draws: x uniform on [0, d); y a fair coin per draw (uniform law)
+        or a fair coin per distinct x of the path (a labelling function)."""
+        xs = rng.integers(0, d, size=(n, t))
+        if law == "uniform":
+            ys = rng.integers(0, 2, size=(n, t))
+        else:
+            ys = np.array([rng.integers(0, 2, size=t)[np.unique(x, return_inverse=True)[1]]
+                           for x in xs])
+        return np.array([reference_times(x, y) for x, y in zip(xs, ys)]).T
 
-        def record(k):
-            blocks.append(k.copy())
-            return _first_collisions(k)
-
-        monkeypatch.setattr(lowerbound, "_first_collisions", record)
-        distinguisher_success(d, t, trials, seed)
-        half = len(blocks) // 2
-        return np.concatenate(blocks[:half]), np.concatenate(blocks[half:])
-
-    # z = 4.75 is the chi-square's 1 - 1e-6 quantile in the normal approximation.
-    # An even (x, y) table means x uniform, y fair and y independent of x at once.
-    @pytest.mark.parametrize("d", [2, 5, 128])
-    def test_uniform_keys_fill_the_xy_table_evenly(self, monkeypatch, d):
-        keys_u, keys_m = self.drawn_keys(monkeypatch, d, 16, 4000, seed=31)
-        assert keys_u.dtype == keys_m.dtype == _key_dtype(d)
-        assert keys_u.shape == keys_m.shape == (4000, 16)
-        assert int(keys_u.max()) < 2 * d and int(keys_m.max()) < 2 * d
-        table = np.zeros((d, 2), dtype=np.int64)
-        np.add.at(table, (keys_u >> 1, keys_u & 1), 1)
-        assert chi_square_z(table) < 4.75
-        assert not (keys_m & 1).any()
-        assert chi_square_z(np.bincount((keys_m >> 1).ravel(), minlength=d)) < 4.75
+    # z = 4.75 is the chi-square's 1 - 1e-6 quantile in the normal approximation
+    @pytest.mark.parametrize("d", [1, 2, 3, 64, 256, 4096, 70_000])
+    @pytest.mark.parametrize("law", ["uniform", "mixture"])
+    def test_every_prefix_matches_reference(self, d, law):
+        t, n = max(4, math.ceil(math.sqrt(d))), 1500
+        index = ("uniform", "mixture").index(law)
+        sampled = np.concatenate([times for drawn_law, times in _collision_times(d, t, n, seed=d)
+                                  if drawn_law == index], axis=1)
+        explicit = self.explicit_times(d, t, n, law, np.random.default_rng(d))
+        for times in (sampled, explicit):
+            assert (times[0] <= times[1]).all() and (times <= t).all()
+            assert (times[0] <= d).all()  # draw d repeats at the latest
+            assert law == "uniform" or (times[1] == t).all()
+        # each path's pair, in bins of about t/8 draws; t has a bin of its own
+        k = min(t, 8)
+        bins = [times * k // t for times in (sampled, explicit)]
+        pairs = [b[0] * (k + 1) + b[1] for b in bins]
+        assert two_sample_chi_square_z(*pairs) < 4.75
 
 
 class TestNoCollisionProbability:
@@ -218,15 +235,6 @@ class TestNoCollisionProbability:
             sigma = math.sqrt(p * (1 - p) / 4000)
             assert abs(r["no_collision_rate_uniform"] - p) <= 3 * sigma
             assert abs(r["no_collision_rate_mixture"] - p) <= 3 * sigma
-
-
-def bernstein_radius(p: float, n: int, rates: int, alpha: float) -> float:
-    """Deviation s with P[any of `rates` means of n independent [0, 1] scores
-    with mean p is off by >= s] <= alpha: Bernstein's inequality with the
-    variance bound p(1 - p) per score, and a union bound."""
-    L = math.log(2.0 * rates / alpha)
-    b = 2.0 * L / 3.0
-    return (b + math.sqrt(b * b + 8.0 * n * L * p * (1.0 - p))) / (2.0 * n)
 
 
 class TestSuccessCurves:
