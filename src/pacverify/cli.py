@@ -484,8 +484,9 @@ def replay(report_path: str) -> dict:
     Takes the path of a report.json of a kind that plays verified trials
     (intervals or sq-verify) with embedded transcripts; each transcript's
     recorded outcome is reparsed and reclassified under the report's own
-    spec, and must match the stored classification. A trial without a
-    transcript is a SpecError, so a report cannot pass by carrying none.
+    spec, and must match the stored classification. A report whose rows are
+    not its spec's trials 0 to trials - 1, in order, or a trial without a
+    transcript is a SpecError, so a report cannot pass by dropping any.
     """
     report = _read_json(report_path, "report")
     if not isinstance(report, dict) or not isinstance(report.get("trials", []), list):
@@ -494,14 +495,17 @@ def replay(report_path: str) -> dict:
     experiment, p, built = spec.validate()
     if experiment.run:
         raise SpecError("protocol", f"{experiment.name} runs no verified trials")
+    trials = report.get("trials", [])
+    numbers = [trial.get("trial") if isinstance(trial, dict) else None for trial in trials]
+    if numbers != list(range(spec.trials)) or any(type(n) is not int for n in numbers):
+        raise SpecError("trials", f"must be the spec's {spec.trials} trial rows, numbered from 0")
     *_, baseline, loss_of = built
     baseline = baseline()
     rows = []
     mismatches = 0
-    for i, trial in enumerate(report.get("trials", [])):
-        if not isinstance(trial, dict) or not isinstance(trial.get("transcript"), str):
-            raise SpecError(f"trials[{i}]", "must be an object with a transcript string "
-                                            "(record_transcripts true)")
+    for i, trial in enumerate(trials):
+        if not isinstance(trial.get("transcript"), str):  # rows are dicts, as checked above
+            raise SpecError(f"trials[{i}]", "must hold a transcript string (record_transcripts true)")
         transcript = Transcript.from_jsonl(trial["transcript"])
         try:  # the outcome line is untrusted: it may be missing or hold any JSON hypothesis
             classification = classify_outcome(transcript, loss_of, baseline,
@@ -510,7 +514,7 @@ def replay(report_path: str) -> dict:
             raise SpecError(f"trials[{i}]", f"transcript outcome cannot be scored ({exc})") from exc
         match = classification == trial.get("classification")
         mismatches += 0 if match else 1
-        rows.append({"trial": trial.get("trial"), "classification": classification,
+        rows.append({"trial": i, "classification": classification,
                      "recorded": trial.get("classification"), "match": match})
     return {"report": report_path, "replayed": len(rows), "mismatches": mismatches,
             "rows": rows}

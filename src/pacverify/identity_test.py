@@ -5,8 +5,8 @@ unknown source, decide between "source is within the inner radius of the
 reference in total variation" and "source is farther than the outer radius".
 Behavior in the gap between the radii is unconstrained. The tester reads only
 the reference, the sample's counts and the two radii, which each protocol's
-config keeps in 0 < inner < outer < 1. Both verification protocols in this
-package consume the tester as a black box.
+config keeps in 0 < inner < outer < 1. Both verification protocols test and
+refuse a prover's claim only through ``tested_claim``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import DiscreteDistribution
+from .harness import ProtocolViolation
 
 
 @dataclass(frozen=True)
@@ -60,3 +63,12 @@ def test_from_counts(ref: np.ndarray, counts: np.ndarray, outer: float, inner: f
     bias = float((ref * ref / denom).sum())
     return TestVerdict(accept=stat + m * bias < m * m * mean_sq * spread, statistic=stat,
                        samples_used=m)
+
+
+def tested_claim(counts, m: int, own_counts, outer: float, inner: float) -> np.ndarray:
+    """The claim ``counts.ravel() / m`` as probabilities, if the tester at ``outer`` and
+    ``inner`` accepts it on the verifier's ``own_counts``; else ProtocolViolation."""
+    probs = DiscreteDistribution(counts.ravel() / m).probs
+    if not test_from_counts(probs, own_counts, outer, inner).accept:
+        raise ProtocolViolation("identity tester refused the claim")
+    return probs

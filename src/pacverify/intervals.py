@@ -10,9 +10,9 @@ O(largest band + m_p / k). That gives exactly the claim that sorting the
 whole sample (``IntervalPopulation.sample``) and partitioning it
 (``honest_prover_partition``) gives from the same draws. The verifier parses
 the claim once against the agreed k and m_p (``DiscretizedMessage.from_payload``),
-a parse that checks the equal-share identity exactly; it then runs the
-tolerant identity tester against the discretized population and outputs the
-empirical-risk minimizer over the reported discretization.
+a parse that checks the equal-share identity exactly; it then tests the claim
+against the discretized population (``tested_claim`` at the config's ``radii``)
+and outputs the empirical-risk minimizer over the reported discretization.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .harness import (
     parse_counts,
     parse_numbers,
 )
-from .identity_test import required_samples, test_from_counts
+from .identity_test import required_samples, tested_claim
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,8 @@ class IntervalPopulation:
         label1 = np.asarray(self.label1, dtype=float)
         if not (len(centers) == len(masses) == len(label1)):
             raise ValueError("centers, masses and label1 must have equal length")
-        if np.any(np.diff(centers) <= 0):
-            raise ValueError("centers must be strictly increasing")
+        if not np.isfinite(centers).all() or np.any(np.diff(centers) <= 0):
+            raise ValueError("centers must be finite and strictly increasing")
         if not abs(masses.sum() - 1.0) <= 1e-9 or np.any(masses < 0):
             raise ValueError("masses must be a probability vector")
         if not np.all((label1 >= 0) & (label1 <= 1)):
@@ -163,10 +163,10 @@ class IntervalProtocolConfig:
     """One verified run over k = 12d/epsilon intervals, with budgets derived
     from c_v and c_p.
 
-    The verifier tests the claim on the 2k (interval, label) atoms at outer
-    radius epsilon/6 and inner radius epsilon/(6 sqrt(2k)); m_v is exactly
-    the tester's budget at (epsilon/6, delta/2) on those atoms, so the
-    verifier never tests on fewer samples; m_p follows
+    The verifier tests the claim on the 2k (interval, label) atoms at
+    ``radii``: outer radius epsilon/6 and inner radius epsilon/(6 sqrt(2k));
+    m_v is exactly the tester's budget at (outer, delta/2) on those atoms, so
+    the verifier never tests on fewer samples; m_p follows
     c_p (d^2 log(max(d/epsilon, e)) + log(1/delta)) / epsilon^4, rounded up
     to a multiple of k.
     """
@@ -190,7 +190,7 @@ class IntervalProtocolConfig:
         if self.d < 1 or not (self.c_v > 0 and self.c_p > 0):
             raise ValueError("d must be >= 1, and c_v and c_p positive")
         d, epsilon, k = self.d, self.epsilon, self.k
-        m_v = required_samples(2 * k, epsilon / 6.0, self.delta / 2.0, self.c_v)
+        m_v = required_samples(2 * k, self.radii[0], self.delta / 2.0, self.c_v)
         base = self.c_p * (d * d * math.log(max(d / epsilon, math.e))
                            + math.log(1.0 / self.delta)) / epsilon**4
         m_p = int(math.ceil(base / k) * k)
@@ -206,6 +206,12 @@ class IntervalProtocolConfig:
     @property
     def chunk(self) -> int:
         return self.m_p // self.k
+
+    @property
+    def radii(self) -> tuple[float, float]:
+        """The tester's (outer, inner) radii on the 2k atoms."""
+        outer = self.epsilon / 6.0
+        return outer, outer / math.sqrt(2 * self.k)
 
     @classmethod
     def default(cls, d: int, epsilon: float, delta: float,
@@ -451,22 +457,18 @@ def make_interval_prover(name: str, pop: IntervalPopulation, cfg: IntervalProtoc
 def make_protocol1_verifier(pop: IntervalPopulation, cfg: IntervalProtocolConfig):
     """The intervals verifier, bound to the population it draws its counts from.
 
-    The claim's parse at (k, m_p) refuses unequal shares; the verifier then
-    raises ProtocolViolation if the tolerant identity test refuses the claimed
-    discretization, and otherwise returns the ERM hypothesis over the claim,
-    a list of [start, end] intervals. The tester reads only occupancy counts
-    over the (interval, label) atoms, so they are drawn directly:
-    Multinomial(m_v, the claimed intervals' masses).
+    The claim's parse at (k, m_p) refuses unequal shares; ``tested_claim`` at
+    ``cfg.radii`` raises ProtocolViolation if the tester refuses the claimed
+    discretization, and otherwise the verifier returns the ERM hypothesis
+    over the claim, a list of [start, end] intervals. The tester reads only
+    occupancy counts over the (interval, label) atoms, so they are drawn
+    directly: Multinomial(m_v, the claimed intervals' masses).
     """
-    outer = cfg.epsilon / 6.0
-    inner = outer / math.sqrt(2 * cfg.k)
 
     def verifier(channel, rng):
         msg = DiscretizedMessage.from_payload(channel.initial(), cfg.k, cfg.m_p)
         counts = rng.multinomial(cfg.m_v, pop.interval_label_masses(msg.boundaries).ravel())
-        table = msg.counts / cfg.m_p
-        if not test_from_counts(table.ravel(), counts, outer, inner).accept:
-            raise ProtocolViolation("identity tester refused the claimed discretization")
+        table = tested_claim(msg.counts, cfg.m_p, counts, *cfg.radii).reshape(cfg.k, 2)
         runs, _ = erm_runs(table[:, 0], table[:, 1], cfg.d)
         return [[float(msg.boundaries[s]), float(msg.boundaries[e + 1])] for s, e in runs]
 

@@ -2,16 +2,16 @@
 
 An SQ algorithm learns by asking batches of indicator queries and receiving
 their expectations to within a precision tau. The verifier simulates the
-algorithm while outsourcing distribution estimation to an untrusted prover:
-per batch it computes the atoms of the sigma-algebra the batch generates,
-sends the prover that partition (the atom index of every domain element),
-receives the prover's claimed atom distribution, identity-tests the claim
-against its own (much smaller) sample, and answers the algorithm from the
-claim. The whole simulation is repeated and the best output is selected on a
-holdout sample. A query batch is an immutable value, validated and stacked
-once into a read-only int8 matrix whose shape and bytes are its key; within
-one verifier run the partition is computed once per distinct key, since the
-T simulations of a deterministic algorithm ask the same batches.
+algorithm while outsourcing distribution estimation to an untrusted prover: per
+batch it computes the atoms of the sigma-algebra the batch generates, sends the
+prover that partition (the atom index of every domain element), receives the
+prover's claimed atom distribution, tests it in ``tested_claim`` against its
+own (much smaller) sample, and answers the algorithm from the claim. The whole
+simulation is repeated and the best output is selected on a holdout sample. A
+query batch is an immutable value, validated and stacked once into a read-only
+int8 matrix whose shape and bytes are its key; within one verifier run the
+partition is computed once per distinct key, since the T simulations of a
+deterministic algorithm ask the same batches.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import DiscreteDistribution, child_rng
 from .harness import ProtocolViolation, parse_counts
-from .identity_test import required_samples, test_from_counts
+from .identity_test import required_samples, tested_claim
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,9 +120,6 @@ def induced_evaluations(ap: AtomPartition, atom_probs: np.ndarray) -> np.ndarray
     masses of the atoms it contains. When ``atom_probs`` equals the true atom
     distribution this reproduces the exact query expectations.
     """
-    atom_probs = np.asarray(atom_probs, dtype=float)
-    if atom_probs.shape != (ap.size,):
-        raise ValueError("one probability per atom required")
     return ap.atom_query_values @ atom_probs
 
 
@@ -137,10 +134,10 @@ class SqProtocolConfig:
 
     ``b`` bounds the number of query batches, ``s`` the partition size
     (atom count) of any single batch; the per-batch identity test runs at
-    confidence 1 - epsilon*delta/(4b) with inner radius tau/(2 sqrt(atoms))
-    and outer radius tau. m_v is that test's budget at the worst admissible
-    atom count s, m_p ~ s^2 / tau^2 puts the prover's accuracy well inside the
-    inner radius, and the holdout is sized for uniform convergence of the T
+    confidence 1 - epsilon*delta/(4b) at ``radii(atoms)``: outer radius tau,
+    inner radius tau/(2 sqrt(atoms)). m_v is that test's budget at the worst
+    admissible atom count s, m_p ~ s^2 / tau^2 puts the prover's accuracy well
+    inside the inner radius, and the holdout is sized for uniform convergence of the T
     candidate losses to epsilon/2.
     """
 
@@ -177,6 +174,10 @@ class SqProtocolConfig:
     @property
     def T(self) -> int:
         return iteration_count(self.epsilon, self.delta)
+
+    def radii(self, atoms: int) -> tuple[float, float]:
+        """The per-batch tester's (outer, inner) radii on ``atoms`` atoms."""
+        return self.tau, self.tau / (2.0 * math.sqrt(atoms))
 
     @classmethod
     def default(cls, tau: float, epsilon: float, delta: float, s: int, b: int = 1,
@@ -290,11 +291,11 @@ def verifier_iteration(element_counts_v: np.ndarray, alg: SqAlgorithm, channel,
     """Simulate one full run of the algorithm through the prover channel.
 
     Per batch: look up or compute the atoms, send the prover their partition,
-    identity-test its claimed atom distribution against the verifier sample's
-    atom counts, and feed the claim's induced evaluations back to the
-    algorithm. Returns the algorithm's output; raises ProtocolViolation,
-    naming the gate, when the algorithm asks more than ``cfg.b`` batches, a
-    batch has more than ``cfg.s`` atoms, or the tester refuses a claim.
+    test its claimed atom distribution in ``tested_claim`` at ``cfg.radii``,
+    and feed the claim's induced evaluations back to the algorithm. Returns
+    the algorithm's output; raises ProtocolViolation, naming the gate, when
+    the algorithm asks more than ``cfg.b`` batches, a batch has more than
+    ``cfg.s`` atoms, or the tester refuses a claim.
 
     ``partitions`` memoises atom partitions by ``batch.key``, the content
     key each batch computes once from its read-only matrix, so a fresh but
@@ -319,12 +320,9 @@ def verifier_iteration(element_counts_v: np.ndarray, alg: SqAlgorithm, channel,
             "batch": t,
             "atoms": ap.signature.tolist(),
         })
-        claimed = DiscreteDistribution(parse_counts(reply, (ap.size,), cfg.m_p) / cfg.m_p)
-        verdict = test_from_counts(claimed.probs, ap.atom_counts(element_counts_v),
-                                   cfg.tau, cfg.tau / (2.0 * math.sqrt(ap.size)))
-        if not verdict.accept:
-            raise ProtocolViolation(f"identity tester refused the claim on batch {t}")
-        kind, value = alg.step(induced_evaluations(ap, claimed.probs))
+        claimed = tested_claim(parse_counts(reply, (ap.size,), cfg.m_p), cfg.m_p,
+                               ap.atom_counts(element_counts_v), *cfg.radii(ap.size))
+        kind, value = alg.step(induced_evaluations(ap, claimed))
     return value
 
 

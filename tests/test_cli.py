@@ -534,9 +534,17 @@ class TestReplay:
         (lambda r: r["trials"][0].pop("transcript"), "trials[0]"),
         (lambda r: r.pop("spec"), "spec"),
         (lambda r: r.update(trials={"0": {}}), "report"),
-    ], ids=["transcript-not-string", "no-transcript", "no-spec", "trials-not-list"])
+        # a report must hold every trial its spec plays: replaying fewer is no check
+        (lambda r: r.pop("trials"), "trials"),
+        (lambda r: r.update(trials=[]), "trials"),
+        (lambda r: r["trials"].pop(), "trials"),
+        (lambda r: r["trials"].reverse(), "trials"),
+        (lambda r: r["trials"][1].update(trial=True), "trials"),
+    ], ids=["transcript-not-string", "no-transcript", "no-spec", "trials-not-list",
+            "no-trials-key", "no-trial-rows", "last-row-dropped", "rows-reordered",
+            "trial-number-not-int"])
     def test_malformed_report_exits_2(self, tmp_path, capsys, edit, field):
-        report = cli.run_experiment(cli.ExperimentSpec.from_doc(dict(INTERVALS_SPEC, trials=1)))
+        report = cli.run_experiment(cli.ExperimentSpec.from_doc(INTERVALS_SPEC))
         edit(report)
         path = tmp_path / "report.json"
         path.write_text(json.dumps(report))

@@ -8,7 +8,10 @@ from oracles import accept_rate, planted_shift, tv_from_probs
 
 from pacverify import identity_test as it
 from pacverify.core import DiscreteDistribution, child_rng
+from pacverify.harness import ProtocolViolation
 from pacverify.identity_test import required_samples
+from pacverify.intervals import IntervalProtocolConfig
+from pacverify.sq import SqProtocolConfig
 
 # 100 atoms, outer radius 0.1 and inner radius outer / sqrt(100)
 OUTER = 0.1
@@ -99,3 +102,40 @@ class TestVerdicts:
         for earlier, later in zip(rates, rates[1:]):
             assert earlier >= later - 0.05
 
+
+class TestTestedClaim:
+    def test_accepted_claim_is_its_counts_over_m(self):
+        # a (k, 2) claim, as the intervals verifier passes it, tested on a sample of itself
+        m = 5000
+        counts = child_rng(5).multinomial(m, np.full(100, 0.01)).reshape(50, 2)
+        own = child_rng(6).multinomial(BUDGET, counts.ravel() / m)
+        probs = it.tested_claim(counts, m, own, OUTER, INNER)
+        assert probs.shape == (100,)
+        assert np.array_equal(probs, counts.ravel() / m)
+
+    def test_claim_beyond_the_outer_radius_is_refused(self):
+        m = 10_000
+        claim = np.round(planted_shift(np.full(100, 0.01), 3 * OUTER) * m).astype(np.int64)
+        assert claim.sum() == m
+        own = child_rng(7).multinomial(BUDGET, np.full(100, 0.01))
+        with pytest.raises(ProtocolViolation, match="identity tester"):
+            it.tested_claim(claim, m, own, OUTER, INNER)
+
+
+class TestConfigRadii:
+    """Each config states its tester radii once, and its m_v is the tester's
+    budget at the outer radius on its own atom count."""
+
+    @pytest.mark.parametrize("d,epsilon,delta", [(1, 0.1, 0.2), (2, 0.1, 0.2), (3, 0.05, 0.1)])
+    def test_intervals_budget_is_the_tester_budget_on_2k_atoms(self, d, epsilon, delta):
+        cfg = IntervalProtocolConfig.default(d, epsilon, delta)
+        outer, inner = cfg.radii
+        assert (outer, inner) == (epsilon / 6, epsilon / 6 / math.sqrt(2 * cfg.k))
+        assert cfg.m_v == required_samples(2 * cfg.k, outer, delta / 2, cfg.c_v)
+
+    @pytest.mark.parametrize("s,b", [(1, 1), (16, 1), (64, 3)])
+    def test_sq_budget_is_the_tester_budget_on_s_atoms(self, s, b):
+        cfg = SqProtocolConfig.default(tau=0.05, epsilon=0.1, delta=0.2, s=s, b=b)
+        outer, inner = cfg.radii(s)
+        assert (outer, inner) == (0.05, 0.05 / (2 * math.sqrt(s)))
+        assert cfg.m_v == required_samples(s, outer, 0.1 * 0.2 / (4 * b), cfg.c_v)

@@ -172,6 +172,13 @@ class TestBandLevelProver:
         with pytest.raises(ValueError, match="masses"):
             banded(4, np.array(masses), np.zeros(4))
 
+    @pytest.mark.parametrize("centers", [[np.nan], [0.25, np.nan], [np.nan, 0.75], [0.25, np.inf]])
+    def test_centers_that_are_not_finite_are_refused(self, centers):
+        # every other center check is a comparison, which NaN fails silently
+        masses = np.full(len(centers), 1.0 / len(centers))
+        with pytest.raises(ValueError, match="centers"):
+            IntervalPopulation(np.array(centers), masses, np.full(len(centers), 0.5), 0.1)
+
     @pytest.mark.parametrize("label1", [[0, 1.7, 0, 0], [0, 0, -3, 0], [0, 0, 0, np.nan]])
     def test_labels_outside_the_unit_interval_are_refused(self, label1):
         # such a band has no label law, and a NaN label made loss01 NaN

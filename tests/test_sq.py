@@ -18,7 +18,7 @@ from oracles import (
     true_atom_probs,
 )
 
-from pacverify import cli, sq
+from pacverify import cli, identity_test, sq
 from pacverify.core import DiscreteDistribution, child_rng
 from pacverify.harness import ProtocolViolation, run_interaction
 from pacverify.sq import (
@@ -415,13 +415,13 @@ class TestVerifierIteration:
             self.run_iter(HonestSqProver(self.dist, self.cfg), alg=ChattyAlgorithm(64, 8, 16))
 
     def test_one_atom_batch_is_tested_and_accepted(self, monkeypatch):
-        tester, verdicts = sq.test_from_counts, []
+        tester, verdicts = identity_test.test_from_counts, []
 
         def recorded(*args):
             verdicts.append(tester(*args))
             return verdicts[-1]
 
-        monkeypatch.setattr(sq, "test_from_counts", recorded)
+        monkeypatch.setattr(identity_test, "test_from_counts", recorded)
         cfg = SqProtocolConfig.default(tau=0.05, epsilon=0.1, delta=0.2, s=1)
         result = self.run_iter(HonestSqProver(self.dist, cfg), alg=PortfolioAlgorithm(64, 8, 1),
                                cfg=cfg)
